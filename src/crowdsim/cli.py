@@ -4,7 +4,8 @@ Every command writes a manifest.json into the output directory and embeds
 the manifest hash in each file it produces; rerunning a command with the
 same manifest yields byte-identical outputs.  All randomness derives from
 the --seed flag through named sub-streams.  The default output directory
-can be set with the CROWDSIM_OUT environment variable.
+can be set with the CROWDSIM_OUT environment variable; CROWDSIM_DEBUG=1
+re-raises a failing command's exception instead of printing "error: ...".
 """
 
 from __future__ import annotations
@@ -149,14 +150,14 @@ def cmd_ingest(args) -> int:
     manifest = RunManifest(command="ingest", scene=args.scene,
                            data=tuple(args.data), seed=args.seed, out=str(out),
                            options={"fps": args.fps, "unit_scale": args.unit_scale,
-                                    "role": args.role, "window": args.window})
+                                    "role": args.role, "window": args.window,
+                                    "module": args.module})
     expected = EXPECTED_FPS.get(scene.modules[0].kind)
     if expected is not None and abs(args.fps - expected) > 1e-9:
         manifest.warnings.append(
             f"fps {args.fps} differs from the usual {expected} for "
             f"{scene.modules[0].kind} recordings")
-    focus = _focus_area(scene, None) if any(
-        m.focus_area is not None for m in scene.modules) else None
+    focus = _focus_area(scene, args.module)
     runs = []
     for path in args.data:
         trajs = parse_trajectories(path, unit_scale=args.unit_scale, fps=args.fps)
@@ -482,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor converting input units to metres")
     p.add_argument("--role", choices=["train_val", "test"], default="train_val")
     p.add_argument("--window", type=int, default=8)
+    p.add_argument("--module", default=None, help="module whose focus area to clip to")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train the velocity predictor on archives")
@@ -547,6 +549,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if os.environ.get("CROWDSIM_DEBUG") == "1":
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

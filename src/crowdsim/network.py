@@ -7,6 +7,11 @@ on the skip path when channel counts change) and reads the last time step
 through a fully-connected head.  Forward, backward and the Adam optimiser
 are implemented from scratch so gradients are exact and checkable against
 finite differences.  Everything runs in float64.
+
+Blocks take and return (B, C, L) views of time-major (L, B, C) buffers.  With
+rows flattened to (L*B, C), conv tap u is one GEMM on contiguous row blocks,
+out[h*u:] += z[:L-h*u] @ W_u.T, run only for live taps (h*u < L): the others
+read only causal zero padding.  `dilated_causal_conv` is the scalar oracle.
 """
 from __future__ import annotations
 
@@ -137,16 +142,6 @@ def dilated_causal_conv(z, f, q: int, h: int) -> np.ndarray:
     return out
 
 
-def _unfold(zp: np.ndarray, length: int, q: int, h: int, pad: int) -> np.ndarray:
-    """Gather causal taps: returns (B, C, L, q) views copied from zp."""
-    b, c, _ = zp.shape
-    out = np.empty((b, c, length, q))
-    for u in range(q):
-        start = pad - h * u
-        out[:, :, :, u] = zp[:, :, start:start + length]
-    return out
-
-
 class _WeightNormConv:
     """Dilated causal conv layer with weight-norm parameterisation."""
 
@@ -156,7 +151,6 @@ class _WeightNormConv:
         self.g = np.linalg.norm(self.v.reshape(out_ch, -1), axis=1)
         self.b = np.zeros(out_ch)
         self.q, self.h = q, h
-        self.pad = h * (q - 1)
         self.grad_v = np.zeros_like(self.v)
         self.grad_g = np.zeros_like(self.g)
         self.grad_b = np.zeros_like(self.b)
@@ -165,23 +159,34 @@ class _WeightNormConv:
     def effective_weight(self) -> np.ndarray:
         return weight_norm_effective(self.v, self.g)
 
+    def _shifted_taps(self, length: int, batch: int) -> list[tuple[int, int]]:
+        """(u, rows) per live tap u >= 1 (h*u < L): input rows [:rows] feed
+        output rows [-rows:].  Tap 0 maps every row to itself."""
+        return [(u, (length - self.h * u) * batch)
+                for u in range(1, min(self.q, (length - 1) // self.h + 1))]
+
     def forward(self, z: np.ndarray) -> np.ndarray:
-        """z: (B, C_in, L) -> (B, C_out, L)."""
-        b, _, length = z.shape
-        zp = np.concatenate([np.zeros((b, z.shape[1], self.pad)), z], axis=2) \
-            if self.pad else z
-        u = _unfold(zp, length, self.q, self.h, self.pad)
-        w = self.effective_weight()
-        out = np.tensordot(u, w, axes=([1, 3], [1, 2]))      # (B, L, C_out)
-        out = out.transpose(0, 2, 1) + self.b[None, :, None]
-        self._cache = (u, w, z.shape)
-        return out
+        """z: (L, B, C_in) -> (L, B, C_out)."""
+        length, batch, c_in = z.shape
+        z2 = z.reshape(length * batch, c_in)
+        w = self.effective_weight().transpose(2, 0, 1).copy()   # (q, C_out, C_in)
+        out = z2 @ w[0].T                       # tap 0 reads every row
+        for u, rows in self._shifted_taps(length, batch):
+            out[-rows:] += z2[:rows] @ w[u].T
+        out += self.b
+        self._cache = (z2, w, batch)
+        return out.reshape(length, batch, -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        u, w, zshape = self._cache
-        b, c_in, length = zshape
-        self.grad_b = dout.sum(axis=(0, 2))
-        dw = np.tensordot(dout, u, axes=([0, 2], [0, 2]))    # (C_out, C_in, q)
+        z2, w, batch = self._cache
+        d2 = dout.reshape(z2.shape[0], -1)
+        self.grad_b = d2.sum(axis=0)
+        dw = np.zeros_like(self.v)              # dead taps keep a zero gradient
+        dw[:, :, 0] = d2.T @ z2
+        dz = d2 @ w[0]
+        for u, rows in self._shifted_taps(z2.shape[0] // batch, batch):
+            dw[:, :, u] = d2[-rows:].T @ z2[:rows]
+            dz[:rows] += d2[-rows:] @ w[u]
         # Chain through the weight-norm reparameterisation.
         flat_v = self.v.reshape(self.v.shape[0], -1)
         norms = np.linalg.norm(flat_v, axis=1)
@@ -191,12 +196,7 @@ class _WeightNormConv:
         self.grad_g = dot
         self.grad_v = ((self.g / norms)[:, None] * (dw_flat - dot[:, None] * vhat)
                        ).reshape(self.v.shape)
-        du = np.tensordot(dout, w, axes=([1], [0]))          # (B, L, C_in, q)
-        dzp = np.zeros((b, c_in, length + self.pad))
-        for tap in range(self.q):
-            start = self.pad - self.h * tap
-            dzp[:, :, start:start + length] += du[:, :, :, tap].transpose(0, 2, 1)
-        return dzp[:, :, self.pad:] if self.pad else dzp
+        return dz.reshape(dout.shape[:2] + (-1,))
 
     def parameters(self):
         return [("v", self.v), ("g", self.g), ("b", self.b)]
@@ -245,45 +245,41 @@ class _TemporalBlock:
         self._cache: Optional[tuple] = None
 
     def _drop(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator]):
+        """Dropout on time-major x; the mask is drawn as (B, C, L)."""
         if not train or self.dropout == 0.0:
             return x, None
         keep = 1.0 - self.dropout
-        mask = (rng.random(x.shape) < keep) / keep
-        return x * mask, mask
+        length, b, c = x.shape
+        mask = (rng.random((b, c, length)) < keep) / keep
+        return x * mask.transpose(2, 0, 1), mask
 
     def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator]):
-        a1 = self.conv1.forward(z)
-        r1 = np.maximum(a1, 0.0)
-        d1, m1 = self._drop(r1, train, rng)
+        """z: (B, C_in, L) -> (B, C_out, L); cached arrays are (B, C, L) too."""
+        x = np.ascontiguousarray(z.transpose(2, 0, 1))
+        a1 = self.conv1.forward(x)
+        d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng)
         a2 = self.conv2.forward(d1)
-        r2 = np.maximum(a2, 0.0)
-        d2, m2 = self._drop(r2, train, rng)
-        if self.proj is None:
-            res = z
-        else:
+        d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng)
+        res = x
+        if self.proj is not None:
             # 1x1 conv over channels == linear map applied per time step.
-            b, c, length = z.shape
-            res = self.proj.forward(z.transpose(0, 2, 1).reshape(-1, c)) \
-                .reshape(b, length, -1).transpose(0, 2, 1)
-        self._cache = (a1, m1, a2, m2, z.shape)
-        return d2 + res
+            length, b, c = x.shape
+            res = self.proj.forward(x.reshape(-1, c)).reshape(length, b, -1)
+        self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, z.shape)
+        return (d2 + res).transpose(1, 2, 0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        a1, m1, a2, m2, zshape = self._cache
-        d = dout if m2 is None else dout * m2
-        d = d * (a2 > 0.0)
-        d = self.conv2.backward(d)
-        if m1 is not None:
-            d = d * m1
-        d = d * (a1 > 0.0)
-        dz = self.conv1.backward(d)
-        if self.proj is None:
-            dz = dz + dout
-        else:
-            b, c, length = zshape
-            dres = self.proj.backward(dout.transpose(0, 2, 1).reshape(-1, dout.shape[1]))
-            dz = dz + dres.reshape(b, length, c).transpose(0, 2, 1)
-        return dz
+        """dout: (B, C_out, L) -> (B, C_in, L), a view of a time-major buffer."""
+        a1, m1, a2, m2, _ = self._cache
+        d = dres = dout.transpose(2, 0, 1)
+        for conv, a, m in ((self.conv2, a2, m2), (self.conv1, a1, m1)):
+            if m is not None:
+                d = d * m.transpose(2, 0, 1)
+            d = conv.backward(d * (a.transpose(2, 0, 1) > 0.0))
+        if self.proj is not None:
+            length, b, c = dres.shape
+            dres = self.proj.backward(dres.reshape(-1, c)).reshape(length, b, -1)
+        return (d + dres).transpose(1, 2, 0)
 
     def parameters(self):
         out = [("conv1." + n, p) for n, p in self.conv1.parameters()]

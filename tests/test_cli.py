@@ -9,15 +9,21 @@ from crowdsim.cli import main
 from crowdsim.io import read_csv
 
 
-def _write_raw(path, n_peds=3, n_frames=40):
+def _write_raw(path, n_peds=3, n_frames=40, origin_cm=(0.0, 0.0)):
     # centimetre coordinates, 16 fps walkers at 1 m/s along the corridor
     lines = ["# synthetic corridor walkers"]
     for p in range(n_peds):
-        x0 = 20.0 + 30.0 * p
-        y = 60.0 + 60.0 * p
+        x0 = origin_cm[0] + 20.0 + 30.0 * p
+        y = origin_cm[1] + 60.0 + 60.0 * p
         for f in range(n_frames):
             lines.append(f"{p + 1} {f} {x0 + f * 6.25:.2f} {y:.2f}")
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def _no_debug_env(monkeypatch):
+    # error-path tests expect exit status 1, not the re-raised exception
+    monkeypatch.delenv("CROWDSIM_DEBUG", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +88,55 @@ def test_ingest_malformed_file_errors(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 2" in err
+
+
+# lower-left corner of the composite scene's corridor module
+COMPOSITE_CORRIDOR_CM = (240.0, 320.0)
+
+
+def test_ingest_composite_without_module_errors(tmp_path, capsys):
+    raw = tmp_path / "stem.txt"
+    _write_raw(raw, origin_cm=COMPOSITE_CORRIDOR_CM)
+    code = main(["ingest", "--scene", "composite", "--data", str(raw),
+                 "--fps", "16", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "several modules define a focus area" in err and "--module" in err
+
+
+def test_ingest_composite_clips_to_chosen_module(tmp_path):
+    raw = tmp_path / "stem.txt"
+    _write_raw(raw, origin_cm=COMPOSITE_CORRIDOR_CM)
+    out = tmp_path / "out"
+    assert main(["ingest", "--scene", "composite", "--data", str(raw), "--fps", "16",
+                 "--module", "corridor", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["options"]["module"] == "corridor"
+    doc = json.loads((out / "dataset.json").read_text())
+    assert [len(t["positions"]) for t in doc["runs"][0]["trajectories"]] == [40] * 3
+    # the bottleneck's focus area holds none of these walkers
+    code = main(["ingest", "--scene", "composite", "--data", str(raw), "--fps", "16",
+                 "--module", "bottleneck", "--out", str(tmp_path / "empty")])
+    assert code == 1
+
+
+def test_failure_prints_one_error_line_unless_debug_is_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CROWDSIM_DEBUG", "0")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0 10 20\n1 one 30 40\n")
+    assert main(["ingest", "--scene", "corridor", "--data", str(bad),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_debug_env_var_reraises_with_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CROWDSIM_DEBUG", "1")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0 10 20\n1 one 30 40\n")
+    with pytest.raises(ValueError, match="line 2"):
+        main(["ingest", "--scene", "corridor", "--data", str(bad),
+              "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
 
 
 def test_train_outputs_and_rerun_identical(pipeline):

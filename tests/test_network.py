@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdsim.network import (
     Adam,
@@ -13,6 +15,7 @@ from crowdsim.network import (
     loss_and_grad,
     train,
     weight_norm_effective,
+    _WeightNormConv,
 )
 
 TINY = NetworkConfig(input_dim=6, window=8, tcn_channels=(3, 4, 5),
@@ -139,15 +142,11 @@ def _activation_margin(net: VelocityPredictor) -> float:
     return m
 
 
-def test_gradients_match_central_finite_differences() -> None:
-    # Random tiny network; step 1e-5; max relative error < 1e-5.  The
-    # denominator floor keeps near-zero components checked absolutely at
-    # 1e-9 rather than dividing noise by noise.
-    net = VelocityPredictor(TINY, np.random.default_rng(11))
-    rng = np.random.default_rng(100)
-    x = rng.normal(size=(2, 8, 6))
-    y = rng.normal(size=(2, 2))
-
+def _assert_gradients_match_central_differences(net: VelocityPredictor,
+                                                 x: np.ndarray, y: np.ndarray) -> None:
+    # Step 1e-5; max relative error < 1e-5.  The denominator floor keeps
+    # near-zero components checked absolutely at 1e-9 rather than dividing
+    # noise by noise.
     pred = net.forward(x, train=False)
     # Central differences break across a ReLU kink: make sure this seed
     # keeps every pre-activation well clear of zero.
@@ -173,6 +172,50 @@ def test_gradients_match_central_finite_differences() -> None:
             worst = max(worst, rel)
             assert rel < 1e-5, (name, i, ana[i], fd, rel)
     assert worst < 1e-5
+
+
+def test_gradients_match_central_finite_differences() -> None:
+    net = VelocityPredictor(TINY, np.random.default_rng(11))
+    rng = np.random.default_rng(100)
+    _assert_gradients_match_central_differences(
+        net, rng.normal(size=(2, 8, 6)), rng.normal(size=(2, 2)))
+
+
+def test_gradients_match_central_differences_with_dead_taps() -> None:
+    # The default geometry: kernel 8, dilations 1/2/4 at window 8, so 4 of
+    # the 8 taps in block 1 and 6 of the 8 in block 2 read only padding.
+    cfg = NetworkConfig(input_dim=6, window=8, tcn_channels=(3, 4, 5), dropout_rate=0.2)
+    assert (cfg.kernel_size, cfg.dilations) == (8, (1, 2, 4))
+    rng = np.random.default_rng(16)
+    net = VelocityPredictor(cfg, rng)
+    # Nonzero biases keep time steps whose inputs are all zero off the kink.
+    for name, p in net.parameters():
+        if name.endswith(".b"):
+            p[:] = rng.normal(scale=0.3, size=p.shape)
+    data = np.random.default_rng(100)
+    _assert_gradients_match_central_differences(
+        net, data.normal(size=(2, 8, 6)), data.normal(size=(2, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(1, 8), h=st.integers(1, 5), length=st.integers(1, 10),
+       c_in=st.integers(1, 4), c_out=st.integers(1, 4), batch=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=8, h=4, length=8, c_in=3, c_out=2, batch=2, seed=0)   # 6 of 8 taps dead
+@example(q=3, h=5, length=4, c_in=1, c_out=1, batch=1, seed=1)   # only tap 0 live
+def test_conv_layer_matches_scalar_oracle(q, h, length, c_in, c_out, batch, seed) -> None:
+    rng = np.random.default_rng(seed)
+    conv = _WeightNormConv(c_in, c_out, q, h, rng)
+    conv.g[:] = rng.uniform(0.5, 2.0, size=c_out)
+    conv.b[:] = rng.normal(size=c_out)
+    z = rng.normal(size=(length, batch, c_in))          # time-major
+    got = conv.forward(z)
+    assert got.shape == (length, batch, c_out)
+    w = conv.effective_weight()                          # (C_out, C_in, q)
+    for b in range(batch):
+        for o in range(c_out):
+            want = dilated_causal_conv(z[:, b, :], w[o].T, q=q, h=h) + conv.b[o]
+            np.testing.assert_allclose(got[:, b, o], want, rtol=0.0, atol=1e-12)
 
 
 def test_zero_error_batch_has_tiny_gradient() -> None:
