@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scene", required=True,
-                       help="scene JSON path or bundled name (corridor, bottleneck, "
+                       help="scene JSON path or builtin name (corridor, bottleneck, "
                             "corner, t_junction, composite)")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", default=None,

@@ -102,19 +102,6 @@ def ray_cast_batch(origin: Point2, angles: np.ndarray, walls) -> tuple[np.ndarra
     return out_t, pts
 
 
-def segment_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[np.ndarray]:
-    """First wall segment crossed by the displacement p_from -> p_to.
-
-    Endpoint inclusive on both the step and the walls: a step that ends
-    exactly on a wall counts as a crossing.  Returns the wall as a (2, 2)
-    array or None.
-    """
-    idx = first_wall_crossing(p_from, p_to, walls)
-    if idx is None:
-        return None
-    return _as_walls(walls)[idx].copy()
-
-
 def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
     """Index of the wall crossed first along the displacement, or None."""
     seg = _as_walls(walls)
@@ -162,17 +149,22 @@ def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
     return best
 
 
+def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarray, float]:
+    """Closest point of segment a-b to p (clamped projection) and its distance."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0.0 else min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
+    c = a + t * ab
+    dx, dy = p - c
+    return c, float(np.hypot(dx, dy))
+
+
 def point_segment_distance(p: Point2, seg) -> float:
     """Distance from a point to a segment (clamped projection)."""
     s = np.asarray(seg, dtype=float)
-    a, b = s[0], s[1]
-    q = np.asarray(p, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom <= GEOM_EPS**2:
-        return float(np.linalg.norm(q - a))
-    t = float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(q - (a + t * ab)))
+    return closest_point_on_segment(p, s[0], s[1])[1]
 
 
 def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:

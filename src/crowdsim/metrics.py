@@ -127,7 +127,9 @@ def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
                  focus_area=None) -> MetricReport:
     """Per-pedestrian ADE/FDE/TTE over the ids present on both sides.
 
-    Ids present on only one side are excluded with a warning naming them.
+    Ids present on only one side are excluded with a warning naming them,
+    and so are pedestrians whose recorded track never enters the focus
+    area, with a warning giving their count.
     """
     sim_by_id = {as_track(t).ped_id: as_track(t) for t in sim_trajectories}
     exp_by_id = {as_track(t).ped_id: as_track(t) for t in exp_trajectories}
@@ -138,6 +140,16 @@ def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
                       f"{missing}", RuntimeWarning)
     if not matched:
         raise ValueError(f"run {run!r}: no pedestrian ids in common")
+    if focus_area is not None:
+        entering = [pid for pid in matched
+                    if any(rect_contains(focus_area, p) for p in exp_by_id[pid].positions)]
+        if len(entering) < len(matched):
+            warnings.warn(f"run {run!r}: excluding {len(matched) - len(entering)} "
+                          "pedestrians whose recorded track never enters the focus area",
+                          RuntimeWarning)
+        if not entering:
+            raise ValueError(f"run {run!r}: no recorded track enters the focus area")
+        matched = entering
     ades, fdes, ttes = [], [], []
     for pid in matched:
         ades.append(ade(sim_by_id[pid], exp_by_id[pid]))

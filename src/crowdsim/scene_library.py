@@ -8,8 +8,6 @@ run naming convention (W120, E080-C300, ...); everything else is metres.
 """
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 
 from .geometry import ModuleRegion, Scene, load_scene
@@ -237,17 +235,8 @@ def builtin_scene(name: str, **dims) -> Scene:
     return builder(**dims)
 
 
-def packaged_scene_path(name: str):
-    """Path to a bundled default scene file (see data/scenes/)."""
-    res = resources.files("crowdsim").joinpath(f"data/scenes/{name}.json")
-    if not res.is_file():
-        raise ValueError(f"no bundled scene named {name!r}")
-    return res
-
-
 def resolve_scene(spec: str) -> Scene:
-    """Load a scene from a JSON path, or by bundled name (e.g. 'corridor')."""
+    """A builtin scene at its default dimensions by name (e.g. 'corridor'), else a JSON path."""
     if spec in BUILTIN_SCENES:
-        with resources.as_file(packaged_scene_path(spec)) as p:
-            return load_scene(p)
+        return builtin_scene(spec)
     return load_scene(spec)

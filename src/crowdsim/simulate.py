@@ -18,6 +18,11 @@ wall the pedestrian holds position instead.
 Pedestrians crossing the exit segment of a terminal module are deactivated;
 crossing an internal junction re-binds them to the module that contains the
 new position, with a small snap for numerical overshoot at shared borders.
+
+`Simulator` owns this run lifecycle for every model.  Only two methods
+depend on the model: `_propose` (the next positions of the pedestrians past
+their seeded prefix) and `_stranded` (a move out of every module with
+nothing to snap to); the social-force baseline overrides both.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from .geometry import (
     Scene,
     active_exit,
     active_walls,
+    closest_point_on_segment,
     first_wall_crossing,
     point_in_module,
     point_segment_distance,
-    segment_crossing,
 )
 
 WALL_CLEARANCE = 0.05
@@ -160,6 +165,7 @@ class _PedRuntime:
     exited: bool = False
     truncated: bool = False
     _proposal: Optional[np.ndarray] = None
+    _velocity: Optional[np.ndarray] = None   # model velocity, kept if _proposal commits as is
     _predicted: bool = False
     _reset_now: bool = False
 
@@ -170,14 +176,6 @@ class _PedRuntime:
     @property
     def entry(self) -> int:
         return self.seed.entry_step
-
-
-def _closest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray):
-    ab = b - a
-    denom = float(ab @ ab)
-    tt = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    c = a + tt * ab
-    return c, float(np.hypot(*(p - c)))
 
 
 def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP):
@@ -192,7 +190,7 @@ def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP
         for i in range(len(boundary)):
             a = boundary[i]
             b = boundary[(i + 1) % len(boundary)]
-            c, d = _closest_on_segment(p, a, b)
+            c, d = closest_point_on_segment(p, a, b)
             if d <= tolerance and (best is None or d < best[0]):
                 best = (d, c, mod.id)
     if best is None:
@@ -242,8 +240,32 @@ class Simulator:
             return
 
         snap = {p.ped_id: (p.positions[-1].copy(), p.velocities[-1].copy()) for p in active}
-        self._snapshots.append((t, snap))
+        moved: list[_PedRuntime] = []
+        for ped in active:
+            ped._reset_now = False
+            ped._velocity = None
+            local = t - ped.entry
+            ped._predicted = local >= w - 1
+            if ped._predicted:
+                moved.append(ped)
+            else:
+                ped._proposal = ped.seed.positions[local + 1].copy()
+        self._propose(active, moved, snap, t)
 
+        for ped in active:
+            self._commit(ped, t)
+
+        self.step_index += 1
+
+    def _propose(self, active: list, moved: list, snap: dict, t: int) -> None:
+        """Set _proposal for every pedestrian past its seeded prefix (moved).
+
+        The TCN reads each active pedestrian's feature window, predicts one
+        velocity per moved pedestrian, and resets the history of any whose
+        predicted move crosses a wall.
+        """
+        cfg = self.config
+        self._snapshots.append((t, snap))
         for ped in active:
             pos, vel = snap[ped.ped_id]
             feats = extract_step(
@@ -253,38 +275,21 @@ class Simulator:
                 active_exit(cfg.scene, ped.module_id), cfg.params,
             )
             ped.window.append((pos, feats))
-            while len(ped.window) > w:
+            while len(ped.window) > cfg.params.window:
                 ped.window.popleft()
-            ped._reset_now = False
-
-        predicted: list[_PedRuntime] = []
-        windows: list[np.ndarray] = []
-        for ped in active:
-            local = t - ped.entry
-            if local < w - 1:
-                ped._proposal = ped.seed.positions[local + 1].copy()
-                ped._predicted = False
-            else:
-                ped._predicted = True
-                predicted.append(ped)
-                windows.append(np.stack([f for _, f in ped.window]))
-        if predicted:
-            v_hat = np.asarray(self.predictor.predict(np.stack(windows)), dtype=float)
-            if v_hat.shape != (len(predicted), 2):
-                raise ValueError(f"predictor returned shape {v_hat.shape}")
-            for ped, v in zip(predicted, v_hat):
-                ped._proposal = ped.positions[-1] + v * cfg.dt
-
-        for ped in predicted:
+        if not moved:
+            return
+        windows = [np.stack([f for _, f in ped.window]) for ped in moved]
+        v_hat = np.asarray(self.predictor.predict(np.stack(windows)), dtype=float)
+        if v_hat.shape != (len(moved), 2):
+            raise ValueError(f"predictor returned shape {v_hat.shape}")
+        for ped, v in zip(moved, v_hat):
+            ped._proposal = ped.positions[-1] + v * cfg.dt
+        for ped in moved:
             walls = active_walls(cfg.scene, ped.module_id)
             idx = first_wall_crossing(ped.positions[-1], ped._proposal, walls)
             if idx is not None:
                 self._reset(ped, walls[idx], t)
-
-        for ped in active:
-            self._commit(ped, t)
-
-        self.step_index += 1
 
     def run(self) -> SimulationResult:
         while True:
@@ -330,44 +335,58 @@ class Simulator:
         cfg = self.config
         pos = ped.positions[-1]
         nxt = np.asarray(ped._proposal, dtype=float)
-        new_module = ped.module_id
+        vel = ped._velocity
 
         if ped._predicted:
             exit_seg = np.asarray(active_exit(cfg.scene, ped.module_id))[None]
-            if (segment_crossing(pos, nxt, exit_seg) is not None
+            if (first_wall_crossing(pos, nxt, exit_seg) is not None
                     and cfg.scene.successor[ped.module_id] is None):
-                self._append(ped, nxt, pos, ped.module_id)
+                self._append(ped, nxt, pos, ped.module_id, vel)
                 ped.state = "done"
                 ped.exited = True
                 return
-            found = point_in_module(cfg.scene, nxt)
-            if found is None:
-                snapped = snap_to_module(cfg.scene, nxt)
-                if snapped is not None:
-                    nxt, found = snapped
-                elif ped._reset_now:
-                    nxt = pos.copy()
-                    found = ped.module_id
-                else:
-                    walls = active_walls(cfg.scene, ped.module_id)
-                    idx = first_wall_crossing(pos, nxt, walls)
-                    if idx is None:
-                        idx = self._nearest_wall(pos, walls)
-                    self._reset(ped, walls[idx], t)
-                    pos = ped.positions[-1]
-                    nxt = np.asarray(ped._proposal, dtype=float)
-                    found = point_in_module(cfg.scene, nxt)
-            new_module = found if found is not None else ped.module_id
-        else:
-            found = point_in_module(cfg.scene, nxt)
-            new_module = found if found is not None else ped.module_id
-
-        self._append(ped, nxt, pos, new_module)
+        found = point_in_module(cfg.scene, nxt)
+        if found is None and ped._predicted:
+            snapped = snap_to_module(cfg.scene, nxt)
+            if snapped is not None:
+                nxt, found = snapped
+            else:
+                pos, nxt, found = self._stranded(ped, nxt, t)
+            vel = None
+        new_module = found if found is not None else ped.module_id
+        self._append(ped, nxt, pos, new_module, vel)
         ped.module_id = new_module
 
-    def _append(self, ped: _PedRuntime, nxt: np.ndarray, pos: np.ndarray, module_id: str) -> None:
+    def _stranded(self, ped: _PedRuntime, nxt: np.ndarray, t: int):
+        """(pos, next, module) for a move out of every module with no snap.
+
+        The TCN resets against the wall crossed (or the nearest one), or
+        holds when it has reset already this step.
+        """
+        if ped._reset_now:
+            return self._hold(ped)
+        pos = ped.positions[-1]
+        walls = active_walls(self.config.scene, ped.module_id)
+        idx = first_wall_crossing(pos, nxt, walls)
+        if idx is None:
+            idx = self._nearest_wall(pos, walls)
+        self._reset(ped, walls[idx], t)
+        nxt = np.asarray(ped._proposal, dtype=float)
+        return ped.positions[-1], nxt, point_in_module(self.config.scene, nxt)
+
+    def _hold(self, ped: _PedRuntime):
+        """(pos, next, module) of staying put.
+
+        A hold keeps the current module: on a shared border point_in_module
+        would name the earlier module instead.
+        """
+        pos = ped.positions[-1]
+        return pos, pos.copy(), ped.module_id
+
+    def _append(self, ped: _PedRuntime, nxt: np.ndarray, pos: np.ndarray, module_id: str,
+                vel: Optional[np.ndarray]) -> None:
         ped.positions.append(nxt.copy())
-        ped.velocities.append((nxt - pos) / self.config.dt)
+        ped.velocities.append((nxt - pos) / self.config.dt if vel is None else vel)
         ped.modules.append(module_id)
         ped.reset_flags.append(ped._reset_now)
 
@@ -376,7 +395,7 @@ class Simulator:
         return int(np.argmin(dists))
 
     def _clear_point(self, p: np.ndarray, wall: np.ndarray, toward: np.ndarray) -> np.ndarray:
-        c, dist = _closest_on_segment(p, wall[0], wall[1])
+        c, dist = closest_point_on_segment(p, wall[0], wall[1])
         if dist >= WALL_CLEARANCE:
             return p.copy()
         if dist > 1e-12:

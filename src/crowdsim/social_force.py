@@ -16,10 +16,12 @@ already.
 
 Desired directions aim at the nearest point of the current module's exit
 segment shrunk inward by the pedestrian radius; integration is
-semi-implicit Euler (v then p) at the caller's dt.  Entry seeding, module
-transitions, exit removal, and the output format match the data-driven
-simulator; desired speeds are drawn per pedestrian from a clamped normal
-distribution.
+semi-implicit Euler (v then p) at the caller's dt, and a step that would
+cross a wall holds position.  The run itself (entry seeding, prefix
+replay, exit removal, module handoff, junction snap, truncation and the
+output format) is the data-driven `Simulator`'s: the model only proposes
+each step's positions, and holds where the TCN would reset.  Desired
+speeds are drawn per pedestrian from a clamped normal distribution.
 """
 
 from __future__ import annotations
@@ -30,21 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    Scene,
-    active_exit,
-    active_walls,
-    first_wall_crossing,
-    point_in_module,
-    segment_crossing,
-)
-from .simulate import (
-    SimulatedTrajectory,
-    SimulationConfig,
-    SimulationResult,
-    _closest_on_segment,
-    snap_to_module,
-)
+from .geometry import active_exit, active_walls, closest_point_on_segment, first_wall_crossing
+from .simulate import SimulationConfig, SimulationResult, Simulator
 
 DESIRED_SPEED_CLAMP = (0.5, 2.5)
 
@@ -113,7 +102,7 @@ def sf_acceleration(position, velocity, desired_speed: float, direction,
 
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
     for wall in walls:
-        c, d = _closest_on_segment(p, wall[0], wall[1])
+        c, d = closest_point_on_segment(p, wall[0], wall[1])
         if d < 1e-12:
             warnings.warn("pedestrian centered on a wall: falling back to a "
                           "fixed repulsion direction", RuntimeWarning)
@@ -151,7 +140,7 @@ def desired_direction(position, exit_segment, radius: float,
     """
     p = np.asarray(position, dtype=float)
     seg = shrunk_exit(exit_segment, radius)
-    target, dist = _closest_on_segment(p, seg[0], seg[1])
+    target, dist = closest_point_on_segment(p, seg[0], seg[1])
     if dist < 1e-9:
         if previous is None:
             return np.array([1.0, 0.0])
@@ -159,19 +148,35 @@ def desired_direction(position, exit_segment, radius: float,
     return (target - p) / dist
 
 
-@dataclass
-class _SFState:
-    seed: object
-    state: str = "pending"
-    module_id: Optional[str] = None
-    velocity: np.ndarray = None
-    desired_speed: float = 0.0
-    prev_dir: Optional[np.ndarray] = None
-    positions: list = None
-    velocities: list = None
-    modules: list = None
-    exited: bool = False
-    truncated: bool = False
+class _SocialForceSimulator(Simulator):
+    """`Simulator` whose steps come from the force law instead of a TCN."""
+
+    def __init__(self, config: SimulationConfig, params: SFParams,
+                 desired_speeds: dict[str, float]):
+        super().__init__(config, predictor=None)
+        self.sf_params = params
+        self.desired_speeds = desired_speeds
+        self._directions: dict[str, np.ndarray] = {}
+
+    def _propose(self, active, moved, snap, t) -> None:
+        """One force-law step per moved pedestrian; no features, no network."""
+        cfg = self.config
+        for ped in moved:
+            pos, vel = ped.positions[-1], ped.velocities[-1]
+            walls = active_walls(cfg.scene, ped.module_id)
+            e = desired_direction(pos, active_exit(cfg.scene, ped.module_id),
+                                  self.sf_params.radius, self._directions.get(ped.ped_id))
+            self._directions[ped.ped_id] = e
+            acc = sf_acceleration(pos, vel, self.desired_speeds[ped.ped_id], e,
+                                  *self._neighbors(snap, ped.ped_id), walls, self.sf_params)
+            v_new = vel + acc * cfg.dt
+            nxt = pos + v_new * cfg.dt
+            if first_wall_crossing(pos, nxt, walls) is not None:
+                nxt, v_new = pos.copy(), np.zeros(2)
+            ped._proposal, ped._velocity = nxt, v_new
+
+    def _stranded(self, ped, nxt, t):
+        return self._hold(ped)
 
 
 def sf_run(config: SimulationConfig, params: SFParams,
@@ -183,114 +188,7 @@ def sf_run(config: SimulationConfig, params: SFParams,
             raise ValueError("pass an rng or explicit desired_speeds")
         desired_speeds = draw_desired_speeds(
             [s.ped_id for s in config.pedestrians], rng, params)
-    peds = {}
     for seed in config.pedestrians:
         if seed.ped_id not in desired_speeds:
             raise ValueError(f"no desired speed for pedestrian {seed.ped_id!r}")
-        peds[seed.ped_id] = _SFState(seed=seed)
-    order = sorted(peds)
-    scene = config.scene
-    dt = config.dt
-    w = config.params.window
-    t = 0
-
-    while True:
-        active = [peds[pid] for pid in order if peds[pid].state == "active"]
-        pending = [peds[pid] for pid in order if peds[pid].state == "pending"]
-        if not active and not pending:
-            break
-        if t >= config.max_steps:
-            for ped in active:
-                ped.truncated = True
-            break
-
-        for ped in pending:
-            if ped.seed.entry_step == t:
-                ped.state = "active"
-                start = ped.seed.positions[0].copy()
-                ped.module_id = point_in_module(scene, start)
-                ped.velocity = np.zeros(2)
-                ped.desired_speed = desired_speeds[ped.seed.ped_id]
-                ped.positions = [start]
-                ped.velocities = [np.zeros(2)]
-                ped.modules = [ped.module_id]
-        active = [peds[pid] for pid in order if peds[pid].state == "active"]
-        if not active:
-            t += 1
-            continue
-
-        snap = {p.seed.ped_id: (p.positions[-1].copy(), p.velocity.copy())
-                for p in active}
-        proposals = {}
-        for ped in active:
-            pid = ped.seed.ped_id
-            pos = ped.positions[-1]
-            local = t - ped.seed.entry_step
-            if local < w - 1:
-                nxt = ped.seed.positions[local + 1].copy()
-                proposals[pid] = (nxt, (nxt - pos) / dt, False)
-                continue
-            walls = active_walls(scene, ped.module_id)
-            exit_seg = active_exit(scene, ped.module_id)
-            e = desired_direction(pos, exit_seg, params.radius, ped.prev_dir)
-            ped.prev_dir = e
-            others_pos = [snap[q][0] for q in sorted(snap) if q != pid]
-            others_vel = [snap[q][1] for q in sorted(snap) if q != pid]
-            acc = sf_acceleration(pos, ped.velocity, ped.desired_speed, e,
-                                  others_pos, others_vel, walls, params)
-            v_new = ped.velocity + acc * dt
-            nxt = pos + v_new * dt
-            if first_wall_crossing(pos, nxt, walls) is not None:
-                nxt, v_new = pos.copy(), np.zeros(2)
-            proposals[pid] = (nxt, v_new, True)
-
-        for ped in active:
-            pid = ped.seed.ped_id
-            pos = ped.positions[-1]
-            nxt, v_new, dynamic = proposals[pid]
-            if dynamic:
-                exit_seg = np.asarray(active_exit(scene, ped.module_id))[None]
-                if (segment_crossing(pos, nxt, exit_seg) is not None
-                        and scene.successor[ped.module_id] is None):
-                    ped.positions.append(nxt)
-                    ped.velocities.append((nxt - pos) / dt)
-                    ped.modules.append(ped.module_id)
-                    ped.velocity = v_new
-                    ped.state = "done"
-                    ped.exited = True
-                    continue
-            found = point_in_module(scene, nxt)
-            if found is None and dynamic:
-                snapped = snap_to_module(scene, nxt)
-                if snapped is not None:
-                    nxt, found = snapped
-                    v_new = (nxt - pos) / dt
-                else:
-                    nxt, v_new = pos.copy(), np.zeros(2)
-                    found = ped.module_id
-            if found is None:
-                found = ped.module_id
-            ped.positions.append(nxt)
-            ped.velocities.append((nxt - pos) / dt)
-            ped.modules.append(found)
-            ped.velocity = v_new
-            ped.module_id = found
-        t += 1
-
-    trajectories = []
-    for pid in order:
-        ped = peds[pid]
-        if ped.positions is None:
-            continue
-        n = len(ped.positions)
-        trajectories.append(SimulatedTrajectory(
-            ped_id=pid, entry_step=ped.seed.entry_step, dt=dt,
-            positions=np.asarray(ped.positions, dtype=float),
-            module_ids=tuple(ped.modules),
-            reset_flags=np.zeros(n, dtype=bool),
-            exited=ped.exited, truncated=ped.truncated,
-        ))
-    truncated = any(tr.truncated for tr in trajectories) or any(
-        p.state == "pending" for p in peds.values())
-    return SimulationResult(scene=scene, dt=dt,
-                            trajectories=tuple(trajectories), truncated=truncated)
+    return _SocialForceSimulator(config, params, desired_speeds).run()

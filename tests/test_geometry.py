@@ -16,10 +16,11 @@ from crowdsim.geometry import (
     ray_cast,
     ray_cast_batch,
     rect_contains,
+    save_scene,
     scene_from_dict,
     scene_to_dict,
-    segment_crossing,
 )
+from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
 
 
 def _square_module(mid: str = "m1", x0: float = 0.0) -> ModuleRegion:
@@ -160,28 +161,25 @@ def test_ray_cast_matches_sampling_oracle() -> None:
     assert checked >= 500
 
 
-def test_segment_crossing_inclusive_endpoint() -> None:
+def test_first_wall_crossing_inclusive_endpoint() -> None:
     wall = [[[1.0, -1.0], [1.0, 1.0]]]
     # Step ends exactly on the wall: counts as a crossing.
-    assert segment_crossing((0.0, 0.0), (1.0, 0.0), wall) is not None
+    assert first_wall_crossing((0.0, 0.0), (1.0, 0.0), wall) is not None
     # Step stops short of the wall.
-    assert segment_crossing((0.0, 0.0), (1.0 - 1e-6, 0.0), wall) is None
+    assert first_wall_crossing((0.0, 0.0), (1.0 - 1e-6, 0.0), wall) is None
     # Step passes through.
-    assert segment_crossing((0.0, 0.0), (2.0, 0.0), wall) is not None
+    assert first_wall_crossing((0.0, 0.0), (2.0, 0.0), wall) is not None
 
 
-def test_segment_crossing_returns_first_wall() -> None:
+def test_first_wall_crossing_returns_first_wall() -> None:
     walls = [
         [[1.5, -1.0], [1.5, 1.0]],
         [[0.5, -1.0], [0.5, 1.0]],
     ]
-    crossed = segment_crossing((0.0, 0.0), (2.0, 0.0), walls)
-    assert crossed is not None
-    assert crossed[0][0] == pytest.approx(0.5)
     assert first_wall_crossing((0.0, 0.0), (2.0, 0.0), walls) == 1
 
 
-def test_segment_crossing_randomised_against_orientation_test() -> None:
+def test_first_wall_crossing_randomised_against_orientation_test() -> None:
     # Cross-check against the classic CCW-orientation segment intersection
     # predicate on strictly non-degenerate instances.
     def ccw(a, b, c):
@@ -202,7 +200,7 @@ def test_segment_crossing_randomised_against_orientation_test() -> None:
         if min(margins) < 1e-6:    # skip near-degenerate layouts
             continue
         want = proper_or_touching(p, q, a, b)
-        got = segment_crossing(tuple(p), tuple(q), [[a.tolist(), b.tolist()]]) is not None
+        got = first_wall_crossing(tuple(p), tuple(q), [[a.tolist(), b.tolist()]]) is not None
         assert got == want
 
 
@@ -263,6 +261,13 @@ def test_scene_round_trip_through_dict() -> None:
     assert back.modules[0].id == "m1"
     np.testing.assert_allclose(back.modules[0].walls, m1.walls)
     np.testing.assert_allclose(back.modules[0].exit, m1.exit)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENES))
+def test_builtin_scene_survives_a_file_round_trip(name, tmp_path) -> None:
+    path = tmp_path / f"{name}.json"
+    save_scene(builtin_scene(name), path)
+    assert scene_to_dict(resolve_scene(str(path))) == scene_to_dict(resolve_scene(name))
 
 
 def test_rect_contains_inclusive() -> None:

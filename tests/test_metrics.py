@@ -149,6 +149,36 @@ def test_evaluate_run_no_common_ids_raises():
         evaluate_run([_track("x", pos)], [_track("y", pos)], run="r", model="sf")
 
 
+def test_evaluate_run_excludes_recorded_tracks_outside_the_focus_area():
+    area = (0.0, 0.0, 1.0, 1.0)
+    inside = np.cumsum(np.full((10, 2), 0.05), axis=0)
+    outside = inside + 5.0
+    sims = [_track("a", inside), _track("b", inside), _track("c", inside)]
+    exps = [_track("a", inside), _track("b", outside), _track("c", outside)]
+    with pytest.warns(RuntimeWarning, match="excluding 2 pedestrians") as caught:
+        report = evaluate_run(sims, exps, run="r", model="tcn", focus_area=area)
+    assert len(caught) == 1
+    assert report.ped_ids == ("a",)
+    assert report.fde_values[0] == 0.0
+
+
+def test_evaluate_run_raises_when_simulated_track_misses_the_focus_area():
+    area = (0.0, 0.0, 1.0, 1.0)
+    inside = np.cumsum(np.full((10, 2), 0.05), axis=0)
+    with pytest.raises(ValueError, match="'a' never enters the focus area"):
+        evaluate_run([_track("a", inside + 5.0)], [_track("a", inside)],
+                     run="r", model="sf", focus_area=area)
+
+
+def test_evaluate_run_raises_when_no_recorded_track_enters_the_focus_area():
+    area = (0.0, 0.0, 1.0, 1.0)
+    outside = np.full((4, 2), 5.0)
+    with pytest.warns(RuntimeWarning, match="excluding 1 pedestrians"):
+        with pytest.raises(ValueError, match="no recorded track enters the focus area"):
+            evaluate_run([_track("a", outside)], [_track("a", outside)],
+                         run="r", model="sf", focus_area=area)
+
+
 def test_fd_single_pedestrian_walking_one_metre_per_second():
     # one occupant in a 2 m x 2 m area at exactly 1 m/s:
     # density 0.25, speed 1.0, flow 0.25, all exact

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from crowdsim.features import ExtractionParams
-from crowdsim.geometry import active_exit, active_walls, first_wall_crossing, point_in_module, point_segment_distance
+from crowdsim.geometry import (
+    ModuleRegion,
+    Scene,
+    active_exit,
+    active_walls,
+    first_wall_crossing,
+    point_in_module,
+    point_segment_distance,
+)
 from crowdsim.scene_library import make_corner, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig
 from crowdsim.social_force import (
@@ -31,6 +39,25 @@ def _config(scene, seeds, dt=0.04, max_steps=400) -> SimulationConfig:
 def _stationary_seed(ped_id, point, entry=0, w=8) -> PedestrianSeed:
     return PedestrianSeed(ped_id=ped_id, entry_step=entry,
                           positions=np.tile(np.asarray(point, dtype=float), (w, 1)))
+
+
+def _two_corridor_scene() -> Scene:
+    a = ModuleRegion(
+        id="a", kind="corridor",
+        boundary=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]),
+        walls=np.array([[[0.0, 0.0], [4.0, 0.0]], [[0.0, 2.0], [4.0, 2.0]]]),
+        exit=np.array([[4.0, 0.0], [4.0, 2.0]]),
+    )
+    b = ModuleRegion(
+        id="b", kind="corridor",
+        boundary=np.array([[4.0, 0.0], [8.0, 0.0], [8.0, 2.0], [4.0, 2.0]]),
+        walls=np.array([[[4.0, 0.0], [8.0, 0.0]], [[4.0, 2.0], [8.0, 2.0]]]),
+        exit=np.array([[8.0, 0.0], [8.0, 2.0]]),
+        virtual_walls=np.array([[[4.0, 0.0], [4.0, 2.0]]]),
+    )
+    scene = Scene(modules=(a, b), successor={"a": "b", "b": None})
+    scene.validate()
+    return scene
 
 
 def test_lone_pedestrian_driving_term():
@@ -271,3 +298,31 @@ def test_sf_run_order_independent_and_wall_safe():
         assert np.array_equal(traj.positions, by_id[traj.ped_id].positions)
         for i in range(len(traj.positions) - 1):
             assert first_wall_crossing(traj.positions[i], traj.positions[i + 1], walls) is None
+
+
+def test_sf_run_hands_off_between_modules_and_exits():
+    scene = _two_corridor_scene()
+    seeds = [_stationary_seed("1", (1.0, 0.8)), _stationary_seed("2", (2.0, 1.3))]
+    result = sf_run(_config(scene, seeds, max_steps=600), SFParams(),
+                    desired_speeds={"1": 1.4, "2": 1.1})
+    for traj in result.trajectories:
+        # the last row is the step across the exit, already outside the scene
+        inside = traj.positions[:-1]
+        assert [point_in_module(scene, p) for p in inside] == list(traj.module_ids[:-1])
+        assert traj.module_ids[0] == "a" and traj.module_ids[-1] == "b"
+        assert traj.exited and not traj.truncated and traj.positions[-1, 0] >= 8.0
+        assert not traj.reset_flags.any()
+    assert not result.truncated
+
+
+def test_sf_run_records_nothing_before_entry_step():
+    scene = _two_corridor_scene()
+    seeds = [_stationary_seed("early", (1.0, 0.6)),
+             _stationary_seed("late", (1.0, 1.4), entry=5)]
+    result = sf_run(_config(scene, seeds, max_steps=600), SFParams(),
+                    desired_speeds={"early": 1.4, "late": 1.4})
+    late = {t.ped_id: t for t in result.trajectories}["late"]
+    assert late.entry_step == 5 and late.steps[0] == 5
+    assert np.array_equal(late.positions[:8], np.tile([1.0, 1.4], (8, 1)))
+    assert min(r[2] for r in result.to_rows("sf") if r[1] == "late") == 5
+    assert late.exited and not late.reset_flags.any()
