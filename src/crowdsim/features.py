@@ -12,6 +12,10 @@ Per pedestrian and time step the feature vector concatenates:
 Angles are measured from the positive x axis; sectors are half-open
 [j*alpha, (j+1)*alpha).  Walls and virtual entities are static, so their
 relative velocity is minus the subject's velocity.
+
+`extract_step` builds one pedestrian's vector and is the reference;
+`extract_batch` builds every pedestrian's against one snapshot at once and
+equals it row by row, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GEOM_EPS, ray_cast_batch
+from .geometry import GEOM_EPS, active_exit, active_walls, ray_cast_batch, ray_distances
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,7 +136,8 @@ def wall_points_in_disk(position, walls, radius: float, n_sectors: int):
     # Candidate 3: intersections with the sector boundary rays; each one
     # serves the wedges on both sides of the ray.
     bounds = np.arange(n_sectors) * width
-    t_hit = _ray_segment_all(pos, bounds, seg)                  # (n_sectors, m)
+    t_hit = ray_distances(pos, np.stack([np.cos(bounds), np.sin(bounds)], axis=1), seg,
+                          collinear=False)                      # (n_sectors, m)
     jj, mm = np.nonzero(np.isfinite(t_hit) & (t_hit <= radius))
     if jj.size:
         t = t_hit[jj, mm]
@@ -156,24 +161,6 @@ def wall_points_in_disk(position, walls, radius: float, n_sectors: int):
         dists[j] = dist[order[k]]
         points[j] = pts[order[k]]
     return dists, points
-
-
-def _ray_segment_all(origin: np.ndarray, angles: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Per (angle, segment) ray-intersection distances; +inf where none."""
-    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    p0 = seg[:, 0, :]
-    s = seg[:, 1, :] - seg[:, 0, :]
-    slen = np.linalg.norm(s, axis=1)
-    a0 = p0[None, :, :] - origin[None, None, :]
-    denom = d[:, None, 0] * s[None, :, 1] - d[:, None, 1] * s[None, :, 0]
-    a0xs = a0[..., 0] * s[None, :, 1] - a0[..., 1] * s[None, :, 0]
-    a0xd = a0[..., 0] * d[:, None, 1] - a0[..., 1] * d[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = a0xs / denom
-        u = a0xd / denom
-    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)
-    ok = (np.abs(denom) > 1e-12) & (t >= -GEOM_EPS) & (u >= -eps_u) & (u <= 1.0 + eps_u)
-    return np.where(ok, np.maximum(t, 0.0), np.inf)
 
 
 def extract_social(position, velocity, others_pos, others_vel, walls,
@@ -265,10 +252,14 @@ def extract_exit(position, exit_segment) -> np.ndarray:
     Ordering uses the absolute endpoint coordinates (x, then y) so the
     row order does not depend on the subject's position.
     """
+    return _ordered_exit(exit_segment) - np.asarray(position, dtype=float)[None, :]
+
+
+def _ordered_exit(exit_segment) -> np.ndarray:
     ex = np.asarray(exit_segment, dtype=float).reshape(2, 2)
     if (ex[0, 0], ex[0, 1]) > (ex[1, 0], ex[1, 1]):
         ex = ex[::-1]
-    return ex - np.asarray(position, dtype=float)[None, :]
+    return ex
 
 
 def assemble_step(velocity, social: np.ndarray, visual: np.ndarray,
@@ -293,6 +284,157 @@ def extract_step(position, velocity, others_pos, others_vel, walls,
     visual = extract_visual(position, walls, params)
     exit_rel = extract_exit(position, exit_segment)
     return assemble_step(velocity, social, visual, exit_rel, params)
+
+
+def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, params: ExtractionParams):
+    """Per subject and sector, the nearest other pedestrian in the disk.
+
+    Returns (dist, position, velocity) of shapes (N, S), (N, S, 2) and
+    (N, S, 2); +inf and zeros where a sector holds nobody.  Distance ties
+    go to the lower index; a pedestrian within GEOM_EPS goes to sector 0.
+    """
+    n, ns = pos.shape[0], params.n_sectors
+    rel = pos[None, :, :] - pos[:, None, :]                     # [i, j] = p_j - p_i
+    d = np.linalg.norm(rel, axis=-1)
+    near = d <= params.radius
+    np.fill_diagonal(near, False)
+    i, j = np.nonzero(near)
+    d = d[i, j]
+    sec = _sector_of(np.arctan2(rel[i, j, 1], rel[i, j, 0]), ns)
+    sec = np.where(d <= GEOM_EPS, 0, sec)
+    order = np.lexsort((j, d, sec, i))
+    i, j, d, sec = i[order], j[order], d[order], sec[order]
+    first = np.ones(i.size, dtype=bool)         # nearest of each (subject, sector)
+    first[1:] = (i[1:] != i[:-1]) | (sec[1:] != sec[:-1])
+    i, j, d, sec = i[first], j[first], d[first], sec[first]
+    dist = np.full((n, ns), np.inf)
+    near_pos = np.zeros((n, ns, 2))
+    near_vel = np.zeros((n, ns, 2))
+    dist[i, sec] = d
+    near_pos[i, sec] = pos[j]
+    near_vel[i, sec] = vel[j]
+    return dist, near_pos, near_vel
+
+
+def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sectors: int):
+    """`wall_points_in_disk` for every subject of pos (g, 2) against one wall set.
+
+    Each wedge takes the nearest of its candidates, laid out per subject and
+    sector as [projections, first endpoints, second endpoints, hits on the
+    wedge's own boundary ray, hits on the next boundary ray], m each.  That
+    is the scalar code's concatenation order, so argmin's first-minimum rule
+    breaks distance ties the way its stable sort does.
+    """
+    g, m = pos.shape[0], seg.shape[0]
+    dists = np.full((g, n_sectors), np.inf)
+    points = np.full((g, n_sectors, 2), np.nan)
+    if m == 0 or g == 0:
+        return dists, points
+    a = seg[:, 0, :]
+    b = seg[:, 1, :]
+    ab = b - a
+    len2 = np.maximum(np.einsum("md,md->m", ab, ab), GEOM_EPS**2)
+    wedge = np.arange(n_sectors)[None, :, None]                 # (1, S, 1)
+
+    tproj = np.clip(((pos[:, None, :] - a) * ab).sum(axis=-1) / len2, 0.0, 1.0)
+    proj = a + tproj[..., None] * ab                            # (g, m, 2)
+    rel = proj - pos[:, None, :]
+    d_proj = np.linalg.norm(rel, axis=-1)
+    sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
+    keep = d_proj <= radius
+    # A projection collapsing onto the subject belongs to every wedge.
+    on_subject = (keep & (d_proj <= GEOM_EPS))[:, None, :]
+    ok_proj = (keep[:, None, :] & (sec[:, None, :] == wedge)) | on_subject
+    cand_d = [np.where(ok_proj, d_proj[:, None, :], np.inf)]
+
+    for pts in (a, b):
+        rel = pts[None, :, :] - pos[:, None, :]
+        d = np.linalg.norm(rel, axis=-1)
+        sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
+        ok = ((d <= radius) & (d > GEOM_EPS))[:, None, :] & (sec[:, None, :] == wedge)
+        cand_d.append(np.where(ok, d[:, None, :], np.inf))
+
+    bounds = np.arange(n_sectors) * (TWO_PI / n_sectors)
+    u = np.stack([np.cos(bounds), np.sin(bounds)], axis=1)
+    t_hit = ray_distances(pos, u, seg, collinear=False)         # (g, S, m)
+    t_hit = np.where(t_hit <= radius, t_hit, np.inf)
+    cand_d += [t_hit, np.roll(t_hit, -1, axis=1)]   # a boundary ray serves both wedges
+
+    cand_d = np.concatenate(cand_d, axis=2)                     # (g, S, 5m)
+    best = np.argmin(cand_d, axis=2)                            # (g, S)
+    dist = np.take_along_axis(cand_d, best[..., None], axis=2)[..., 0]
+    found = np.isfinite(dist)
+    rows, sectors = np.nonzero(found)
+    block, j = np.divmod(best[found], m)
+    dist = dist[found]
+    choices = np.stack([proj[rows, j], a[j], b[j],
+                        pos[rows] + dist[:, None] * u[sectors],
+                        pos[rows] + dist[:, None] * u[(sectors + 1) % n_sectors]])
+    dists[found] = dist
+    points[found] = choices[block, np.arange(block.size)]
+    return dists, points
+
+
+def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams):
+    """`extract_visual` for every subject of pos (g, 2): (g, n_rays, 2) plus
+    the per-subject miss count."""
+    n = params.n_rays
+    angles = np.arange(n) * (TWO_PI / n)
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if seg.shape[0]:
+        t = ray_distances(pos, u, seg).min(axis=2)              # (g, n_rays)
+    else:
+        t = np.full((pos.shape[0], n), np.inf)
+    miss = ~np.isfinite(t)
+    with np.errstate(invalid="ignore"):
+        pts = pos[:, None, :] + t[..., None] * u
+    pts[miss] = (pos[:, None, :] + params.vision_range * u)[miss]
+    return pts - pos[:, None, :], miss.sum(axis=1)
+
+
+def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams) -> np.ndarray:
+    """Feature rows of every pedestrian against one snapshot, shape (N, feature_dim).
+
+    Row i equals, bit for bit, `extract_step` of pedestrian i with the
+    other rows of pos and vel (in order) as its neighbours and the walls
+    and exit of module_ids[i].  At most one ray-miss warning is emitted,
+    giving the number of subjects affected.
+    """
+    pos = np.asarray(pos, dtype=float).reshape(-1, 2)
+    vel = np.asarray(vel, dtype=float).reshape(-1, 2)
+    n, ns, nr = pos.shape[0], params.n_sectors, params.n_rays
+    visual = np.empty((n, nr, 2))
+    exit_rel = np.empty((n, 2, 2))
+    best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, params)
+
+    groups: dict[str, list[int]] = {}
+    for i, module_id in enumerate(module_ids):
+        groups.setdefault(module_id, []).append(i)
+    blind = 0
+    for module_id, idx in groups.items():
+        idx = np.asarray(idx)
+        walls = active_walls(scene, module_id)
+        wd, wp = _wall_points_batch(pos[idx], walls, params.radius, ns)
+        wall_wins = wd < best_dist[idx]             # pedestrians win exact ties
+        best_dist[idx] = np.where(wall_wins, wd, best_dist[idx])
+        best_pos[idx] = np.where(wall_wins[..., None], wp, best_pos[idx])
+        best_vel[idx] = np.where(wall_wins[..., None], 0.0, best_vel[idx])
+        visual[idx], misses = _visual_batch(pos[idx], walls, params)
+        blind += int(np.count_nonzero(misses * 2 > nr))
+        exit_rel[idx] = _ordered_exit(active_exit(scene, module_id))[None] - pos[idx, None, :]
+
+    empty = ~np.isfinite(best_dist)
+    mid = (np.arange(ns) + 0.5) * (TWO_PI / ns)
+    rim = pos[:, None, :] + params.radius * np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    best_pos[empty] = rim[empty]
+    best_vel[empty] = 0.0
+    if blind:
+        warnings.warn(
+            f"{blind}/{n} subjects: more than half of the vision rays hit no wall; "
+            "they may be outside the scene geometry", RuntimeWarning, stacklevel=2)
+    social = np.concatenate([best_pos - pos[:, None, :], best_vel - vel[:, None, :]], axis=2)
+    return np.concatenate([vel, social.reshape(n, 4 * ns), visual.reshape(n, 2 * nr),
+                           exit_rel.reshape(n, 4)], axis=1)
 
 
 def stack_window(steps) -> np.ndarray:

@@ -64,15 +64,31 @@ def ray_cast_batch(origin: Point2, angles: np.ndarray, walls) -> tuple[np.ndarra
 
     o = np.asarray(origin, dtype=float)
     d = np.stack([np.cos(angles), np.sin(angles)], axis=1)      # (k, 2)
+    out_t = ray_distances(o, d, seg).min(axis=1)
+    with np.errstate(invalid="ignore"):
+        pts = o[None, :] + out_t[:, None] * d
+    pts[~np.isfinite(out_t)] = np.nan
+    return out_t, pts
+
+
+def ray_distances(origins, d: np.ndarray, seg: np.ndarray, collinear: bool = True) -> np.ndarray:
+    """Distance along each unit ray d (k, 2) from each origin (..., 2) to each wall (m, 2, 2).
+
+    Returns shape (..., k, m), +inf where the ray misses the wall.  With
+    collinear=False a ray running along a wall misses it; otherwise it hits
+    at the nearest overlap point.
+    """
+    o = np.asarray(origins, dtype=float)[..., None, None, :]   # (..., 1, 1, 2)
     p0 = seg[:, 0, :]                                           # (m, 2)
     s = seg[:, 1, :] - seg[:, 0, :]                             # (m, 2)
     slen = np.linalg.norm(s, axis=1)                            # (m,)
-    a0 = p0[None, :, :] - o[None, None, :]                      # (1, m, 2)
+    a0 = p0 - o                                                 # (..., 1, m, 2)
+    dx, dy = d[:, None, 0], d[:, None, 1]                       # (k, 1)
 
     # 2x2 solve via cross products: t*d - u*s = p0 - o.
-    denom = d[:, None, 0] * s[None, :, 1] - d[:, None, 1] * s[None, :, 0]   # (k, m)
-    a0xs = a0[..., 0] * s[None, :, 1] - a0[..., 1] * s[None, :, 0]
-    a0xd = a0[..., 0] * d[:, None, 1] - a0[..., 1] * d[:, None, 0]
+    denom = dx * s[:, 1] - dy * s[:, 0]                         # (k, m)
+    a0xs = a0[..., 0] * s[:, 1] - a0[..., 1] * s[:, 0]          # (..., 1, m)
+    a0xd = a0[..., 0] * dy - a0[..., 1] * dx                    # (..., k, m)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = a0xs / denom
@@ -85,21 +101,16 @@ def ray_cast_batch(origin: Point2, angles: np.ndarray, walls) -> tuple[np.ndarra
 
     # Parallel rays: collinear overlap hits at the nearest overlap point.
     par = ~nonpar
-    if np.any(par):
-        perp = np.abs(a0xd)                                     # (k, m) distance of p0 from ray line
-        ta = a0[..., 0] * d[:, None, 0] + a0[..., 1] * d[:, None, 1]
-        tb = ta + (s[None, :, 0] * d[:, None, 0] + s[None, :, 1] * d[:, None, 1])
+    if collinear and np.any(par):
+        perp = np.abs(a0xd)                                     # distance of p0 from the ray line
+        ta = a0[..., 0] * dx + a0[..., 1] * dy
+        tb = ta + (s[:, 0] * dx + s[:, 1] * dy)
         lo = np.minimum(ta, tb)
         hi = np.maximum(ta, tb)
         okp = par & (perp <= GEOM_EPS) & (hi >= -GEOM_EPS)
         t_par = np.where(okp, np.maximum(lo, 0.0), np.inf)
         t_hit = np.minimum(t_hit, t_par)
-
-    out_t = t_hit.min(axis=1)
-    with np.errstate(invalid="ignore"):
-        pts = o[None, :] + out_t[:, None] * d
-    pts[~np.isfinite(out_t)] = np.nan
-    return out_t, pts
+    return t_hit
 
 
 def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
@@ -161,6 +172,26 @@ def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarra
     return c, float(np.hypot(dx, dy))
 
 
+def closest_points_on_segments(p: Point2, a: np.ndarray,
+                               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`closest_point_on_segment` of p to every segment a[i]-b[i], bit for bit.
+
+    Returns the points (m, 2) and distances (m,).  Dots use the `@` kernel
+    (np.vecdot) and the clamp keeps Python's min/max choices, so each row
+    equals the scalar helper's result exactly.
+    """
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    denom = np.vecdot(ab, ab)
+    degenerate = denom == 0.0
+    t = np.vecdot(p - a, ab) / np.where(degenerate, 1.0, denom)
+    t = np.where(degenerate | (t < 0.0), 0.0, np.where(t > 1.0, 1.0, t))
+    c = a + t[:, None] * ab
+    diff = p - c
+    return c, np.hypot(diff[:, 0], diff[:, 1])
+
+
 def point_segment_distance(p: Point2, seg) -> float:
     """Distance from a point to a segment (clamped projection)."""
     s = np.asarray(seg, dtype=float)
@@ -170,22 +201,17 @@ def point_segment_distance(p: Point2, seg) -> float:
 def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:
     """Even-odd containment; points on the boundary count as inside."""
     poly = np.asarray(boundary, dtype=float)
-    n = poly.shape[0]
     x, y = float(p[0]), float(p[1])
-    for i in range(n):
-        if point_segment_distance((x, y), (poly[i], poly[(i + 1) % n])) <= GEOM_EPS:
-            return True
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        if (yi > y) != (yj > y):
-            x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    if closest_points_on_segments((x, y), poly, nxt)[1].min() <= GEOM_EPS:
+        return True
+    # Even-odd count of the edges that straddle y and cross the ray from p
+    # toward +x; x_cross is anchored at the edge's later vertex i, as in an
+    # edge loop with j = i - 1, so it rounds the same way.
+    xi, yi, xj, yj = nxt[:, 0], nxt[:, 1], poly[:, 0], poly[:, 1]
+    crosses = (yi > y) != (yj > y)
+    x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
+    return bool(np.count_nonzero(crosses & (x < x_cross)) % 2)
 
 
 def rect_contains(area, p: Point2) -> bool:

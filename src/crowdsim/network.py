@@ -177,16 +177,18 @@ class _WeightNormConv:
         self._cache = (z2, w, batch)
         return out.reshape(length, batch, -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Parameter gradients; returns dz unless input_grad is False."""
         z2, w, batch = self._cache
         d2 = dout.reshape(z2.shape[0], -1)
         self.grad_b = d2.sum(axis=0)
         dw = np.zeros_like(self.v)              # dead taps keep a zero gradient
         dw[:, :, 0] = d2.T @ z2
-        dz = d2 @ w[0]
+        dz = d2 @ w[0] if input_grad else None
         for u, rows in self._shifted_taps(z2.shape[0] // batch, batch):
             dw[:, :, u] = d2[-rows:].T @ z2[:rows]
-            dz[:rows] += d2[-rows:] @ w[u]
+            if input_grad:
+                dz[:rows] += d2[-rows:] @ w[u]
         # Chain through the weight-norm reparameterisation.
         flat_v = self.v.reshape(self.v.shape[0], -1)
         norms = np.linalg.norm(flat_v, axis=1)
@@ -196,7 +198,7 @@ class _WeightNormConv:
         self.grad_g = dot
         self.grad_v = ((self.g / norms)[:, None] * (dw_flat - dot[:, None] * vhat)
                        ).reshape(self.v.shape)
-        return dz.reshape(dout.shape[:2] + (-1,))
+        return None if dz is None else dz.reshape(dout.shape[:2] + (-1,))
 
     def parameters(self):
         return [("v", self.v), ("g", self.g), ("b", self.b)]
@@ -220,11 +222,11 @@ class _Linear:
         self._cache = x
         return x @ self.w.T + self.b[None, :]
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         x = self._cache
         self.grad_w = dout.T @ x
         self.grad_b = dout.sum(axis=0)
-        return dout @ self.w
+        return dout @ self.w if input_grad else None
 
     def parameters(self):
         return [("w", self.w), ("b", self.b)]
@@ -268,18 +270,23 @@ class _TemporalBlock:
         self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, z.shape)
         return (d2 + res).transpose(1, 2, 0)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """dout: (B, C_out, L) -> (B, C_in, L), a view of a time-major buffer."""
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """dout: (B, C_out, L) -> (B, C_in, L), a view of a time-major buffer.
+
+        With input_grad False only the parameter gradients are computed and
+        None is returned (the first block's input needs no gradient).
+        """
         a1, m1, a2, m2, _ = self._cache
         d = dres = dout.transpose(2, 0, 1)
-        for conv, a, m in ((self.conv2, a2, m2), (self.conv1, a1, m1)):
+        for conv, a, m, grad in ((self.conv2, a2, m2, True), (self.conv1, a1, m1, input_grad)):
             if m is not None:
                 d = d * m.transpose(2, 0, 1)
-            d = conv.backward(d * (a.transpose(2, 0, 1) > 0.0))
+            d = conv.backward(d * (a.transpose(2, 0, 1) > 0.0), grad)
         if self.proj is not None:
             length, b, c = dres.shape
-            dres = self.proj.backward(dres.reshape(-1, c)).reshape(length, b, -1)
-        return (d + dres).transpose(1, 2, 0)
+            dres = self.proj.backward(dres.reshape(-1, c), input_grad)
+            dres = None if dres is None else dres.reshape(length, b, -1)
+        return None if d is None else (d + dres).transpose(1, 2, 0)
 
     def parameters(self):
         out = [("conv1." + n, p) for n, p in self.conv1.parameters()]
@@ -339,8 +346,8 @@ class VelocityPredictor:
         b, c, length = self._last_z_shape
         dz = np.zeros((b, c, length))
         dz[:, :, -1] = dlast
-        for block in reversed(self.blocks):
-            dz = block.backward(dz)
+        for i in reversed(range(len(self.blocks))):
+            dz = self.blocks[i].backward(dz, input_grad=i > 0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, train=False)

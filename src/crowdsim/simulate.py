@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .features import ExtractionParams, extract_step
+from .features import ExtractionParams, extract_batch, extract_step
 from .geometry import (
     Scene,
     active_exit,
@@ -178,6 +178,21 @@ class _PedRuntime:
         return self.seed.entry_step
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """Positions and velocities of the active pedestrians at one step, in id order."""
+
+    index: dict[str, int]
+    pos: np.ndarray             # (N, 2)
+    vel: np.ndarray             # (N, 2)
+
+    def others(self, ped_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every pedestrian but ped_id, in id order: one subject's neighbours."""
+        i = self.index[ped_id]
+        return (np.concatenate((self.pos[:i], self.pos[i + 1:])),
+                np.concatenate((self.vel[:i], self.vel[i + 1:])))
+
+
 def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP):
     """Snap a point just outside all modules onto the nearest boundary.
 
@@ -239,7 +254,9 @@ class Simulator:
             self.step_index += 1
             return
 
-        snap = {p.ped_id: (p.positions[-1].copy(), p.velocities[-1].copy()) for p in active}
+        snap = _Snapshot(index={p.ped_id: i for i, p in enumerate(active)},
+                         pos=np.array([p.positions[-1] for p in active]),
+                         vel=np.array([p.velocities[-1] for p in active]))
         moved: list[_PedRuntime] = []
         for ped in active:
             ped._reset_now = False
@@ -257,7 +274,7 @@ class Simulator:
 
         self.step_index += 1
 
-    def _propose(self, active: list, moved: list, snap: dict, t: int) -> None:
+    def _propose(self, active: list, moved: list, snap: _Snapshot, t: int) -> None:
         """Set _proposal for every pedestrian past its seeded prefix (moved).
 
         The TCN reads each active pedestrian's feature window, predicts one
@@ -266,15 +283,8 @@ class Simulator:
         """
         cfg = self.config
         self._snapshots.append((t, snap))
-        for ped in active:
-            pos, vel = snap[ped.ped_id]
-            feats = extract_step(
-                pos, vel,
-                *self._neighbors(snap, ped.ped_id),
-                active_walls(cfg.scene, ped.module_id),
-                active_exit(cfg.scene, ped.module_id), cfg.params,
-            )
-            ped.window.append((pos, feats))
+        for ped, pos, feats in zip(active, snap.pos, self._step_features(active, snap)):
+            ped.window.append((pos, feats.copy()))   # a view would keep the whole batch alive
             while len(ped.window) > cfg.params.window:
                 ped.window.popleft()
         if not moved:
@@ -283,6 +293,11 @@ class Simulator:
         v_hat = np.asarray(self.predictor.predict(np.stack(windows)), dtype=float)
         if v_hat.shape != (len(moved), 2):
             raise ValueError(f"predictor returned shape {v_hat.shape}")
+        bad = ~np.all(np.isfinite(v_hat), axis=1)
+        if np.any(bad):
+            ped = moved[int(np.argmax(bad))]
+            raise ValueError(f"predictor returned a non-finite velocity for pedestrian "
+                             f"{ped.ped_id!r} at step {t}")
         for ped, v in zip(moved, v_hat):
             ped._proposal = ped.positions[-1] + v * cfg.dt
         for ped in moved:
@@ -290,6 +305,11 @@ class Simulator:
             idx = first_wall_crossing(ped.positions[-1], ped._proposal, walls)
             if idx is not None:
                 self._reset(ped, walls[idx], t)
+
+    def _step_features(self, active: list, snap: _Snapshot) -> np.ndarray:
+        """Feature rows of the active pedestrians against the snapshot, (N, D)."""
+        return extract_batch(snap.pos, snap.vel, [p.module_id for p in active],
+                             self.config.scene, self.config.params)
 
     def run(self) -> SimulationResult:
         while True:
@@ -318,18 +338,6 @@ class Simulator:
                                 trajectories=tuple(trajectories), truncated=truncated)
 
     # -- helpers ----------------------------------------------------------
-
-    def _neighbors(self, snap: dict, subject_id: str):
-        others_pos = []
-        others_vel = []
-        for pid in sorted(snap):
-            if pid == subject_id:
-                continue
-            pos, vel = snap[pid]
-            others_pos.append(pos)
-            others_vel.append(vel)
-        return (np.asarray(others_pos, dtype=float).reshape(-1, 2),
-                np.asarray(others_vel, dtype=float).reshape(-1, 2))
 
     def _commit(self, ped: _PedRuntime, t: int) -> None:
         cfg = self.config
@@ -502,7 +510,7 @@ class Simulator:
             snap = by_step[s]
             pos = ped.positions[s - ped.entry]
             vel = ped.velocities[s - ped.entry]
-            feats = extract_step(pos, vel, *self._neighbors(snap, ped.ped_id),
+            feats = extract_step(pos, vel, *snap.others(ped.ped_id),
                                  walls, exit_seg, cfg.params)
             ring[k] = (pos, feats)
         ped.window = deque(ring)

@@ -32,7 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import active_exit, active_walls, closest_point_on_segment, first_wall_crossing
+from .geometry import (
+    active_exit,
+    active_walls,
+    closest_point_on_segment,
+    closest_points_on_segments,
+    first_wall_crossing,
+)
 from .simulate import SimulationConfig, SimulationResult, Simulator
 
 DESIRED_SPEED_CLAMP = (0.5, 2.5)
@@ -70,8 +76,24 @@ def draw_desired_speeds(ped_ids, rng: np.random.Generator,
     return out
 
 
-def _g(x: float) -> float:
-    return x if x > 0.0 else 0.0
+def _repulsion(diff: np.ndarray, d: np.ndarray, reach: float, params: SFParams, what: str):
+    """Per neighbour at offset diff (k, 2) and distance d (k,): the normal
+    force, the overlap g(reach - d) and the tangent, as (k, 2), (k,), (k, 2).
+
+    A neighbour closer than 1e-12 pushes along +x, with one warning.
+    """
+    degenerate = d < 1e-12
+    if np.any(degenerate):
+        warnings.warn(f"{what}: falling back to a fixed repulsion direction", RuntimeWarning)
+        d = np.where(degenerate, 0.0, d)
+        n = np.where(degenerate[:, None], (1.0, 0.0),
+                     diff / np.where(degenerate, 1.0, d)[:, None])
+    else:
+        n = diff / d[:, None]
+    gap = reach - d
+    overlap = np.where(gap > 0.0, gap, 0.0)
+    normal = (params.A * np.exp(gap / params.B) + params.k * overlap)[:, None] * n
+    return normal, overlap, np.stack([-n[:, 1], n[:, 0]], axis=1)
 
 
 def sf_acceleration(position, velocity, desired_speed: float, direction,
@@ -80,42 +102,27 @@ def sf_acceleration(position, velocity, desired_speed: float, direction,
     p = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
     e = np.asarray(direction, dtype=float)
-    force = np.zeros(2)
-
     others_pos = np.asarray(others_pos, dtype=float).reshape(-1, 2)
     others_vel = np.asarray(others_vel, dtype=float).reshape(-1, 2)
-    r_sum = 2.0 * params.radius
-    for q, vq in zip(others_pos, others_vel):
-        diff = p - q
-        d = float(np.hypot(*diff))
-        if d < 1e-12:
-            warnings.warn("overlapping pedestrians: falling back to a fixed "
-                          "repulsion direction", RuntimeWarning)
-            n = np.array([1.0, 0.0])
-            d = 0.0
-        else:
-            n = diff / d
-        overlap = _g(r_sum - d)
-        t = np.array([-n[1], n[0]])
-        force += (params.A * np.exp((r_sum - d) / params.B) + params.k * overlap) * n
-        force += params.kappa * overlap * float((vq - v) @ t) * t
-
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
-    for wall in walls:
-        c, d = closest_point_on_segment(p, wall[0], wall[1])
-        if d < 1e-12:
-            warnings.warn("pedestrian centered on a wall: falling back to a "
-                          "fixed repulsion direction", RuntimeWarning)
-            n = np.array([1.0, 0.0])
-            d = 0.0
-        else:
-            n = (p - c) / d
-        overlap = _g(params.radius - d)
-        t = np.array([-n[1], n[0]])
-        force += (params.A * np.exp((params.radius - d) / params.B)
-                  + params.k * overlap) * n
-        force += -params.kappa * overlap * float(v @ t) * t
 
+    diff = p - others_pos
+    normal, overlap, t = _repulsion(diff, np.hypot(diff[:, 0], diff[:, 1]),
+                                    2.0 * params.radius, params, "overlapping pedestrians")
+    friction = (params.kappa * overlap * np.vecdot(others_vel - v, t))[:, None] * t
+
+    c, d = closest_points_on_segments(p, walls[:, 0], walls[:, 1])
+    w_normal, w_overlap, w_t = _repulsion(p - c, d, params.radius, params,
+                                          "pedestrian centered on a wall")
+    w_friction = (-params.kappa * w_overlap * np.vecdot(v, w_t))[:, None] * w_t
+
+    # Add the terms one by one from zero, pedestrians then walls, normal
+    # before friction: accumulate keeps that order, so rounding is the same
+    # as a loop over the neighbours.
+    terms = np.concatenate([np.zeros((1, 2)),
+                            np.stack([normal, friction], axis=1).reshape(-1, 2),
+                            np.stack([w_normal, w_friction], axis=1).reshape(-1, 2)])
+    force = np.add.accumulate(terms, axis=0)[-1]
     return (desired_speed * e - v) / params.tau + force / params.mass
 
 
@@ -168,7 +175,7 @@ class _SocialForceSimulator(Simulator):
                                   self.sf_params.radius, self._directions.get(ped.ped_id))
             self._directions[ped.ped_id] = e
             acc = sf_acceleration(pos, vel, self.desired_speeds[ped.ped_id], e,
-                                  *self._neighbors(snap, ped.ped_id), walls, self.sf_params)
+                                  *snap.others(ped.ped_id), walls, self.sf_params)
             v_new = vel + acc * cfg.dt
             nxt = pos + v_new * cfg.dt
             if first_wall_crossing(pos, nxt, walls) is not None:

@@ -1,4 +1,12 @@
-"""Shared pytest wiring: one summary line per acceptance criterion."""
+"""Shared pytest wiring: a deterministic hypothesis profile, and one summary
+line per acceptance criterion."""
+
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow or busy host cannot make them flaky.
+settings.register_profile("crowdsim", derandomize=True, deadline=None)
+settings.load_profile("crowdsim")
 
 _CRITERIA: dict[str, tuple[int, str]] = {}
 _RESULTS: dict[str, str] = {}

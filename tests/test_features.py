@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdsim.features import (
     ExtractionParams,
     assemble_step,
+    extract_batch,
     extract_exit,
     extract_social,
     extract_step,
@@ -13,7 +18,15 @@ from crowdsim.features import (
     stack_window,
     wall_points_in_disk,
 )
-from crowdsim.geometry import ray_cast_batch
+from crowdsim.geometry import (
+    ModuleRegion,
+    Scene,
+    active_exit,
+    active_walls,
+    point_in_module,
+    ray_cast_batch,
+)
+from crowdsim.scene_library import BUILTIN_SCENES
 
 P18 = ExtractionParams(sector_deg=18.0)
 
@@ -293,3 +306,76 @@ def test_stack_window_shape() -> None:
     assert win.shape == (8, 5)
     with pytest.raises(ValueError):
         stack_window(np.zeros(5))
+
+
+def _open_scene() -> Scene:
+    """One square module without walls: every vision ray misses."""
+    m = ModuleRegion(id="open", kind="corridor",
+                     boundary=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]),
+                     walls=np.zeros((0, 2, 2)), exit=np.array([[4.0, 0.0], [4.0, 4.0]]))
+    return Scene(modules=(m,), successor={"open": None})
+
+
+BATCH_SCENES = {**{name: build() for name, build in BUILTIN_SCENES.items()},
+                "open": _open_scene()}
+
+# Around pedestrian 0: a co-located pedestrian, one within GEOM_EPS of it
+# (sector 0 too), four on the axis sector boundaries at equal distance, and
+# two at equal distance in one 18-degree sector (bearings 36.9 and 53.1
+# degrees).  All but the second are exact binary fractions.
+_SPECIAL_OFFSETS = [(0.0, 0.0), (-3e-10, 2e-10), (0.5, 0.0), (0.0, 0.5), (-0.5, 0.0),
+                    (0.0, -0.5), (0.5, 0.375), (0.375, 0.5)]
+
+
+def _random_crowd(scene: Scene, rng: np.random.Generator, n: int, grid):
+    lo = np.min([m.boundary.min(axis=0) for m in scene.modules], axis=0)
+    hi = np.max([m.boundary.max(axis=0) for m in scene.modules], axis=0)
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(lo, hi)
+        if grid is not None:                # grid points give equal distances
+            p = np.round(p / grid) * grid
+        if point_in_module(scene, p) is not None:
+            pts.append(p)
+    pos = np.array(pts)
+    for k, off in enumerate(_SPECIAL_OFFSETS[:n - 1], start=1):
+        pos[k] = pos[0] + off
+    vel = rng.normal(size=(n, 2))
+    module_ids = [point_in_module(scene, p) or scene.modules[0].id for p in pos]
+    return pos, vel, module_ids
+
+
+@settings(max_examples=60)
+@given(scene_name=st.sampled_from(sorted(BATCH_SCENES)), n=st.integers(1, 40),
+       grid=st.sampled_from([None, 0.125, 0.25]),
+       params=st.sampled_from([ExtractionParams(),
+                               ExtractionParams(ray_deg=45.0),
+                               ExtractionParams(sector_deg=45.0, ray_deg=90.0, radius=3.0)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, params, seed) -> None:
+    scene = BATCH_SCENES[scene_name]
+    pos, vel, module_ids = _random_crowd(scene, np.random.default_rng(seed), n, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = extract_batch(pos, vel, module_ids, scene, params)
+        assert rows.shape == (n, params.feature_dim)
+        for i in range(n):
+            want = extract_step(pos[i], vel[i], np.delete(pos, i, axis=0),
+                                np.delete(vel, i, axis=0), active_walls(scene, module_ids[i]),
+                                active_exit(scene, module_ids[i]), params)
+            assert rows[i].tobytes() == want.tobytes(), f"row {i} differs"
+
+
+def test_extract_batch_warns_once_for_all_blind_subjects() -> None:
+    scene = _open_scene()
+    pos = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        extract_batch(pos, np.zeros((3, 2)), ["open"] * 3, scene, P18)
+    assert [str(w.message).split(":")[0] for w in caught] == ["3/3 subjects"]
+    assert "vision rays hit no wall" in str(caught[0].message)
+
+
+def test_extract_batch_of_nobody_is_empty() -> None:
+    rows = extract_batch(np.zeros((0, 2)), np.zeros((0, 2)), [], _open_scene(), P18)
+    assert rows.shape == (0, P18.feature_dim)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdsim.geometry import (
     GEOM_EPS,
@@ -9,6 +11,8 @@ from crowdsim.geometry import (
     Scene,
     active_exit,
     active_walls,
+    closest_point_on_segment,
+    closest_points_on_segments,
     first_wall_crossing,
     point_in_module,
     point_in_polygon,
@@ -211,6 +215,67 @@ def test_point_in_polygon_boundary_inclusive() -> None:
     assert point_in_polygon((2.0, 2.0), square)      # on vertex
     assert not point_in_polygon((2.1, 1.0), square)
     assert not point_in_polygon((-0.001, 1.0), square)
+
+
+def _point_in_polygon_loop(p, boundary) -> bool:
+    """Edge-by-edge even-odd test: the scalar oracle of point_in_polygon."""
+    poly = np.asarray(boundary, dtype=float)
+    n = poly.shape[0]
+    x, y = float(p[0]), float(p[1])
+    for i in range(n):
+        if point_segment_distance((x, y), (poly[i], poly[(i + 1) % n])) <= GEOM_EPS:
+            return True
+    inside = False
+    j = n - 1
+    for i in range(n):
+        xi, yi = poly[i]
+        xj, yj = poly[j]
+        if (yi > y) != (yj > y):
+            x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+_BUILTIN_BOUNDARIES = [m.boundary for name in sorted(BUILTIN_SCENES)
+                       for m in builtin_scene(name).modules]
+
+
+@settings(max_examples=150)
+@given(which=st.integers(0, len(_BUILTIN_BOUNDARIES)), seed=st.integers(0, 2**32 - 1))
+def test_point_in_polygon_matches_the_edge_loop(which, seed) -> None:
+    rng = np.random.default_rng(seed)
+    if which < len(_BUILTIN_BOUNDARIES):
+        poly = _BUILTIN_BOUNDARIES[which]
+    else:                       # a random star-shaped, often concave polygon
+        k = int(rng.integers(3, 10))
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        poly = rng.uniform(0.5, 2.0, (k, 1)) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    lo, hi = poly.min(axis=0) - 0.5, poly.max(axis=0) + 0.5
+    edge = rng.integers(0, len(poly), 20)
+    along = rng.uniform(0.0, 1.0, (20, 1))
+    on_edges = poly[edge] + along * (np.roll(poly, -1, axis=0)[edge] - poly[edge])
+    points = np.concatenate([rng.uniform(lo, hi, (40, 2)), on_edges, poly,
+                             poly + GEOM_EPS, poly - 2.0 * GEOM_EPS,
+                             np.stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]], 1)])
+    for p in points:
+        assert point_in_polygon(p, poly) == _point_in_polygon_loop(p, poly), tuple(p)
+
+
+@settings(max_examples=100)
+@given(m=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_closest_points_on_segments_equal_the_scalar_helper(m, seed) -> None:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, 2))
+    b = a + rng.normal(size=(m, 2)) * rng.choice([0.0, 1e-7, 1.0], size=(m, 1))
+    p = rng.normal(size=2)
+    if m:
+        p = [p, a[0], b[-1]][int(rng.integers(3))]
+    points, dists = closest_points_on_segments(p, a, b)
+    for i in range(m):
+        c, d = closest_point_on_segment(p, a[i], b[i])
+        assert points[i].tobytes() == c.tobytes() and dists[i] == d
 
 
 def test_point_in_module_traversal_order_tie() -> None:

@@ -218,6 +218,25 @@ def test_conv_layer_matches_scalar_oracle(q, h, length, c_in, c_out, batch, seed
             np.testing.assert_allclose(got[:, b, o], want, rtol=0.0, atol=1e-12)
 
 
+def test_backward_skips_only_the_first_block_input_gradient() -> None:
+    net = VelocityPredictor(TINY, np.random.default_rng(17))
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(5, 8, 6))
+    dout = rng.normal(size=(5, 2))
+    net.forward(x, train=True, rng=np.random.default_rng(19))
+    net.backward(dout)
+    skipped = [g.copy() for _, g in net.gradients()]
+    # The full chain, down to the gradient of the input features.
+    dz = np.zeros(net._last_z_shape)
+    dz[:, :, -1] = net.head.backward(dout)
+    for block in reversed(net.blocks):
+        dz = block.backward(dz)
+    assert dz.shape == (5, 6, 8)
+    assert net.blocks[0].proj is not None
+    for got, (name, want) in zip(skipped, net.gradients()):
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_zero_error_batch_has_tiny_gradient() -> None:
     net = VelocityPredictor(TINY, np.random.default_rng(13))
     x = np.random.default_rng(14).normal(size=(4, 8, 6))

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from crowdsim.features import ExtractionParams
+from crowdsim.features import ExtractionParams, extract_step
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
+    active_exit,
     active_walls,
     first_wall_crossing,
     point_in_module,
 )
 from crowdsim.ingest import Trajectory
-from crowdsim.scene_library import make_bottleneck, make_corridor
+from crowdsim.network import NetworkConfig, VelocityPredictor
+from crowdsim.scene_library import make_bottleneck, make_composite, make_corridor
 from crowdsim.simulate import (
     ConstantVelocityOracle,
     PedestrianSeed,
@@ -304,3 +306,53 @@ def test_result_rows_format():
     assert rows[1][3] == pytest.approx(0.04)
     assert all(len(r) == 8 for r in rows)
     assert all(r[6] == "corridor" for r in rows)
+
+
+class _ScalarFeatureSimulator(Simulator):
+    """Extracts each pedestrian's features on its own with extract_step."""
+
+    def _step_features(self, active, snap):
+        cfg = self.config
+        return np.array([
+            extract_step(pos, vel, *snap.others(ped.ped_id),
+                         active_walls(cfg.scene, ped.module_id),
+                         active_exit(cfg.scene, ped.module_id), cfg.params)
+            for ped, pos, vel in zip(active, snap.pos, snap.vel)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_features_give_the_scalar_trajectories_bitwise():
+    scene = make_composite()
+    rng = np.random.default_rng(5)
+    lo = np.min([m.boundary.min(axis=0) for m in scene.modules], axis=0)
+    hi = np.max([m.boundary.max(axis=0) for m in scene.modules], axis=0)
+    seeds = []
+    while len(seeds) < 16:
+        start = rng.uniform(lo, hi)
+        seed = _moving_seed(f"p{len(seeds):02d}", start, rng.normal(scale=0.8, size=2), 0.04,
+                            entry=int(rng.integers(0, 6)))
+        if all(point_in_module(scene, p) is not None for p in seed.positions):
+            seeds.append(seed)
+    net = VelocityPredictor(NetworkConfig(input_dim=PARAMS.feature_dim, window=8,
+                                          tcn_channels=(4, 4), kernel_size=2,
+                                          dilations=(1, 2)), np.random.default_rng(6))
+    net.head.b[:] = (1.5, -0.5)         # walk into walls, so resets rewrite windows
+    config = _config(scene, seeds, max_steps=40)
+    batched = Simulator(config, net).run()
+    scalar = _ScalarFeatureSimulator(config, net).run()
+    assert sum(t.reset_flags.sum() for t in batched.trajectories) > 0
+    assert len(batched.trajectories) == len(scalar.trajectories) == 16
+    for a, b in zip(batched.trajectories, scalar.trajectories):
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.module_ids == b.module_ids
+        assert np.array_equal(a.reset_flags, b.reset_flags)
+        assert (a.exited, a.truncated) == (b.exited, b.truncated)
+
+
+def test_non_finite_prediction_is_a_named_error():
+    scene = make_corridor()
+    seeds = [_stationary_seed("a", (1.0, 1.0)), _stationary_seed("b", (2.0, 1.5), entry=2)]
+    with pytest.raises(ValueError, match="non-finite velocity for pedestrian 'a' at step 7"):
+        run_simulation(_config(scene, seeds), ConstantVelocityOracle((np.nan, 0.0)))
+    with pytest.raises(ValueError, match="pedestrian 'a' at step 7"):
+        run_simulation(_config(scene, seeds), ConstantVelocityOracle((0.0, np.inf)))

@@ -1,9 +1,12 @@
 """Force arithmetic, desired directions, and baseline integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (
@@ -11,6 +14,7 @@ from crowdsim.geometry import (
     Scene,
     active_exit,
     active_walls,
+    closest_point_on_segment,
     first_wall_crossing,
     point_in_module,
     point_segment_distance,
@@ -326,3 +330,83 @@ def test_sf_run_records_nothing_before_entry_step():
     assert np.array_equal(late.positions[:8], np.tile([1.0, 1.4], (8, 1)))
     assert min(r[2] for r in result.to_rows("sf") if r[1] == "late") == 5
     assert late.exited and not late.reset_flags.any()
+
+
+def _sf_acceleration_loop(position, velocity, desired_speed, direction,
+                          others_pos, others_vel, walls, params):
+    """The force law as one Python loop over pedestrians, then walls: the
+    scalar oracle of sf_acceleration."""
+    p = np.asarray(position, dtype=float)
+    v = np.asarray(velocity, dtype=float)
+    e = np.asarray(direction, dtype=float)
+    force = np.zeros(2)
+    r_sum = 2.0 * params.radius
+    for q, vq in zip(np.asarray(others_pos, dtype=float).reshape(-1, 2),
+                     np.asarray(others_vel, dtype=float).reshape(-1, 2)):
+        diff = p - q
+        d = float(np.hypot(*diff))
+        if d < 1e-12:
+            warnings.warn("overlapping pedestrians: falling back to a fixed "
+                          "repulsion direction", RuntimeWarning)
+            n, d = np.array([1.0, 0.0]), 0.0
+        else:
+            n = diff / d
+        overlap = r_sum - d if r_sum - d > 0.0 else 0.0
+        t = np.array([-n[1], n[0]])
+        force += (params.A * np.exp((r_sum - d) / params.B) + params.k * overlap) * n
+        force += params.kappa * overlap * float((vq - v) @ t) * t
+    for wall in np.asarray(walls, dtype=float).reshape(-1, 2, 2):
+        c, d = closest_point_on_segment(p, wall[0], wall[1])
+        if d < 1e-12:
+            warnings.warn("pedestrian centered on a wall: falling back to a fixed "
+                          "repulsion direction", RuntimeWarning)
+            n, d = np.array([1.0, 0.0]), 0.0
+        else:
+            n = (p - c) / d
+        overlap = params.radius - d if params.radius - d > 0.0 else 0.0
+        t = np.array([-n[1], n[0]])
+        force += (params.A * np.exp((params.radius - d) / params.B)
+                  + params.k * overlap) * n
+        force += -params.kappa * overlap * float(v @ t) * t
+    return (desired_speed * e - v) / params.tau + force / params.mass
+
+
+def _warning_texts(fn, *args) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted({str(w.message) for w in caught})
+
+
+@settings(max_examples=300)
+@given(n_others=st.integers(0, 12), n_walls=st.integers(0, 8),
+       spread=st.sampled_from([0.05, 0.3, 1.5]), overlap=st.booleans(),
+       on_wall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_sf_acceleration_equals_the_loop_bitwise(n_others, n_walls, spread, overlap,
+                                                  on_wall, seed) -> None:
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1.0, 1.0, size=2)
+    v = rng.normal(size=2)
+    e = rng.normal(size=2)
+    others = p + spread * rng.normal(size=(n_others, 2))
+    others_vel = rng.normal(size=(n_others, 2))
+    walls = rng.uniform(-2.0, 2.0, size=(n_walls, 2, 2))
+    if overlap and n_others:
+        others[rng.integers(n_others)] = p                  # a co-located pedestrian
+    if on_wall and n_walls:
+        walls[0] = [p, p]                                   # a zero-length wall at the subject
+        if n_walls > 1:
+            half = rng.normal(size=2)
+            walls[1] = [p - half, p + half]                 # the subject mid-wall
+    args = (p, v, 1.3, e, others, others_vel, walls, SFParams())
+    got, got_warnings = _warning_texts(sf_acceleration, *args)
+    want, want_warnings = _warning_texts(_sf_acceleration_loop, *args)
+    assert got.tobytes() == want.tobytes()
+    assert got_warnings == want_warnings
+
+
+def test_sf_acceleration_warns_once_per_kind_on_a_wall() -> None:
+    wall = np.array([[[0.0, 0.0], [2.0, 0.0]]])
+    with pytest.warns(RuntimeWarning, match="centered on a wall"):
+        a = sf_acceleration((1.0, 0.0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, wall, SFParams())
+    assert np.all(np.isfinite(a))
