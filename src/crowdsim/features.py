@@ -13,9 +13,9 @@ Angles are measured from the positive x axis; sectors are half-open
 [j*alpha, (j+1)*alpha).  Walls and virtual entities are static, so their
 relative velocity is minus the subject's velocity.
 
-`extract_step` builds one pedestrian's vector and is the reference;
-`extract_batch` builds every pedestrian's against one snapshot at once and
-equals it row by row, bit for bit.
+`extract_batch` builds many pedestrians' vectors against one snapshot and
+is the only feature code that ingest and simulate run.  `extract_step`
+builds one pedestrian's vector and is the reference it equals row by row.
 """
 from __future__ import annotations
 
@@ -286,18 +286,20 @@ def extract_step(position, velocity, others_pos, others_vel, walls,
     return assemble_step(velocity, social, visual, exit_rel, params)
 
 
-def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, params: ExtractionParams):
-    """Per subject and sector, the nearest other pedestrian in the disk.
+def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
+                         params: ExtractionParams):
+    """Per subject (the rows of pos that subjects indexes) and sector, the
+    nearest other pedestrian of pos in the disk.
 
-    Returns (dist, position, velocity) of shapes (N, S), (N, S, 2) and
-    (N, S, 2); +inf and zeros where a sector holds nobody.  Distance ties
+    Returns (dist, position, velocity) of shapes (n, S), (n, S, 2) and
+    (n, S, 2); +inf and zeros where a sector holds nobody.  Distance ties
     go to the lower index; a pedestrian within GEOM_EPS goes to sector 0.
     """
-    n, ns = pos.shape[0], params.n_sectors
-    rel = pos[None, :, :] - pos[:, None, :]                     # [i, j] = p_j - p_i
+    n, ns = subjects.size, params.n_sectors
+    rel = pos[None, :, :] - pos[subjects, None, :]              # [i, j] = p_j - p_subjects[i]
     d = np.linalg.norm(rel, axis=-1)
     near = d <= params.radius
-    np.fill_diagonal(near, False)
+    near[np.arange(n), subjects] = False
     i, j = np.nonzero(near)
     d = d[i, j]
     sec = _sector_of(np.arctan2(rel[i, j, 1], rel[i, j, 0]), ns)
@@ -375,9 +377,8 @@ def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sector
     return dists, points
 
 
-def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams):
-    """`extract_visual` for every subject of pos (g, 2): (g, n_rays, 2) plus
-    the per-subject miss count."""
+def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams) -> np.ndarray:
+    """`extract_visual` for every subject of pos (g, 2), shape (g, n_rays, 2)."""
     n = params.n_rays
     angles = np.arange(n) * (TWO_PI / n)
     u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -389,28 +390,29 @@ def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams):
     with np.errstate(invalid="ignore"):
         pts = pos[:, None, :] + t[..., None] * u
     pts[miss] = (pos[:, None, :] + params.vision_range * u)[miss]
-    return pts - pos[:, None, :], miss.sum(axis=1)
+    return pts - pos[:, None, :]
 
 
 def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams) -> np.ndarray:
-    """Feature rows of every pedestrian against one snapshot, shape (N, feature_dim).
+    """Feature rows against one snapshot, shape (n, feature_dim).
 
-    Row i equals, bit for bit, `extract_step` of pedestrian i with the
-    other rows of pos and vel (in order) as its neighbours and the walls
-    and exit of module_ids[i].  At most one ray-miss warning is emitted,
-    giving the number of subjects affected.
+    Each entry with a module gets a row, in order, equal bit for bit to
+    `extract_step` of that pedestrian with the other rows of pos and vel (in
+    order) as its neighbours and the walls and exit of its module.  An entry
+    whose module id is None is a neighbour only and gets no row.
     """
     pos = np.asarray(pos, dtype=float).reshape(-1, 2)
     vel = np.asarray(vel, dtype=float).reshape(-1, 2)
-    n, ns, nr = pos.shape[0], params.n_sectors, params.n_rays
+    subjects = np.array([i for i, m in enumerate(module_ids) if m is not None], dtype=int)
+    n, ns, nr = subjects.size, params.n_sectors, params.n_rays
+    best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, params)
+    pos, vel = pos[subjects], vel[subjects]
     visual = np.empty((n, nr, 2))
     exit_rel = np.empty((n, 2, 2))
-    best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, params)
 
     groups: dict[str, list[int]] = {}
-    for i, module_id in enumerate(module_ids):
-        groups.setdefault(module_id, []).append(i)
-    blind = 0
+    for row, i in enumerate(subjects):
+        groups.setdefault(module_ids[i], []).append(row)
     for module_id, idx in groups.items():
         idx = np.asarray(idx)
         walls = active_walls(scene, module_id)
@@ -419,8 +421,7 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams) -> np.n
         best_dist[idx] = np.where(wall_wins, wd, best_dist[idx])
         best_pos[idx] = np.where(wall_wins[..., None], wp, best_pos[idx])
         best_vel[idx] = np.where(wall_wins[..., None], 0.0, best_vel[idx])
-        visual[idx], misses = _visual_batch(pos[idx], walls, params)
-        blind += int(np.count_nonzero(misses * 2 > nr))
+        visual[idx] = _visual_batch(pos[idx], walls, params)
         exit_rel[idx] = _ordered_exit(active_exit(scene, module_id))[None] - pos[idx, None, :]
 
     empty = ~np.isfinite(best_dist)
@@ -428,10 +429,6 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams) -> np.n
     rim = pos[:, None, :] + params.radius * np.stack([np.cos(mid), np.sin(mid)], axis=1)
     best_pos[empty] = rim[empty]
     best_vel[empty] = 0.0
-    if blind:
-        warnings.warn(
-            f"{blind}/{n} subjects: more than half of the vision rays hit no wall; "
-            "they may be outside the scene geometry", RuntimeWarning, stacklevel=2)
     social = np.concatenate([best_pos - pos[:, None, :], best_vel - vel[:, None, :]], axis=2)
     return np.concatenate([vel, social.reshape(n, 4 * ns), visual.reshape(n, 2 * nr),
                            exit_rel.reshape(n, 4)], axis=1)

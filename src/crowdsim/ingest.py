@@ -9,6 +9,8 @@ frames are spaced ``1/fps`` seconds apart.
 Velocities are backward differences, ``v[t] = (p[t] - p[t-1]) / dt``, stored
 at index t with index 0 left NaN.  This makes the simulator update
 ``p[t+1] = p[t] + v[t+1]*dt`` the exact inverse of the differencing.
+Training samples take their features from `features.extract_batch`, as the
+simulator does; each sample window is a slice of one track's rows.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .features import ExtractionParams, extract_step, stack_window
-from .geometry import Scene, active_exit, active_walls, point_in_module, rect_contains
+from .features import ExtractionParams, extract_batch
+from .geometry import Scene, point_in_module, rect_contains
 
 MAX_GAP_FRAMES = 5
 
@@ -197,28 +199,27 @@ def clip_to_focus(trajs, area, window: int = 8) -> list[Trajectory]:
     return out
 
 
-def _step_features(subject: Trajectory, step: int, others, scene: Scene,
-                   params: ExtractionParams) -> np.ndarray:
-    """Feature vector for one pedestrian step against its run's occupancy."""
-    position = subject.positions[step]
-    frame = subject.t0 + step
-    others_pos = []
-    others_vel = []
-    for other in others:
-        local = frame - other.t0
-        if 0 <= local < len(other):
-            others_pos.append(other.positions[local])
-            others_vel.append(other.velocity_at(local))
-    module_id = point_in_module(scene, position)
-    if module_id is None:
-        raise ValueError(
-            f"pedestrian {subject.ped_id} at {tuple(position)} lies outside every module"
-        )
-    return extract_step(position, subject.velocities[step],
-                        np.asarray(others_pos, dtype=float).reshape(-1, 2),
-                        np.asarray(others_vel, dtype=float).reshape(-1, 2),
-                        active_walls(scene, module_id),
-                        active_exit(scene, module_id), params)
+def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
+    """Module of each local step that forms a sample row (1 … n-2), else None.
+
+    A row step outside every module, or a non-finite target, raises
+    ValueError, in step order.
+    """
+    modules: list = [None] * len(subject)
+    if len(subject) - 1 <= window:          # no sample, so no row steps
+        return modules
+    for s in range(1, len(subject) - 1):
+        position = subject.positions[s]
+        modules[s] = point_in_module(scene, position)
+        if modules[s] is None:
+            raise ValueError(
+                f"pedestrian {subject.ped_id} at {tuple(position)} lies outside every module"
+            )
+        if s >= window and not np.all(np.isfinite(subject.velocities[s + 1])):
+            raise ValueError(
+                f"non-finite target velocity for pedestrian {subject.ped_id} at step {s + 1}"
+            )
+    return modules
 
 
 def build_samples(dataset: Dataset, params: ExtractionParams) -> list[Sample]:
@@ -226,28 +227,34 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> list[Sample]:
 
     Valid t ranges over [w, n-2]: every window row needs a defined velocity
     (local step >= 1) and the target is v[t+1].  A track with n positions
-    yields max(0, n - 1 - w) samples.
+    yields max(0, n - 1 - w) samples, in run, track and t order.  Windows are
+    views of one array per track, filled by one `extract_batch` call per frame
+    (everyone present is a neighbour, only row steps are subjects).
     """
     w = params.window
     samples: list[Sample] = []
     for run in dataset.runs:
-        for subject in run.trajectories:
-            others = [t for t in run.trajectories if t is not subject]
-            n = len(subject)
-            feature_cache: dict[int, np.ndarray] = {}
-            for t in range(w, n - 1):
-                rows = []
-                for s in range(t - w + 1, t + 1):
-                    if s not in feature_cache:
-                        feature_cache[s] = _step_features(subject, s, others, dataset.scene, params)
-                    rows.append(feature_cache[s])
-                target = subject.velocities[t + 1]
-                if not np.all(np.isfinite(target)):
-                    raise ValueError(
-                        f"non-finite target velocity for pedestrian {subject.ped_id} at step {t + 1}"
-                    )
-                samples.append(Sample(X=stack_window(rows), target=target.copy(),
-                                      meta=(run.name, subject.ped_id, t)))
+        tracks = run.trajectories
+        modules = [_row_modules(traj, dataset.scene, w) for traj in tracks]
+        rows = [np.full((len(traj), params.feature_dim), np.nan) for traj in tracks]
+        frames: dict[int, list[tuple[int, int]]] = {}
+        for k, traj in enumerate(tracks):
+            for s in range(len(traj)):
+                frames.setdefault(traj.t0 + s, []).append((k, s))
+        for present in frames.values():
+            module_ids = [modules[k][s] for k, s in present]
+            subjects = [ks for ks, m in zip(present, module_ids) if m is not None]
+            if subjects:
+                feats = extract_batch([tracks[k].positions[s] for k, s in present],
+                                      [tracks[k].velocity_at(s) for k, s in present],
+                                      module_ids, dataset.scene, params)
+                for (k, s), row in zip(subjects, feats):
+                    rows[k][s] = row
+        for traj, feats in zip(tracks, rows):
+            for t in range(w, len(traj) - 1):
+                samples.append(Sample(X=feats[t - w + 1:t + 1],
+                                      target=traj.velocities[t + 1].copy(),
+                                      meta=(run.name, traj.ped_id, t)))
     return samples
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .features import ExtractionParams, extract_batch, extract_step
+from .features import ExtractionParams, extract_batch
 from .geometry import (
     Scene,
     active_exit,
@@ -155,9 +155,9 @@ class SimulationResult:
 @dataclass
 class _PedRuntime:
     seed: PedestrianSeed
+    window: deque                           # feature rows of the last w steps
     state: str = "pending"                  # pending | active | done
     module_id: Optional[str] = None
-    window: deque = field(default_factory=deque)
     positions: list = field(default_factory=list)
     velocities: list = field(default_factory=list)
     modules: list = field(default_factory=list)
@@ -220,7 +220,8 @@ class Simulator:
         self.config = config
         self.predictor = predictor
         self.step_index = 0
-        self._peds = {s.ped_id: _PedRuntime(seed=s) for s in config.pedestrians}
+        self._peds = {s.ped_id: _PedRuntime(seed=s, window=deque(maxlen=config.params.window))
+                      for s in config.pedestrians}
         self._order = sorted(self._peds)
         self._snapshots: deque = deque(maxlen=config.params.window)
 
@@ -283,13 +284,11 @@ class Simulator:
         """
         cfg = self.config
         self._snapshots.append((t, snap))
-        for ped, pos, feats in zip(active, snap.pos, self._step_features(active, snap)):
-            ped.window.append((pos, feats.copy()))   # a view would keep the whole batch alive
-            while len(ped.window) > cfg.params.window:
-                ped.window.popleft()
+        for ped, feats in zip(active, self._step_features(active, snap)):
+            ped.window.append(feats.copy())   # a view would keep the whole batch alive
         if not moved:
             return
-        windows = [np.stack([f for _, f in ped.window]) for ped in moved]
+        windows = [np.stack(ped.window) for ped in moved]
         v_hat = np.asarray(self.predictor.predict(np.stack(windows)), dtype=float)
         if v_hat.shape != (len(moved), 2):
             raise ValueError(f"predictor returned shape {v_hat.shape}")
@@ -496,24 +495,20 @@ class Simulator:
         ped._proposal = nxt
 
     def _rewrite_window(self, ped: _PedRuntime, steps: list, t: int) -> None:
-        """Re-extract the rewritten steps' features against recorded snapshots."""
+        """Re-extract the rows of the rewritten steps (window[-1] is step t), each from
+        its recorded snapshot with the subject's rewritten state and current module."""
         cfg = self.config
         by_step = dict(self._snapshots)
-        ring = list(ped.window)
-        first_ring_step = t - len(ring) + 1
-        walls = active_walls(cfg.scene, ped.module_id)
-        exit_seg = active_exit(cfg.scene, ped.module_id)
         for s in steps:
-            k = s - first_ring_step
-            if k < 0 or s not in by_step:
-                continue
             snap = by_step[s]
-            pos = ped.positions[s - ped.entry]
-            vel = ped.velocities[s - ped.entry]
-            feats = extract_step(pos, vel, *snap.others(ped.ped_id),
-                                 walls, exit_seg, cfg.params)
-            ring[k] = (pos, feats)
-        ped.window = deque(ring)
+            i = snap.index[ped.ped_id]
+            pos, vel = snap.pos.copy(), snap.vel.copy()
+            pos[i] = ped.positions[s - ped.entry]
+            vel[i] = ped.velocities[s - ped.entry]
+            module_ids = [None] * len(pos)
+            module_ids[i] = ped.module_id
+            ped.window[s - t - 1] = extract_batch(pos, vel, module_ids, cfg.scene,
+                                                  cfg.params)[0]
 
 
 def run_simulation(config: SimulationConfig, predictor) -> SimulationResult:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from crowdsim.features import ExtractionParams
+from crowdsim.features import ExtractionParams, extract_step, stack_window
+from crowdsim.geometry import active_exit, active_walls, point_in_module
 from crowdsim.ingest import (
     Dataset,
     Run,
@@ -16,7 +17,7 @@ from crowdsim.ingest import (
     samples_to_arrays,
     split_train_val,
 )
-from crowdsim.scene_library import make_corridor
+from crowdsim.scene_library import make_composite, make_corridor
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 
@@ -223,6 +224,107 @@ def test_build_samples_sees_other_pedestrian():
     ds_solo = Dataset(scene=scene, runs=(Run("r", (a,)),), role="train_val", dt=0.04)
     solo = build_samples(ds_solo, PARAMS)
     assert any(not np.array_equal(x.X, y.X) for x, y in zip(with_b, solo))
+
+
+def _step_features_oracle(subject, step, others, scene, params):
+    """One pedestrian step with extract_step against its run's occupancy."""
+    position = subject.positions[step]
+    frame = subject.t0 + step
+    others_pos = []
+    others_vel = []
+    for other in others:
+        local = frame - other.t0
+        if 0 <= local < len(other):
+            others_pos.append(other.positions[local])
+            others_vel.append(other.velocity_at(local))
+    module_id = point_in_module(scene, position)
+    if module_id is None:
+        raise ValueError(
+            f"pedestrian {subject.ped_id} at {tuple(position)} lies outside every module"
+        )
+    return extract_step(position, subject.velocities[step],
+                        np.asarray(others_pos, dtype=float).reshape(-1, 2),
+                        np.asarray(others_vel, dtype=float).reshape(-1, 2),
+                        active_walls(scene, module_id), active_exit(scene, module_id), params)
+
+
+def _build_samples_oracle(dataset, params):
+    """build_samples as a per-subject loop over scalar feature vectors."""
+    w = params.window
+    samples = []
+    for run in dataset.runs:
+        for subject in run.trajectories:
+            others = [t for t in run.trajectories if t is not subject]
+            feature_cache = {}
+            for t in range(w, len(subject) - 1):
+                rows = []
+                for s in range(t - w + 1, t + 1):
+                    if s not in feature_cache:
+                        feature_cache[s] = _step_features_oracle(subject, s, others,
+                                                                 dataset.scene, params)
+                    rows.append(feature_cache[s])
+                samples.append((stack_window(rows), subject.velocities[t + 1].copy(),
+                                (run.name, subject.ped_id, t)))
+    return samples
+
+
+def _polyline_track(waypoints, ped, t0, n, rng, dt=0.04):
+    """n positions along the waypoints at a steady pace, with a small jitter."""
+    pts = np.asarray(waypoints, dtype=float)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    at = np.concatenate([[0.0], np.cumsum(seg)])
+    u = np.linspace(0.0, at[-1], n)
+    pos = np.column_stack([np.interp(u, at, pts[:, 0]), np.interp(u, at, pts[:, 1])])
+    return _traj_from_positions(pos + rng.normal(scale=0.01, size=pos.shape), dt=dt,
+                                ped=ped, t0=t0)
+
+
+def test_build_samples_equal_the_scalar_loop_bitwise():
+    rng = np.random.default_rng(11)
+    corridor = make_corridor()
+    overlapping = Run("overlap", tuple(
+        _polyline_track([(0.3, y), (5.7, y + 0.3)], ped=f"c{k}", t0=t0, n=n, rng=rng)
+        for k, (y, t0, n) in enumerate([(1.0, 0, 30), (1.4, 3, 25), (1.2, 7, 14),
+                                        (2.0, 12, 20), (0.6, 40, 12)])))
+    single = Run("single", (_polyline_track([(1.0, 1.5), (4.0, 1.5)], "s", 5, 16, rng),))
+    # First and last positions outside every module, every row step inside.
+    straddling = Run("straddle", (
+        _traj_from_positions(np.column_stack([np.linspace(-0.1, 6.1, 13), np.full(13, 1.5)]),
+                             ped="x", t0=2),
+        _polyline_track([(5.0, 0.5), (1.0, 2.5)], "y", 0, 18, rng)))
+    composite = make_composite()
+    path = [(-3.5, 0.0), (1.2, 0.0), (1.2, 4.4), (7.0, 4.4)]
+    through = Run("composite", tuple(
+        _polyline_track(path, ped=f"k{k}", t0=t0, n=n, rng=rng)
+        for k, (t0, n) in enumerate([(0, 60), (4, 55), (9, 70), (30, 40)])))
+    params = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=6)
+    for dataset in (Dataset(corridor, (overlapping, single, straddling), "train_val", 0.04),
+                    Dataset(composite, (through,), "test", 0.04)):
+        got = build_samples(dataset, params)
+        want = _build_samples_oracle(dataset, params)
+        assert len(got) == len(want) > 0
+        for sample, (x, target, meta) in zip(got, want):
+            assert sample.meta == meta
+            assert sample.X.tobytes() == x.tobytes()
+            assert sample.target.tobytes() == target.tobytes()
+    assert len({point_in_module(composite, p) for t in through.trajectories
+                for p in t.positions[1:-1]}) == 4
+
+
+def test_build_samples_row_step_outside_every_module_is_named():
+    rng = np.random.default_rng(12)
+    inside = _polyline_track([(0.5, 1.0), (5.5, 1.0)], "a", 0, 20, rng)
+    pos = _polyline_track([(0.5, 2.0), (5.5, 2.0)], "b", 2, 20, rng).positions.copy()
+    pos[9] = (3.0, 3.4)                 # above the corridor's upper wall
+    outside = _traj_from_positions(pos, ped="b", t0=2)
+    ds = Dataset(make_corridor(), (Run("r", (inside, outside)),), "train_val", 0.04)
+    with pytest.raises(ValueError) as want:
+        _build_samples_oracle(ds, PARAMS)
+    with pytest.raises(ValueError) as got:
+        build_samples(ds, PARAMS)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("pedestrian b at (")
+    assert str(got.value).endswith("lies outside every module")
 
 
 def test_split_sizes_and_partition():

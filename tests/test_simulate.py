@@ -309,7 +309,8 @@ def test_result_rows_format():
 
 
 class _ScalarFeatureSimulator(Simulator):
-    """Extracts each pedestrian's features on its own with extract_step."""
+    """Extracts each pedestrian's features on its own with extract_step, in
+    the step and in window rewrites."""
 
     def _step_features(self, active, snap):
         cfg = self.config
@@ -318,6 +319,15 @@ class _ScalarFeatureSimulator(Simulator):
                          active_walls(cfg.scene, ped.module_id),
                          active_exit(cfg.scene, ped.module_id), cfg.params)
             for ped, pos, vel in zip(active, snap.pos, snap.vel)])
+
+    def _rewrite_window(self, ped, steps, t):
+        cfg = self.config
+        by_step = dict(self._snapshots)
+        for s in steps:
+            ped.window[s - t - 1] = extract_step(
+                ped.positions[s - ped.entry], ped.velocities[s - ped.entry],
+                *by_step[s].others(ped.ped_id), active_walls(cfg.scene, ped.module_id),
+                active_exit(cfg.scene, ped.module_id), cfg.params)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
