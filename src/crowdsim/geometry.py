@@ -160,6 +160,62 @@ def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
     return best
 
 
+def first_wall_crossings(p_from, p_to, walls) -> np.ndarray:
+    """`first_wall_crossing` of every move p_from[i] -> p_to[i], bit for bit.
+
+    Takes (n, 2) move endpoints and one wall set; returns an (n,) int array
+    of wall indices, -1 where the scalar gives None.  Each step keeps the
+    scalar's operation: sqrt of `np.vecdot` is `np.linalg.norm` of one
+    vector, and the stacked `@` rounds as its per-move `a0 @ dn` and
+    `s @ dn` do (einsum and vecdot do not).
+    """
+    seg = _as_walls(walls)
+    a = np.asarray(p_from, dtype=float).reshape(-1, 2)
+    d = np.asarray(p_to, dtype=float).reshape(-1, 2) - a          # (n, 2)
+    n = a.shape[0]
+    if seg.shape[0] == 0 or n == 0:
+        return np.full(n, -1)
+    dlen = np.sqrt(np.vecdot(d, d))                             # (n,)
+
+    p0 = seg[:, 0, :]
+    s = seg[:, 1, :] - seg[:, 0, :]
+    slen = np.linalg.norm(s, axis=1)
+    a0 = p0 - a[:, None, :]                                     # (n, m, 2)
+    dx, dy = d[:, :1], d[:, 1:]                                 # (n, 1)
+
+    denom = dx * s[:, 1] - dy * s[:, 0]
+    a0xs = a0[..., 0] * s[:, 1] - a0[..., 1] * s[:, 0]
+    a0xd = a0[..., 0] * dy - a0[..., 1] * dx
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a0xs / denom
+        u = a0xd / denom
+
+    eps_t = (GEOM_EPS / np.maximum(dlen, GEOM_EPS))[:, None]
+    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)
+    nonpar = np.abs(denom) > 1e-12
+    ok = nonpar & (t >= -eps_t) & (t <= 1.0 + eps_t) & (u >= -eps_u) & (u <= 1.0 + eps_u)
+    t_hit = np.where(ok, np.clip(t, 0.0, 1.0), np.inf)
+
+    rows = np.flatnonzero(~np.all(nonpar, axis=1) & (dlen > GEOM_EPS))
+    if rows.size:
+        dl = dlen[rows, None]
+        dn = d[rows] / dl                                       # (r, 2)
+        ar = a0[rows]                                           # (r, m, 2)
+        perp = np.abs(ar[..., 0] * dn[:, 1:] - ar[..., 1] * dn[:, :1])
+        ta = (ar @ dn[:, :, None])[..., 0] / dl
+        tb = ta + (np.broadcast_to(s, ar.shape) @ dn[:, :, None])[..., 0] / dl
+        lo = np.minimum(ta, tb)
+        hi = np.maximum(ta, tb)
+        er = eps_t[rows]
+        okp = ~nonpar[rows] & (perp <= GEOM_EPS) & (hi >= -er) & (lo <= 1.0 + er)
+        t_par = np.where(okp, np.clip(lo, 0.0, 1.0), np.inf)
+        t_hit[rows] = np.minimum(t_hit[rows], t_par)
+
+    best = np.argmin(t_hit, axis=1)
+    return np.where(np.isfinite(t_hit[np.arange(n), best]), best, -1)
+
+
 def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarray, float]:
     """Closest point of segment a-b to p (clamped projection) and its distance."""
     p = np.asarray(p, dtype=float)
@@ -172,13 +228,14 @@ def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarra
     return c, float(np.hypot(dx, dy))
 
 
-def closest_points_on_segments(p: Point2, a: np.ndarray,
+def closest_points_on_segments(p, a: np.ndarray,
                                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`closest_point_on_segment` of p to every segment a[i]-b[i], bit for bit.
 
-    Returns the points (m, 2) and distances (m,).  Dots use the `@` kernel
-    (np.vecdot) and the clamp keeps Python's min/max choices, so each row
-    equals the scalar helper's result exactly.
+    Returns the points (m, 2) and distances (m,).  p may carry leading
+    axes: k points as (k, 1, 2) give (k, m, 2) and (k, m).  Dots use the
+    `@` kernel (np.vecdot) and the clamp keeps Python's min/max choices, so
+    each row equals the scalar helper's result exactly.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -187,9 +244,9 @@ def closest_points_on_segments(p: Point2, a: np.ndarray,
     degenerate = denom == 0.0
     t = np.vecdot(p - a, ab) / np.where(degenerate, 1.0, denom)
     t = np.where(degenerate | (t < 0.0), 0.0, np.where(t > 1.0, 1.0, t))
-    c = a + t[:, None] * ab
+    c = a + t[..., None] * ab
     diff = p - c
-    return c, np.hypot(diff[:, 0], diff[:, 1])
+    return c, np.hypot(diff[..., 0], diff[..., 1])
 
 
 def point_segment_distance(p: Point2, seg) -> float:
@@ -212,6 +269,19 @@ def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:
     crosses = (yi > y) != (yj > y)
     x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
     return bool(np.count_nonzero(crosses & (x < x_cross)) % 2)
+
+
+def points_in_polygon(points, boundary: np.ndarray) -> np.ndarray:
+    """`point_in_polygon` of every point (k, 2), bit for bit: (k,) bool."""
+    poly = np.asarray(boundary, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    on_edge = closest_points_on_segments(pts[:, None], poly, nxt)[1].min(axis=1) <= GEOM_EPS
+    x, y = pts[:, :1], pts[:, 1:]
+    xi, yi, xj, yj = nxt[:, 0], nxt[:, 1], poly[:, 0], poly[:, 1]
+    crosses = (yi > y) != (yj > y)
+    x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
+    return on_edge | (np.count_nonzero(crosses & (x < x_cross), axis=1) % 2 == 1)
 
 
 def rect_contains(area, p: Point2) -> bool:
@@ -283,9 +353,6 @@ class Scene:
                 return m
         raise KeyError(f"unknown module id {module_id!r}")
 
-    def terminal_ids(self) -> list[str]:
-        return [m.id for m in self.modules if self.successor.get(m.id) is None]
-
     def validate(self) -> None:
         ids = [m.id for m in self.modules]
         if len(ids) != len(set(ids)):
@@ -317,6 +384,21 @@ def point_in_module(scene: Scene, p: Point2) -> Optional[str]:
         if point_in_polygon(p, m.boundary):
             return m.id
     return None
+
+
+def point_in_modules(scene: Scene, points) -> list[Optional[str]]:
+    """`point_in_module` of every point (k, 2): one id or None per point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    found: list[Optional[str]] = [None] * len(pts)
+    left = np.arange(len(pts))
+    for m in scene.modules:
+        if left.size == 0:
+            break
+        inside = points_in_polygon(pts[left], m.boundary)
+        for i in left[inside].tolist():
+            found[i] = m.id
+        left = left[~inside]
+    return found
 
 
 def active_walls(scene: Scene, module_id: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .features import ExtractionParams, extract_batch
-from .geometry import Scene, point_in_module, rect_contains
+from .geometry import Scene, point_in_modules, rect_contains
 
 MAX_GAP_FRAMES = 5
 
@@ -208,13 +208,11 @@ def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
     modules: list = [None] * len(subject)
     if len(subject) - 1 <= window:          # no sample, so no row steps
         return modules
+    modules[1:-1] = point_in_modules(scene, subject.positions[1:-1])
     for s in range(1, len(subject) - 1):
-        position = subject.positions[s]
-        modules[s] = point_in_module(scene, position)
         if modules[s] is None:
-            raise ValueError(
-                f"pedestrian {subject.ped_id} at {tuple(position)} lies outside every module"
-            )
+            raise ValueError(f"pedestrian {subject.ped_id} at "
+                             f"{tuple(subject.positions[s].tolist())} lies outside every module")
         if s >= window and not np.all(np.isfinite(subject.velocities[s + 1])):
             raise ValueError(
                 f"non-finite target velocity for pedestrian {subject.ped_id} at step {s + 1}"

@@ -36,11 +36,13 @@ import numpy as np
 from .features import ExtractionParams, extract_batch
 from .geometry import (
     Scene,
-    active_exit,
     active_walls,
     closest_point_on_segment,
+    closest_points_on_segments,
     first_wall_crossing,
+    first_wall_crossings,
     point_in_module,
+    point_in_modules,
     point_segment_distance,
 )
 
@@ -98,6 +100,8 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        modules = iter(point_in_modules(
+            self.scene, [p for seed in self.pedestrians for p in seed.positions]))
         seen = set()
         for seed in self.pedestrians:
             if seed.ped_id in seen:
@@ -108,10 +112,11 @@ class SimulationConfig:
                     f"pedestrian {seed.ped_id}: expected {self.params.window} seed "
                     f"positions, got {seed.positions.shape[0]}"
                 )
-            for p in seed.positions:
-                if point_in_module(self.scene, p) is None:
+            # zip draws one module per seed position, then stops
+            for p, module_id in zip(seed.positions, modules):
+                if module_id is None:
                     raise ValueError(
-                        f"pedestrian {seed.ped_id}: seed position {tuple(p)} "
+                        f"pedestrian {seed.ped_id}: seed position {tuple(p.tolist())} "
                         "lies outside every module"
                     )
 
@@ -199,18 +204,14 @@ def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP
     Returns (snapped point, module id), or None when the point is farther
     than ``tolerance`` from every module.
     """
-    best = None
-    for mod in scene.modules:
-        boundary = mod.boundary
-        for i in range(len(boundary)):
-            a = boundary[i]
-            b = boundary[(i + 1) % len(boundary)]
-            c, d = closest_point_on_segment(p, a, b)
-            if d <= tolerance and (best is None or d < best[0]):
-                best = (d, c, mod.id)
-    if best is None:
+    ids = [m.id for m in scene.modules for _ in m.boundary]
+    c, d = closest_points_on_segments(
+        p, np.concatenate([m.boundary for m in scene.modules]),
+        np.concatenate([np.roll(m.boundary, -1, axis=0) for m in scene.modules]))
+    best = int(np.argmin(d))            # the first edge, in module order, at the minimum
+    if not d[best] <= tolerance:
         return None
-    return np.asarray(best[1], dtype=float), best[2]
+    return c[best], ids[best]
 
 
 class Simulator:
@@ -224,6 +225,9 @@ class Simulator:
                       for s in config.pedestrians}
         self._order = sorted(self._peds)
         self._snapshots: deque = deque(maxlen=config.params.window)
+        scene = config.scene
+        self._walls = {m.id: active_walls(scene, m.id) for m in scene.modules}
+        self._exits = {m.id: m.exit[None] for m in scene.modules}
 
     # -- queries ----------------------------------------------------------
 
@@ -240,15 +244,16 @@ class Simulator:
         t = self.step_index
         w = cfg.params.window
 
-        for pid in self._order:
-            ped = self._peds[pid]
-            if ped.state == "pending" and ped.entry == t:
-                ped.state = "active"
-                ped.module_id = point_in_module(cfg.scene, ped.seed.positions[0])
-                ped.positions.append(ped.seed.positions[0].copy())
-                ped.velocities.append(np.zeros(2))
-                ped.modules.append(ped.module_id)
-                ped.reset_flags.append(False)
+        entering = [p for p in map(self._peds.get, self._order)
+                    if p.state == "pending" and p.entry == t]
+        starts = [ped.seed.positions[0] for ped in entering]
+        for ped, start, module_id in zip(entering, starts, point_in_modules(cfg.scene, starts)):
+            ped.state = "active"
+            ped.module_id = module_id
+            ped.positions.append(start.copy())
+            ped.velocities.append(np.zeros(2))
+            ped.modules.append(module_id)
+            ped.reset_flags.append(False)
 
         active = self._active()
         if not active:
@@ -270,8 +275,14 @@ class Simulator:
                 ped._proposal = ped.seed.positions[local + 1].copy()
         self._propose(active, moved, snap, t)
 
-        for ped in active:
-            self._commit(ped, t)
+        # Commits touch only their own pedestrian, so the exit and module
+        # tests of every proposal can run before the first commit.
+        terminal = [p for p in moved if cfg.scene.successor[p.module_id] is None]
+        exits = {p.ped_id for p, i in zip(terminal, self._crossings(terminal, self._exits))
+                 if i >= 0}
+        found = point_in_modules(cfg.scene, [p._proposal for p in active])
+        for ped, module_id in zip(active, found):
+            self._commit(ped, t, ped.ped_id in exits, module_id)
 
         self.step_index += 1
 
@@ -299,11 +310,22 @@ class Simulator:
                              f"{ped.ped_id!r} at step {t}")
         for ped, v in zip(moved, v_hat):
             ped._proposal = ped.positions[-1] + v * cfg.dt
-        for ped in moved:
-            walls = active_walls(cfg.scene, ped.module_id)
-            idx = first_wall_crossing(ped.positions[-1], ped._proposal, walls)
-            if idx is not None:
-                self._reset(ped, walls[idx], t)
+        for ped, idx in zip(moved, self._crossings(moved, self._walls)):
+            if idx >= 0:
+                self._reset(ped, self._walls[ped.module_id][idx], t)
+
+    def _crossings(self, peds: list, segments: dict) -> np.ndarray:
+        """Index of the first of segments[module] that each pedestrian's step
+        (positions[-1] to _proposal) crosses, or -1; one call per module."""
+        out = np.full(len(peds), -1)
+        groups: dict = {}
+        for i, ped in enumerate(peds):
+            groups.setdefault(ped.module_id, []).append(i)
+        for module_id, idx in groups.items():
+            out[idx] = first_wall_crossings([peds[i].positions[-1] for i in idx],
+                                            [peds[i]._proposal for i in idx],
+                                            segments[module_id])
+        return out
 
     def _step_features(self, active: list, snap: _Snapshot) -> np.ndarray:
         """Feature rows of the active pedestrians against the snapshot, (N, D)."""
@@ -338,21 +360,19 @@ class Simulator:
 
     # -- helpers ----------------------------------------------------------
 
-    def _commit(self, ped: _PedRuntime, t: int) -> None:
+    def _commit(self, ped: _PedRuntime, t: int, exits: bool, found: Optional[str]) -> None:
+        """Commit the proposal; exits (a predicted step across a terminal exit)
+        and found (the module containing the proposal) come from step()."""
         cfg = self.config
         pos = ped.positions[-1]
         nxt = np.asarray(ped._proposal, dtype=float)
         vel = ped._velocity
 
-        if ped._predicted:
-            exit_seg = np.asarray(active_exit(cfg.scene, ped.module_id))[None]
-            if (first_wall_crossing(pos, nxt, exit_seg) is not None
-                    and cfg.scene.successor[ped.module_id] is None):
-                self._append(ped, nxt, pos, ped.module_id, vel)
-                ped.state = "done"
-                ped.exited = True
-                return
-        found = point_in_module(cfg.scene, nxt)
+        if exits:
+            self._append(ped, nxt, pos, ped.module_id, vel)
+            ped.state = "done"
+            ped.exited = True
+            return
         if found is None and ped._predicted:
             snapped = snap_to_module(cfg.scene, nxt)
             if snapped is not None:
@@ -373,7 +393,7 @@ class Simulator:
         if ped._reset_now:
             return self._hold(ped)
         pos = ped.positions[-1]
-        walls = active_walls(self.config.scene, ped.module_id)
+        walls = self._walls[ped.module_id]
         idx = first_wall_crossing(pos, nxt, walls)
         if idx is None:
             idx = self._nearest_wall(pos, walls)
@@ -416,16 +436,13 @@ class Simulator:
 
     def _path_clear(self, prev: np.ndarray, points: list, walls: np.ndarray,
                     violated: np.ndarray) -> bool:
-        chain = [prev] + points
-        for a, b in zip(chain[:-1], chain[1:]):
-            if np.hypot(*(b - a)) > 1e-12 and first_wall_crossing(a, b, walls) is not None:
-                return False
-        for p in points:
-            if point_segment_distance(p, violated) < WALL_CLEARANCE - 1e-9:
-                return False
-            if point_in_module(self.config.scene, p) is None:
-                return False
-        return True
+        chain = np.array([prev] + points)
+        a, b = chain[:-1], chain[1:]
+        moves = np.hypot(*(b - a).T) > 1e-12
+        gaps = closest_points_on_segments(b[:, None], violated[:1], violated[1:])[1]
+        return not (np.any(first_wall_crossings(a[moves], b[moves], walls) >= 0)
+                    or np.any(gaps < WALL_CLEARANCE - 1e-9)
+                    or None in point_in_modules(self.config.scene, b))
 
     def _reset(self, ped: _PedRuntime, wall: np.ndarray, t: int) -> None:
         """Replace recent simulated history with a guided wall-clear path."""
@@ -435,7 +452,7 @@ class Simulator:
         ped._reset_now = True
         pos_t = ped.positions[-1]
         module = cfg.scene.module(ped.module_id)
-        exit_mid = np.asarray(active_exit(cfg.scene, ped.module_id)).mean(axis=0)
+        exit_mid = module.exit.mean(axis=0)
 
         if module.kind == "bottleneck":
             vec = exit_mid - pos_t
@@ -450,7 +467,7 @@ class Simulator:
             direction = d if float(d @ (exit_mid - pos_t)) >= 0.0 else -d
 
         p_hat = self._clear_point(pos_t, wall, exit_mid)
-        walls_all = active_walls(cfg.scene, ped.module_id)
+        walls_all = self._walls[ped.module_id]
         first_predicted = ped.entry + w
         r0 = max(t - w + 1, first_predicted)
         steps = list(range(r0, t + 1))

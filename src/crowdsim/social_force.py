@@ -32,13 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    active_exit,
-    active_walls,
-    closest_point_on_segment,
-    closest_points_on_segments,
-    first_wall_crossing,
-)
+from .geometry import closest_point_on_segment, closest_points_on_segments
 from .simulate import SimulationConfig, SimulationResult, Simulator
 
 DESIRED_SPEED_CLAMP = (0.5, 2.5)
@@ -166,21 +160,22 @@ class _SocialForceSimulator(Simulator):
         self._directions: dict[str, np.ndarray] = {}
 
     def _propose(self, active, moved, snap, t) -> None:
-        """One force-law step per moved pedestrian; no features, no network."""
+        """One force-law step per moved pedestrian; no features, no network.
+        A step that crosses a wall holds position instead."""
         cfg = self.config
         for ped in moved:
             pos, vel = ped.positions[-1], ped.velocities[-1]
-            walls = active_walls(cfg.scene, ped.module_id)
-            e = desired_direction(pos, active_exit(cfg.scene, ped.module_id),
+            e = desired_direction(pos, self._exits[ped.module_id][0],
                                   self.sf_params.radius, self._directions.get(ped.ped_id))
             self._directions[ped.ped_id] = e
             acc = sf_acceleration(pos, vel, self.desired_speeds[ped.ped_id], e,
-                                  *snap.others(ped.ped_id), walls, self.sf_params)
+                                  *snap.others(ped.ped_id), self._walls[ped.module_id],
+                                  self.sf_params)
             v_new = vel + acc * cfg.dt
-            nxt = pos + v_new * cfg.dt
-            if first_wall_crossing(pos, nxt, walls) is not None:
-                nxt, v_new = pos.copy(), np.zeros(2)
-            ped._proposal, ped._velocity = nxt, v_new
+            ped._proposal, ped._velocity = pos + v_new * cfg.dt, v_new
+        for ped, idx in zip(moved, self._crossings(moved, self._walls)):
+            if idx >= 0:
+                ped._proposal, ped._velocity = ped.positions[-1].copy(), np.zeros(2)
 
     def _stranded(self, ped, nxt, t):
         return self._hold(ped)

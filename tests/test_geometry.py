@@ -14,8 +14,11 @@ from crowdsim.geometry import (
     closest_point_on_segment,
     closest_points_on_segments,
     first_wall_crossing,
+    first_wall_crossings,
     point_in_module,
+    point_in_modules,
     point_in_polygon,
+    points_in_polygon,
     point_segment_distance,
     ray_cast,
     ray_cast_batch,
@@ -208,6 +211,53 @@ def test_first_wall_crossing_randomised_against_orientation_test() -> None:
         assert got == want
 
 
+def _tricky_moves(rng, walls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n moves, mostly degenerate against the walls: ending on a wall,
+    through a wall point (u = 0 or 1 is a vertex), parallel or collinear to
+    a wall, zero length or shorter than GEOM_EPS."""
+    a = rng.uniform(-2.0, 2.0, (n, 2))
+    b = a + rng.uniform(-2.0, 2.0, (n, 2))
+    if n == 0 or walls.shape[0] == 0:
+        return a, b
+    j = rng.integers(0, walls.shape[0], n)
+    p0, s = walls[j, 0], walls[j, 1] - walls[j, 0]
+    u = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-12, rng.uniform(-0.5, 1.5)], (n, 1))
+    on_wall = p0 + u * s
+    kind = rng.integers(0, 7, n)[:, None]
+    d = b - a
+    b = np.where(kind == 0, on_wall, b)                                  # ends on a wall
+    a = np.where(kind == 1, on_wall - d, a)                              # through a wall point
+    b = np.where(kind == 1, on_wall + 0.5 * d, b)
+    b = np.where(kind == 2, a + rng.uniform(-1.5, 1.5, (n, 1)) * s, b)  # parallel
+    a = np.where(kind == 3, p0 + rng.uniform(-0.5, 1.5, (n, 1)) * s, a)  # collinear
+    b = np.where(kind == 3, p0 + rng.uniform(-0.5, 1.5, (n, 1)) * s, b)
+    b = np.where(kind == 4, a, b)                                        # zero length
+    a = np.where(kind == 5, on_wall, a)                                  # shorter than GEOM_EPS
+    b = np.where(kind == 5, on_wall + 1e-10 * s / np.linalg.norm(s, axis=1, keepdims=True), b)
+    return a, b
+
+
+@settings(max_examples=200)
+@given(m=st.integers(0, 8), n=st.integers(0, 24), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_wall_crossings_equal_the_scalar_per_move(m, n, grid, seed) -> None:
+    rng = np.random.default_rng(seed)
+    if grid:                    # axis-aligned half-metre walls share lines and vertices
+        walls = rng.integers(-4, 5, (m, 2, 2)) * 0.5
+        axis = rng.integers(0, 2, m)
+        walls[np.arange(m), 1, axis] = walls[np.arange(m), 0, axis]
+        walls = walls[np.any(walls[:, 0] != walls[:, 1], axis=1)]
+    else:
+        walls = rng.uniform(-2.0, 2.0, (m, 2, 2))
+    a, b = _tricky_moves(rng, walls, n)
+    if grid:                    # a quarter-metre grid keeps the moves' relations to the walls
+        a, b = np.round(a * 4.0) / 4.0, np.round(b * 4.0) / 4.0
+    got = first_wall_crossings(a, b, walls)
+    want = [first_wall_crossing(p, q, walls) for p, q in zip(a, b)]
+    assert got.shape == (n,) and got.dtype.kind == "i"
+    assert got.tolist() == [-1 if w is None else w for w in want]
+
+
 def test_point_in_polygon_boundary_inclusive() -> None:
     square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
     assert point_in_polygon((1.0, 1.0), square)
@@ -252,15 +302,38 @@ def test_point_in_polygon_matches_the_edge_loop(which, seed) -> None:
         k = int(rng.integers(3, 10))
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
         poly = rng.uniform(0.5, 2.0, (k, 1)) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    points = _probe_points(rng, poly)
+    for p in points:
+        assert point_in_polygon(p, poly) == _point_in_polygon_loop(p, poly), tuple(p)
+    assert points_in_polygon(points, poly).tolist() == [point_in_polygon(p, poly) for p in points]
+
+
+def _probe_points(rng, poly: np.ndarray) -> np.ndarray:
+    """Points in and around a polygon: random, on edges, on vertices, at
+    +-GEOM_EPS and -2 GEOM_EPS from them, and level with the vertices."""
     lo, hi = poly.min(axis=0) - 0.5, poly.max(axis=0) + 0.5
     edge = rng.integers(0, len(poly), 20)
     along = rng.uniform(0.0, 1.0, (20, 1))
     on_edges = poly[edge] + along * (np.roll(poly, -1, axis=0)[edge] - poly[edge])
-    points = np.concatenate([rng.uniform(lo, hi, (40, 2)), on_edges, poly,
-                             poly + GEOM_EPS, poly - 2.0 * GEOM_EPS,
-                             np.stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]], 1)])
-    for p in points:
-        assert point_in_polygon(p, poly) == _point_in_polygon_loop(p, poly), tuple(p)
+    return np.concatenate([rng.uniform(lo, hi, (40, 2)), on_edges, poly,
+                           poly + GEOM_EPS, poly - GEOM_EPS, poly - 2.0 * GEOM_EPS,
+                           np.stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]], 1)])
+
+
+_SCENES = [builtin_scene(name) for name in sorted(BUILTIN_SCENES)] + [
+    Scene(modules=(_square_module("m1", 0.0), _square_module("m2", 2.0)),
+          successor={"m1": "m2", "m2": None})]
+
+
+@settings(max_examples=60)
+@given(which=st.integers(0, len(_SCENES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_point_in_modules_equals_point_in_module(which, seed) -> None:
+    # builtin composite and the two squares have modules sharing borders
+    scene = _SCENES[which]
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([_probe_points(rng, m.boundary) for m in scene.modules])
+    assert point_in_modules(scene, points) == [point_in_module(scene, p) for p in points]
+    assert point_in_modules(scene, np.zeros((0, 2))) == []
 
 
 @settings(max_examples=100)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import crowdsim.simulate
 from crowdsim.features import ExtractionParams, extract_step
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
     active_exit,
     active_walls,
+    closest_point_on_segment,
     first_wall_crossing,
     point_in_module,
+    point_segment_distance,
 )
 from crowdsim.ingest import Trajectory
 from crowdsim.network import NetworkConfig, VelocityPredictor
@@ -23,7 +26,9 @@ from crowdsim.simulate import (
     ZeroVelocityOracle,
     run_simulation,
     seeds_from_run,
+    snap_to_module,
 )
+from crowdsim.social_force import SFParams, sf_run
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 
@@ -281,6 +286,23 @@ def test_config_validation_rejects_bad_seeds():
         _config(scene, [PedestrianSeed("1", 0, np.tile([2.0, 1.0], (5, 1)))])
 
 
+def test_config_names_the_first_seed_error_with_plain_floats():
+    scene = make_corridor()
+    positions = np.tile([2.0, 1.0], (8, 1))
+    positions[5:] = (7.25, 1.0), (6.5, 1.5), (0.5, 9.0)         # the corridor ends at x = 6
+    outside = PedestrianSeed("a", 0, positions)
+    with pytest.raises(ValueError) as err:
+        _config(scene, [_stationary_seed("z", (2.0, 1.0)), outside,
+                        _stationary_seed("z", (3.0, 1.0))])
+    assert str(err.value) == "pedestrian a: seed position (7.25, 1.0) lies outside every module"
+    # seeds are checked in order: an earlier duplicate or short seed is named first
+    with pytest.raises(ValueError, match="duplicate pedestrian id 'z'"):
+        _config(scene, [_stationary_seed("z", (2.0, 1.0)), _stationary_seed("z", (3.0, 1.0)),
+                        outside])
+    with pytest.raises(ValueError, match="pedestrian b: expected 8 seed positions, got 5"):
+        _config(scene, [PedestrianSeed("b", 0, np.tile([2.0, 1.0], (5, 1))), outside])
+
+
 def test_seeds_from_run_shifts_entries():
     def traj(ped, t0, n):
         pos = np.column_stack([np.linspace(1, 2, n), np.full(n, 1.0)])
@@ -366,3 +388,127 @@ def test_non_finite_prediction_is_a_named_error():
         run_simulation(_config(scene, seeds), ConstantVelocityOracle((np.nan, 0.0)))
     with pytest.raises(ValueError, match="pedestrian 'a' at step 7"):
         run_simulation(_config(scene, seeds), ConstantVelocityOracle((0.0, np.inf)))
+
+
+def _snap_to_module_loop(scene, p, tolerance=0.02):
+    """Edge-by-edge snap: the scalar oracle of snap_to_module."""
+    best = None
+    for mod in scene.modules:
+        boundary = mod.boundary
+        for i in range(len(boundary)):
+            c, d = closest_point_on_segment(p, boundary[i], boundary[(i + 1) % len(boundary)])
+            if d <= tolerance and (best is None or d < best[0]):
+                best = (d, c, mod.id)
+    return None if best is None else (best[1], best[2])
+
+
+def test_snap_to_module_matches_the_edge_loop():
+    scene = make_composite()
+    rng = np.random.default_rng(3)
+    verts = np.concatenate([m.boundary for m in scene.modules])
+    points = np.concatenate([verts + rng.uniform(-0.03, 0.03, (len(verts), 2)),
+                             verts + (0.02, 0.0), verts - (0.0, 0.02),
+                             rng.uniform((-4.5, -2.5), (8.0, 7.5), (400, 2))])
+    snapped = 0
+    for p in points:
+        got, want = snap_to_module(scene, p), _snap_to_module_loop(scene, p)
+        assert (got is None) == (want is None), tuple(p)
+        if got is not None:
+            snapped += 1
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    assert snapped > len(verts)
+
+
+def _path_clear_loop(scene, prev, points, walls, violated) -> bool:
+    """Move-by-move and point-by-point: the scalar oracle of Simulator._path_clear."""
+    chain = [prev] + points
+    for a, b in zip(chain[:-1], chain[1:]):
+        if np.hypot(*(b - a)) > 1e-12 and first_wall_crossing(a, b, walls) is not None:
+            return False
+    for p in points:
+        if point_segment_distance(p, violated) < 0.05 - 1e-9:
+            return False
+        if point_in_module(scene, p) is None:
+            return False
+    return True
+
+
+def test_path_clear_matches_the_scalar_loop():
+    scene = make_composite()
+    sim = Simulator(_config(scene, []), ZeroVelocityOracle())
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for _ in range(600):
+        module = scene.modules[int(rng.integers(len(scene.modules)))]
+        walls = active_walls(scene, module.id)
+        violated = walls[int(rng.integers(len(walls)))]
+        # a guided path along the violated wall, near the clearance distance
+        along = violated[1] - violated[0]
+        normal = np.array([-along[1], along[0]]) / np.hypot(*along)
+        start = violated[0] + rng.uniform(-0.1, 1.1) * along
+        offset = rng.choice([0.05, 0.05 - 2e-9, 0.049, 0.06, -0.05, 0.5])
+        step = rng.choice([0.0, 0.04, 0.3]) * rng.normal(size=2)
+        points = [start + offset * normal + j * step for j in range(int(rng.integers(1, 8)))]
+        prev = points[0] - rng.choice([0.0, 0.05]) * rng.normal(size=2)
+        want = _path_clear_loop(scene, prev, points, walls, violated)
+        assert sim._path_clear(prev, points, walls, violated) == want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _composite_crowd(n: int, seed: int) -> SimulationConfig:
+    scene = make_composite()
+    rng = np.random.default_rng(seed)
+    lo = np.min([m.boundary.min(axis=0) for m in scene.modules], axis=0)
+    hi = np.max([m.boundary.max(axis=0) for m in scene.modules], axis=0)
+    seeds = []
+    while len(seeds) < n:
+        seed = _moving_seed(f"p{len(seeds):02d}", rng.uniform(lo, hi),
+                            rng.normal(scale=0.8, size=2), 0.04, entry=int(rng.integers(0, 10)))
+        if all(point_in_module(scene, p) is not None for p in seed.positions):
+            seeds.append(seed)
+    return _config(scene, seeds, max_steps=60)
+
+
+def _scalar_crossings(p_from, p_to, walls):
+    hits = [first_wall_crossing(a, b, walls)
+            for a, b in zip(np.reshape(p_from, (-1, 2)), np.reshape(p_to, (-1, 2)))]
+    return np.array([-1 if i is None else i for i in hits], dtype=int)
+
+
+def _scalar_modules(scene, points):
+    return [point_in_module(scene, p) for p in np.reshape(points, (-1, 2))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", ["tcn", "sf"])
+def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
+    """A dense composite crowd, once as shipped and once with the batched
+    wall guard replaced by loops over the scalar functions.  The social-force
+    hold test reaches first_wall_crossings through Simulator, so patching
+    crowdsim.simulate covers both models."""
+    config = _composite_crowd(30, seed=5)
+    snaps = []
+
+    def counted_snap(scene, p, *args):
+        snapped = snap_to_module(scene, p, *args)
+        snaps.append(snapped is not None)
+        return snapped
+
+    def run():
+        if model == "tcn":
+            return Simulator(config, ConstantVelocityOracle((1.5, 1.0))).run()
+        return sf_run(config, SFParams(), rng=np.random.default_rng(5))
+
+    monkeypatch.setattr(crowdsim.simulate, "snap_to_module", counted_snap)
+    shipped = run()
+    assert sum(snaps) > 0                                    # junction snaps
+    assert sum(t.exited for t in shipped.trajectories) > 0
+    if model == "tcn":
+        assert sum(t.reset_flags.sum() for t in shipped.trajectories) > 0
+    else:                                                    # holds
+        assert any(np.any(np.all(np.diff(t.positions[7:], axis=0) == 0.0, axis=1))
+                   for t in shipped.trajectories)
+    monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", _scalar_crossings)
+    monkeypatch.setattr(crowdsim.simulate, "point_in_modules", _scalar_modules)
+    assert run().to_rows("r") == shipped.to_rows("r")
