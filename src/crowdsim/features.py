@@ -13,9 +13,12 @@ Angles are measured from the positive x axis; sectors are half-open
 [j*alpha, (j+1)*alpha).  Walls and virtual entities are static, so their
 relative velocity is minus the subject's velocity.
 
-`extract_batch` builds many pedestrians' vectors against one snapshot and
-is the only feature code that ingest and simulate run.  `extract_step`
-builds one pedestrian's vector and is the reference it equals row by row.
+`extract_batch` builds many pedestrians' vectors in one call and is the only
+feature code that ingest and simulate run.  Its entries may come from
+several snapshots (group ids): a subject's neighbours are the other entries
+of its group only, so one call can serve many frames of a recording or all
+of a simulation step's history rewrites.  `extract_step` builds one
+pedestrian's vector and is the reference it equals row by row.
 """
 from __future__ import annotations
 
@@ -286,23 +289,36 @@ def extract_step(position, velocity, others_pos, others_vel, walls,
     return assemble_step(velocity, social, visual, exit_rel, params)
 
 
+def _group_pairs(subjects: np.ndarray, groups: np.ndarray):
+    """(i, j) for every subject row i (subjects indexes the entries) and
+    every entry j of its group, the subject's own entry included; j runs in
+    entry order within each subject."""
+    order = np.argsort(groups, kind="stable")           # groups contiguous, order kept
+    ids, first, size = np.unique(groups[order], return_index=True, return_counts=True)
+    k = np.searchsorted(ids, groups[subjects])
+    size, first = size[k], first[k]
+    i = np.repeat(np.arange(subjects.size), size)
+    within = np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
+    return i, order[np.repeat(first, size) + within]
+
+
 def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
-                         params: ExtractionParams):
+                         groups: np.ndarray, params: ExtractionParams):
     """Per subject (the rows of pos that subjects indexes) and sector, the
-    nearest other pedestrian of pos in the disk.
+    nearest other pedestrian of its group in the disk.
 
     Returns (dist, position, velocity) of shapes (n, S), (n, S, 2) and
     (n, S, 2); +inf and zeros where a sector holds nobody.  Distance ties
     go to the lower index; a pedestrian within GEOM_EPS goes to sector 0.
     """
     n, ns = subjects.size, params.n_sectors
-    rel = pos[None, :, :] - pos[subjects, None, :]              # [i, j] = p_j - p_subjects[i]
+    i, j = _group_pairs(subjects, groups)
+    own = subjects[i]
+    rel = np.take(pos, j, axis=0) - np.take(pos, own, axis=0)  # p_j - p_subjects[i]
     d = np.linalg.norm(rel, axis=-1)
-    near = d <= params.radius
-    near[np.arange(n), subjects] = False
-    i, j = np.nonzero(near)
-    d = d[i, j]
-    sec = _sector_of(np.arctan2(rel[i, j, 1], rel[i, j, 0]), ns)
+    near = (d <= params.radius) & (j != own)
+    i, j, rel, d = i[near], j[near], rel[near], d[near]
+    sec = _sector_of(np.arctan2(rel[:, 1], rel[:, 0]), ns)
     sec = np.where(d <= GEOM_EPS, 0, sec)
     order = np.lexsort((j, d, sec, i))
     i, j, d, sec = i[order], j[order], d[order], sec[order]
@@ -393,27 +409,31 @@ def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams) ->
     return pts - pos[:, None, :]
 
 
-def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams) -> np.ndarray:
-    """Feature rows against one snapshot, shape (n, feature_dim).
+def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
+                  groups=None) -> np.ndarray:
+    """Feature rows against one or more snapshots, shape (n, feature_dim).
 
-    Each entry with a module gets a row, in order, equal bit for bit to
-    `extract_step` of that pedestrian with the other rows of pos and vel (in
-    order) as its neighbours and the walls and exit of its module.  An entry
-    whose module id is None is a neighbour only and gets no row.
+    groups gives each entry a snapshot id (None: one snapshot).  Each entry
+    with a module gets a row, in order, equal bit for bit to `extract_step`
+    of that pedestrian with the other entries of its group (in order) as its
+    neighbours and the walls and exit of its module.  An entry whose module
+    id is None is a neighbour only and gets no row.  Pairs are built only
+    within groups, so memory grows with subjects times group size.
     """
     pos = np.asarray(pos, dtype=float).reshape(-1, 2)
     vel = np.asarray(vel, dtype=float).reshape(-1, 2)
+    groups = np.zeros(len(pos), dtype=int) if groups is None else np.asarray(groups)
     subjects = np.array([i for i, m in enumerate(module_ids) if m is not None], dtype=int)
     n, ns, nr = subjects.size, params.n_sectors, params.n_rays
-    best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, params)
+    best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, groups, params)
     pos, vel = pos[subjects], vel[subjects]
     visual = np.empty((n, nr, 2))
     exit_rel = np.empty((n, 2, 2))
 
-    groups: dict[str, list[int]] = {}
+    by_module: dict[str, list[int]] = {}
     for row, i in enumerate(subjects):
-        groups.setdefault(module_ids[i], []).append(row)
-    for module_id, idx in groups.items():
+        by_module.setdefault(module_ids[i], []).append(row)
+    for module_id, idx in by_module.items():
         idx = np.asarray(idx)
         walls = active_walls(scene, module_id)
         wd, wp = _wall_points_batch(pos[idx], walls, params.radius, ns)

@@ -10,7 +10,8 @@ Velocities are backward differences, ``v[t] = (p[t] - p[t-1]) / dt``, stored
 at index t with index 0 left NaN.  This makes the simulator update
 ``p[t+1] = p[t] + v[t+1]*dt`` the exact inverse of the differencing.
 Training samples take their features from `features.extract_batch`, as the
-simulator does; each sample window is a slice of one track's rows.
+simulator does, many frames per call; each sample window is a slice of its
+run's rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .features import ExtractionParams, extract_batch
 from .geometry import Scene, point_in_modules, rect_contains
 
 MAX_GAP_FRAMES = 5
+
+# Subject rows per `extract_batch` call in build_samples: about one crowd
+# step's worth, which amortises the call's fixed cost while its temporaries
+# stay a few MiB.
+_CHUNK_ROWS = 128
 
 DATASET_ROLES = ("train_val", "test")
 
@@ -226,31 +232,40 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> list[Sample]:
     Valid t ranges over [w, n-2]: every window row needs a defined velocity
     (local step >= 1) and the target is v[t+1].  A track with n positions
     yields max(0, n - 1 - w) samples, in run, track and t order.  Windows are
-    views of one array per track, filled by one `extract_batch` call per frame
-    (everyone present is a neighbour, only row steps are subjects).
+    views of one feature array per run.  It is filled by one `extract_batch`
+    call per chunk of consecutive frames, the frame being the group: everyone
+    present is a neighbour, only row steps are subjects.  A chunk holds about
+    _CHUNK_ROWS subject rows; the call's temporaries grow with its rows, so
+    one call per run would cost hundreds of MiB on a long recording.
     """
     w = params.window
     samples: list[Sample] = []
     for run in dataset.runs:
         tracks = run.trajectories
-        modules = [_row_modules(traj, dataset.scene, w) for traj in tracks]
-        rows = [np.full((len(traj), params.feature_dim), np.nan) for traj in tracks]
-        frames: dict[int, list[tuple[int, int]]] = {}
-        for k, traj in enumerate(tracks):
-            for s in range(len(traj)):
-                frames.setdefault(traj.t0 + s, []).append((k, s))
-        for present in frames.values():
-            module_ids = [modules[k][s] for k, s in present]
-            subjects = [ks for ks, m in zip(present, module_ids) if m is not None]
-            if subjects:
-                feats = extract_batch([tracks[k].positions[s] for k, s in present],
-                                      [tracks[k].velocity_at(s) for k, s in present],
-                                      module_ids, dataset.scene, params)
-                for (k, s), row in zip(subjects, feats):
-                    rows[k][s] = row
-        for traj, feats in zip(tracks, rows):
+        if not tracks:
+            continue
+        module_ids = [m for traj in tracks for m in _row_modules(traj, dataset.scene, w)]
+        starts = np.cumsum([0] + [len(traj) for traj in tracks[:-1]])
+        frame = np.concatenate([traj.t0 + np.arange(len(traj)) for traj in tracks])
+        pos = np.concatenate([traj.positions for traj in tracks])
+        vel = np.concatenate([traj.velocities for traj in tracks])
+        vel[starts] = 0.0                   # Trajectory.velocity_at(0)
+        is_row = np.array([m is not None for m in module_ids])
+        # Every entry in frame order, tracks in run order within a frame;
+        # a frame joins the chunk in which its first row would fall.
+        order = np.argsort(frame, kind="stable")
+        first = np.unique(frame[order], return_index=True)[1]
+        chunk = (np.cumsum(is_row[order]) - is_row[order])[first] // _CHUNK_ROWS
+        bounds = np.append(first[np.flatnonzero(np.diff(chunk, prepend=-1))], len(order))
+        feats = np.full((len(frame), params.feature_dim), np.nan)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx = order[lo:hi]
+            feats[idx[is_row[idx]]] = extract_batch(
+                pos[idx], vel[idx], [module_ids[i] for i in idx], dataset.scene, params,
+                groups=frame[idx])
+        for start, traj in zip(starts, tracks):
             for t in range(w, len(traj) - 1):
-                samples.append(Sample(X=feats[t - w + 1:t + 1],
+                samples.append(Sample(X=feats[start + t - w + 1:start + t + 1],
                                       target=traj.velocities[t + 1].copy(),
                                       meta=(run.name, traj.ped_id, t)))
     return samples

@@ -178,29 +178,32 @@ def fundamental_diagram(trajectories, area, dt: float) -> list[FDPoint]:
     size = (xmax - xmin) * (ymax - ymin)
     if size <= 0:
         raise ValueError("measurement area must have positive size")
-    tracks = [as_track(t) for t in trajectories]
-    frames = sorted({int(s) for t in tracks for s in t.steps})
+    frames, inside, speeds, moved = [], [], [], []
+    for track in map(as_track, trajectories):
+        x, y = track.positions.T
+        step = np.diff(track.positions, axis=0)
+        frames.append(track.steps)
+        inside.append((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax))
+        speeds.append(np.append(np.nan, np.sqrt(np.vecdot(step, step)) / track.dt))
+        moved.append(np.diff(track.steps, prepend=track.steps[0]) == 1)
+    if not frames:
+        return []
+    # Occupants grouped by frame, in track order within a frame.
+    frame = np.concatenate(frames)
+    keep = np.concatenate(inside)
+    order = np.flatnonzero(keep)[np.argsort(frame[keep], kind="stable")]
+    frame, speed, moved = (frame[order], np.concatenate(speeds)[order],
+                           np.concatenate(moved)[order])
+    ids, first, count = np.unique(frame, return_index=True, return_counts=True)
     points = []
-    for frame in frames:
-        count = 0
-        speeds = []
-        for track in tracks:
-            where = np.flatnonzero(track.steps == frame)
-            if where.size == 0:
-                continue
-            i = int(where[0])
-            if not rect_contains(area, track.positions[i]):
-                continue
-            count += 1
-            if i > 0 and track.steps[i - 1] == frame - 1:
-                speeds.append(float(np.linalg.norm(
-                    track.positions[i] - track.positions[i - 1]) / track.dt))
-        if count == 0 or not speeds:
+    for f, lo, n in zip(ids.tolist(), first.tolist(), count.tolist()):
+        occupant_speeds = speed[lo:lo + n][moved[lo:lo + n]]
+        if occupant_speeds.size == 0:
             continue
-        density = count / size
-        speed = float(np.mean(speeds))
-        points.append(FDPoint(time=frame * dt, density=density, speed=speed,
-                              flow=density * speed))
+        density = n / size
+        mean = float(np.mean(occupant_speeds))
+        points.append(FDPoint(time=f * dt, density=density, speed=mean,
+                              flow=density * mean))
     return points
 
 

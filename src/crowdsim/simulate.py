@@ -12,8 +12,9 @@ the most recent simulated steps (never the seeded prefix) are replaced by a
 guided constant-speed path 0.05 m clear of the violated wall, aimed along
 the wall toward the exit (or straight at the exit midpoint in bottleneck
 modules), and the window features for those steps are re-extracted against
-the recorded neighbor snapshots.  If the guided path itself would cross a
-wall the pedestrian holds position instead.
+the recorded neighbor snapshots, all of a step's rewrites in one call at
+step end.  If the guided path itself would cross a wall the pedestrian holds
+position instead.
 
 Pedestrians crossing the exit segment of a terminal module are deactivated;
 crossing an internal junction re-binds them to the module that contains the
@@ -225,6 +226,7 @@ class Simulator:
                       for s in config.pedestrians}
         self._order = sorted(self._peds)
         self._snapshots: deque = deque(maxlen=config.params.window)
+        self._rewrites: list = []           # window rows re-extracted at step end
         scene = config.scene
         self._walls = {m.id: active_walls(scene, m.id) for m in scene.modules}
         self._exits = {m.id: m.exit[None] for m in scene.modules}
@@ -283,6 +285,7 @@ class Simulator:
         found = point_in_modules(cfg.scene, [p._proposal for p in active])
         for ped, module_id in zip(active, found):
             self._commit(ped, t, ped.ped_id in exits, module_id)
+        self._flush_rewrites()
 
         self.step_index += 1
 
@@ -512,9 +515,9 @@ class Simulator:
         ped._proposal = nxt
 
     def _rewrite_window(self, ped: _PedRuntime, steps: list, t: int) -> None:
-        """Re-extract the rows of the rewritten steps (window[-1] is step t), each from
-        its recorded snapshot with the subject's rewritten state and current module."""
-        cfg = self.config
+        """Queue the rows of the rewritten steps (window[-1] is step t) for
+        `_flush_rewrites`, each as its recorded snapshot with the subject's
+        rewritten state and current module."""
         by_step = dict(self._snapshots)
         for s in steps:
             snap = by_step[s]
@@ -524,8 +527,23 @@ class Simulator:
             vel[i] = ped.velocities[s - ped.entry]
             module_ids = [None] * len(pos)
             module_ids[i] = ped.module_id
-            ped.window[s - t - 1] = extract_batch(pos, vel, module_ids, cfg.scene,
-                                                  cfg.params)[0]
+            self._rewrites.append((ped, s - t - 1, pos, vel, module_ids))
+
+    def _flush_rewrites(self) -> None:
+        """Extract every queued rewrite row in one call, one group per row.
+
+        Windows are read only in _propose, so a flush after the step's
+        commits gives the rows an immediate extraction would."""
+        if not self._rewrites:
+            return
+        _, _, pos, vel, module_ids = zip(*self._rewrites)
+        rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
+                             [m for ids in module_ids for m in ids], self.config.scene,
+                             self.config.params,
+                             groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
+        for (ped, k, *_), row in zip(self._rewrites, rows):
+            ped.window[k] = row.copy()
+        self._rewrites.clear()
 
 
 def run_simulation(config: SimulationConfig, predictor) -> SimulationResult:

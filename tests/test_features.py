@@ -365,6 +365,26 @@ def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, para
                                 np.delete(vel, i, axis=0), active_walls(scene, module_ids[i]),
                                 active_exit(scene, module_ids[i]), params)
             assert rows[i].tobytes() == want.tobytes(), f"row {i} differs"
+        # Random groups: each row sees only its own group as neighbours.  The
+        # equal-distance pair in one sector of pedestrian 0 is split, so a
+        # neighbour leaking in from the other group would win the tie.
+        groups = rng.integers(-2, 3, size=n) * 7
+        if n > 8:
+            groups[7], groups[8] = groups[0] + 1, groups[0]
+        grouped = extract_batch(pos, vel, module_ids, scene, params, groups=groups)
+        for i in range(n):
+            mates = np.flatnonzero(groups == groups[i])
+            mates = mates[mates != i]
+            want = extract_step(pos[i], vel[i], pos[mates], vel[mates],
+                                active_walls(scene, module_ids[i]),
+                                active_exit(scene, module_ids[i]), params)
+            assert grouped[i].tobytes() == want.tobytes(), f"grouped row {i} differs"
+    # Two interleaved copies of the crowd in two groups: every entry's exact
+    # twin, at distance 0, is in the other group.
+    twins = extract_batch(np.repeat(pos, 2, axis=0), np.repeat(vel, 2, axis=0),
+                          [m for m in module_ids for _ in range(2)], scene, params,
+                          groups=np.tile([1, 0], n))
+    assert twins[0::2].tobytes() == twins[1::2].tobytes() == rows.tobytes()
     # Entries without a module are neighbours only: the others' rows stay the same.
     keep = rng.random(n) < 0.5
     partial = extract_batch(pos, vel, [m if k else None for m, k in zip(module_ids, keep)],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crowdsim.ingest
 from crowdsim.features import ExtractionParams, extract_step, stack_window
 from crowdsim.geometry import active_exit, active_walls, point_in_module
 from crowdsim.ingest import (
@@ -279,7 +280,7 @@ def _polyline_track(waypoints, ped, t0, n, rng, dt=0.04):
                                 ped=ped, t0=t0)
 
 
-def test_build_samples_equal_the_scalar_loop_bitwise():
+def test_build_samples_equal_the_scalar_loop_bitwise(monkeypatch):
     rng = np.random.default_rng(11)
     corridor = make_corridor()
     overlapping = Run("overlap", tuple(
@@ -298,15 +299,21 @@ def test_build_samples_equal_the_scalar_loop_bitwise():
         _polyline_track(path, ped=f"k{k}", t0=t0, n=n, rng=rng)
         for k, (t0, n) in enumerate([(0, 60), (4, 55), (9, 70), (30, 40)])))
     params = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=6)
-    for dataset in (Dataset(corridor, (overlapping, single, straddling), "train_val", 0.04),
-                    Dataset(composite, (through,), "test", 0.04)):
-        got = build_samples(dataset, params)
-        want = _build_samples_oracle(dataset, params)
-        assert len(got) == len(want) > 0
-        for sample, (x, target, meta) in zip(got, want):
-            assert sample.meta == meta
-            assert sample.X.tobytes() == x.tobytes()
-            assert sample.target.tobytes() == target.tobytes()
+    # The composite run's row steps span more than one chunk of extract_batch
+    # rows, so chunk boundaries fall inside it; smaller chunks put them in
+    # every run, down to one frame per call.
+    assert sum(len(t) - 2 for t in through.trajectories) > crowdsim.ingest._CHUNK_ROWS
+    for chunk_rows in (crowdsim.ingest._CHUNK_ROWS, 1, 7):
+        monkeypatch.setattr(crowdsim.ingest, "_CHUNK_ROWS", chunk_rows)
+        for dataset in (Dataset(corridor, (overlapping, single, straddling), "train_val", 0.04),
+                        Dataset(composite, (through,), "test", 0.04)):
+            got = build_samples(dataset, params)
+            want = _build_samples_oracle(dataset, params)
+            assert len(got) == len(want) > 0
+            for sample, (x, target, meta) in zip(got, want):
+                assert sample.meta == meta
+                assert sample.X.tobytes() == x.tobytes()
+                assert sample.target.tobytes() == target.tobytes()
     assert len({point_in_module(composite, p) for t in through.trajectories
                 for p in t.positions[1:-1]}) == 4
 

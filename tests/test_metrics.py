@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crowdsim.geometry import rect_contains
 from crowdsim.metrics import (FDPoint, MetricReport, Track, ade, as_track,
                               evaluate_run, fde, fundamental_diagram,
                               parameter_sensitivity, tte)
@@ -238,6 +239,57 @@ def test_fd_density_halves_when_area_doubles():
     for s, b in zip(small, big):
         assert s.density == pytest.approx(2 * b.density, rel=1e-12)
         assert s.speed == b.speed
+
+
+def _fundamental_diagram_loop(trajectories, area, dt):
+    """The per-(frame, track) loop that fundamental_diagram replaced: the
+    oracle it must equal bit for bit."""
+    xmin, ymin, xmax, ymax = (float(v) for v in area)
+    size = (xmax - xmin) * (ymax - ymin)
+    tracks = [as_track(t) for t in trajectories]
+    points = []
+    for frame in sorted({int(s) for t in tracks for s in t.steps}):
+        count = 0
+        speeds = []
+        for track in tracks:
+            where = np.flatnonzero(track.steps == frame)
+            if where.size == 0:
+                continue
+            i = int(where[0])
+            if not rect_contains(area, track.positions[i]):
+                continue
+            count += 1
+            if i > 0 and track.steps[i - 1] == frame - 1:
+                speeds.append(float(np.linalg.norm(
+                    track.positions[i] - track.positions[i - 1]) / track.dt))
+        if count == 0 or not speeds:
+            continue
+        density = count / size
+        speed = float(np.mean(speeds))
+        points.append(FDPoint(time=frame * dt, density=density, speed=speed,
+                              flow=density * speed))
+    return points
+
+
+def test_fd_equals_the_frame_loop_bitwise():
+    """Random tracks with gaps in their steps, points on the area's edges,
+    up to 30 occupants per frame (np.mean sums eight or more pairwise) and
+    per-track dt."""
+    rng = np.random.default_rng(23)
+    area = (0.5, 0.25, 2.5, 2.0)
+    for _ in range(40):
+        tracks = []
+        for i in range(int(rng.integers(0, 30))):
+            n = int(rng.integers(1, 25))
+            steps = int(rng.integers(0, 6)) + np.cumsum(rng.choice([1, 1, 1, 2, 4], size=n))
+            pos = rng.uniform(0.0, 3.0, size=(n, 2))
+            edge = rng.random(n) < 0.2
+            pos[edge, 0] = rng.choice([0.5, 2.5], size=int(edge.sum()))
+            tracks.append(Track(ped_id=f"p{i}", steps=steps, positions=pos,
+                                dt=float(rng.choice([0.0625, 0.04, 0.1]))))
+        got = fundamental_diagram(tracks, area, 0.0625)
+        want = _fundamental_diagram_loop(tracks, area, 0.0625)
+        assert got == want
 
 
 def test_fd_rejects_degenerate_area():

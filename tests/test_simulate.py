@@ -352,33 +352,65 @@ class _ScalarFeatureSimulator(Simulator):
                 active_exit(cfg.scene, ped.module_id), cfg.params)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_batched_features_give_the_scalar_trajectories_bitwise():
-    scene = make_composite()
-    rng = np.random.default_rng(5)
-    lo = np.min([m.boundary.min(axis=0) for m in scene.modules], axis=0)
-    hi = np.max([m.boundary.max(axis=0) for m in scene.modules], axis=0)
+def _random_seeds(scene, rng, n, prefix, start_lo, start_hi, velocity, max_entry):
+    """n moving seeds whose every window position lies inside the scene."""
     seeds = []
-    while len(seeds) < 16:
-        start = rng.uniform(lo, hi)
-        seed = _moving_seed(f"p{len(seeds):02d}", start, rng.normal(scale=0.8, size=2), 0.04,
-                            entry=int(rng.integers(0, 6)))
+    while len(seeds) < n:
+        seed = _moving_seed(f"{prefix}{len(seeds):02d}", rng.uniform(start_lo, start_hi),
+                            velocity(rng), 0.04, entry=int(rng.integers(0, max_entry)))
         if all(point_in_module(scene, p) is not None for p in seed.positions):
             seeds.append(seed)
-    net = VelocityPredictor(NetworkConfig(input_dim=PARAMS.feature_dim, window=8,
-                                          tcn_channels=(4, 4), kernel_size=2,
-                                          dilations=(1, 2)), np.random.default_rng(6))
-    net.head.b[:] = (1.5, -0.5)         # walk into walls, so resets rewrite windows
-    config = _config(scene, seeds, max_steps=40)
-    batched = Simulator(config, net).run()
-    scalar = _ScalarFeatureSimulator(config, net).run()
-    assert sum(t.reset_flags.sum() for t in batched.trajectories) > 0
-    assert len(batched.trajectories) == len(scalar.trajectories) == 16
-    for a, b in zip(batched.trajectories, scalar.trajectories):
-        assert a.positions.tobytes() == b.positions.tobytes()
-        assert a.module_ids == b.module_ids
-        assert np.array_equal(a.reset_flags, b.reset_flags)
-        assert (a.exited, a.truncated) == (b.exited, b.truncated)
+    return seeds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_features_give_the_scalar_trajectories_bitwise():
+    """Two crowds under a small random TCN whose head bias walks them out:
+    in composite into walls (resets from _propose), and in module a of the
+    two-corridor scene back through its open entry edge (resets from
+    _commit's _stranded, which the step-end flush must also pick up)."""
+    composite = make_composite()
+    corridors = _two_corridor_scene()
+    lo = np.min([m.boundary.min(axis=0) for m in composite.modules], axis=0)
+    hi = np.max([m.boundary.max(axis=0) for m in composite.modules], axis=0)
+    cases = [
+        (_random_seeds(composite, np.random.default_rng(5), 16, "p", lo, hi,
+                       lambda rng: rng.normal(scale=0.8, size=2), 6), composite, (1.5, -0.5)),
+        (_random_seeds(corridors, np.random.default_rng(7), 8, "q", (0.6, 0.3), (1.5, 1.7),
+                       lambda rng: (-1.0, rng.normal(scale=0.3)), 4), corridors, (-2.0, 0.0)),
+    ]
+    for seeds, scene, bias in cases:
+        net = VelocityPredictor(NetworkConfig(input_dim=PARAMS.feature_dim, window=8,
+                                              tcn_channels=(4, 4), kernel_size=2,
+                                              dilations=(1, 2)), np.random.default_rng(6))
+        net.head.b[:] = bias
+        config = _config(scene, seeds, max_steps=40)
+        rewritten = []                  # pedestrians whose rows each flush rewrites
+        stranded_rows = []              # rows queued by each _stranded call
+
+        class Recording(Simulator):
+            def _stranded(self, ped, nxt, t):
+                queued = len(self._rewrites)
+                out = super()._stranded(ped, nxt, t)
+                stranded_rows.append(len(self._rewrites) - queued)
+                return out
+
+            def _flush_rewrites(self):
+                rewritten.append(len({ped.ped_id for ped, *_ in self._rewrites}))
+                super()._flush_rewrites()
+
+        batched = Recording(config, net).run()
+        scalar = _ScalarFeatureSimulator(config, net).run()
+        assert sum(t.reset_flags.sum() for t in batched.trajectories) > 0
+        assert max(rewritten) >= 2      # one grouped call serves several pedestrians
+        if scene is corridors:
+            assert sum(stranded_rows) > 0
+        assert len(batched.trajectories) == len(scalar.trajectories) == len(seeds)
+        for a, b in zip(batched.trajectories, scalar.trajectories):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.module_ids == b.module_ids
+            assert np.array_equal(a.reset_flags, b.reset_flags)
+            assert (a.exited, a.truncated) == (b.exited, b.truncated)
 
 
 def test_non_finite_prediction_is_a_named_error():
