@@ -211,18 +211,21 @@ def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
     A row step outside every module, or a non-finite target, raises
     ValueError, in step order.
     """
-    modules: list = [None] * len(subject)
-    if len(subject) - 1 <= window:          # no sample, so no row steps
+    n = len(subject)
+    modules: list = [None] * n
+    if n - 1 <= window:          # no sample, so no row steps
         return modules
-    modules[1:-1] = point_in_modules(scene, subject.positions[1:-1])
-    for s in range(1, len(subject) - 1):
-        if modules[s] is None:
-            raise ValueError(f"pedestrian {subject.ped_id} at "
-                             f"{tuple(subject.positions[s].tolist())} lies outside every module")
-        if s >= window and not np.all(np.isfinite(subject.velocities[s + 1])):
-            raise ValueError(
-                f"non-finite target velocity for pedestrian {subject.ped_id} at step {s + 1}"
-            )
+    modules[1:-1] = found = point_in_modules(scene, subject.positions[1:-1])
+    outside = 1 + found.index(None) if None in found else n
+    bad = np.flatnonzero(~np.isfinite(subject.velocities[window + 1:]).all(axis=1))
+    nonfinite = window + int(bad[0]) if bad.size else n
+    if outside < n and outside <= nonfinite:
+        raise ValueError(f"pedestrian {subject.ped_id} at "
+                         f"{tuple(subject.positions[outside].tolist())} lies outside every module")
+    if nonfinite < n:
+        raise ValueError(
+            f"non-finite target velocity for pedestrian {subject.ped_id} at step {nonfinite + 1}"
+        )
     return modules
 
 

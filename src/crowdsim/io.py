@@ -125,15 +125,18 @@ def load_checkpoint(path) -> Checkpoint:
                       state=state, manifest_hash=str(doc["manifest_hash"]))
 
 
+# Cell types whose str() is their CSV text: str(float) is the shortest
+# round-trip repr.  bool, numpy scalars and the rest go through _fmt.
+_PLAIN_TYPES = frozenset({str, int, float, type(None)})
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, np.floating):
-        return repr(float(value))
     return str(value)
 
 
@@ -142,7 +145,8 @@ def write_csv(path, header: list[str], rows, manifest_hash: str,
     """CSV with the manifest hash embedded as a leading comment line."""
     lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        plain = _PLAIN_TYPES.issuperset(map(type, row))
+        lines.append(",".join(map(str if plain else _fmt, row)))
     for extra in trailer or []:
         lines.append(f"# {extra}")
     with open(path, "w") as fh:

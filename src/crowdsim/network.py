@@ -8,10 +8,19 @@ through a fully-connected head.  Forward, backward and the Adam optimiser
 are implemented from scratch so gradients are exact and checkable against
 finite differences.  Everything runs in float64.
 
-Blocks take and return (B, C, L) views of time-major (L, B, C) buffers.  With
-rows flattened to (L*B, C), conv tap u is one GEMM on contiguous row blocks,
-out[h*u:] += z[:L-h*u] @ W_u.T, run only for live taps (h*u < L): the others
-read only causal zero padding.  `dilated_causal_conv` is the scalar oracle.
+Blocks take and return (B, C, n) views of time-major (n, B, C) buffers that
+hold only the time steps of a step plan (`step_plan`): per block, the input,
+conv1-output and block-output steps.  The full plan computes every step of
+the window; `forward` runs it by default, and it is the reference.  The head
+plan walks back from the head's read of the last step through each conv's
+taps t - h*u >= 0 and the skip path, so only the steps the prediction
+depends on are computed, forward and backward; `train`, `batch_loss` and
+`predict` use it.  Each conv runs one GEMM per live tap over a table of
+(u, output rows, input rows), slices where the steps are contiguous and
+index arrays where not, taps in increasing u so every output row sums in
+the same order under either plan.  Dropout masks are drawn over the whole
+(B, C, window) either way, so the rng stream does not depend on the plan.
+`dilated_causal_conv` is the scalar oracle.
 """
 from __future__ import annotations
 
@@ -142,6 +151,79 @@ def dilated_causal_conv(z, f, q: int, h: int) -> np.ndarray:
     return out
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for C-contiguous a (M, K) and b (K, N), each output row summed
+    as in a product of any other number of rows.
+
+    numpy hands a product with one row or one column to gemv or a dot,
+    which sum in another order than gemm; doubling that row or column keeps
+    it on gemm.  OpenBLAS sums small products with a transposed b in a
+    kernel of their own, so b must be C-contiguous.  The step plans rely on
+    this: the head plan computes fewer rows than the full plan, bit for bit.
+    """
+    m, n = a.shape[0], b.shape[1]
+    if m > 1 and n > 1:
+        return a @ b
+    return (np.tile(a, (2 if m == 1 else 1, 1)) @ np.tile(b, (1, 2 if n == 1 else 1)))[:m, :n]
+
+
+def _selector(steps) -> slice | np.ndarray:
+    """Index of sorted, distinct steps: a slice where they are contiguous."""
+    steps = list(steps)
+    if steps[-1] - steps[0] == len(steps) - 1:
+        return slice(steps[0], steps[-1] + 1)
+    return np.array(steps, dtype=np.intp)
+
+
+def _tap_table(out_steps, in_steps, q: int, h: int) -> list[tuple]:
+    """(u, output rows, input rows) of each live tap, in increasing u.
+
+    Output step t reads input step t - h*u when that is >= 0; rows are
+    positions in the sorted step lists.  Tap 0 covers every output row.
+    """
+    out_steps = list(out_steps)
+    pos = {t: i for i, t in enumerate(in_steps)}
+    table = []
+    for u in range(q):
+        rows = [i for i, t in enumerate(out_steps) if t >= h * u]
+        if not rows:
+            break
+        table.append((u, _selector(rows), _selector([pos[out_steps[i] - h * u] for i in rows])))
+    return table
+
+
+class _BlockSteps:
+    """The time steps one block computes, given the output steps needed.
+
+    conv1 computes the steps conv2's taps read; the block reads the steps
+    conv1's taps read, which include every output step (the skip path).
+    `inputs` lists those window steps; `mid` and `out` select conv1's and
+    the block's output steps from a window-long dropout mask; `skip` selects
+    the output steps among the inputs.
+    """
+
+    def __init__(self, length: int, q: int, h: int, outputs):
+        outputs = sorted(outputs)
+        mid = sorted({t - h * u for t in outputs for u in range(q) if t >= h * u})
+        self.inputs = sorted({t - h * u for t in mid for u in range(q) if t >= h * u})
+        self.length = length
+        self.conv1 = _tap_table(mid, self.inputs, q, h)
+        self.conv2 = _tap_table(outputs, mid, q, h)
+        self.mid, self.out = _selector(mid), _selector(outputs)
+        self.skip = _selector([self.inputs.index(t) for t in outputs])
+
+
+def step_plan(config: "NetworkConfig", head_only: bool = False) -> list[_BlockSteps]:
+    """Per block, the steps the head's read of the last step depends on
+    (head_only), or every step of the window."""
+    need = [config.window - 1] if head_only else range(config.window)
+    plan = []
+    for h in reversed(config.dilations):
+        plan.append(_BlockSteps(config.window, config.kernel_size, h, need))
+        need = plan[-1].inputs
+    return plan[::-1]
+
+
 class _WeightNormConv:
     """Dilated causal conv layer with weight-norm parameterisation."""
 
@@ -159,36 +241,33 @@ class _WeightNormConv:
     def effective_weight(self) -> np.ndarray:
         return weight_norm_effective(self.v, self.g)
 
-    def _shifted_taps(self, length: int, batch: int) -> list[tuple[int, int]]:
-        """(u, rows) per live tap u >= 1 (h*u < L): input rows [:rows] feed
-        output rows [-rows:].  Tap 0 maps every row to itself."""
-        return [(u, (length - self.h * u) * batch)
-                for u in range(1, min(self.q, (length - 1) // self.h + 1))]
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        """z: (L, B, C_in) -> (L, B, C_out)."""
-        length, batch, c_in = z.shape
-        z2 = z.reshape(length * batch, c_in)
-        w = self.effective_weight().transpose(2, 0, 1).copy()   # (q, C_out, C_in)
-        out = z2 @ w[0].T                       # tap 0 reads every row
-        for u, rows in self._shifted_taps(length, batch):
-            out[-rows:] += z2[:rows] @ w[u].T
+    def forward(self, z: np.ndarray, taps: Optional[list] = None) -> np.ndarray:
+        """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
+        table; by default every step, n_out = n_in."""
+        _, batch, c_in = z.shape
+        taps = _tap_table(range(len(z)), range(len(z)), self.q, self.h) if taps is None else taps
+        w = self.effective_weight().transpose(2, 1, 0).copy()   # (q, C_in, C_out)
+        (_, _, src), *shifted = taps
+        out = _gemm(z[src].reshape(-1, c_in), w[0]).reshape(-1, batch, w.shape[2])
+        for u, dst, src in shifted:
+            out[dst] += _gemm(z[src].reshape(-1, c_in), w[u]).reshape(-1, batch, w.shape[2])
         out += self.b
-        self._cache = (z2, w, batch)
-        return out.reshape(length, batch, -1)
+        self._cache = (z, w, taps)
+        return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         """Parameter gradients; returns dz unless input_grad is False."""
-        z2, w, batch = self._cache
-        d2 = dout.reshape(z2.shape[0], -1)
-        self.grad_b = d2.sum(axis=0)
+        z, w, taps = self._cache
+        _, batch, c_in = z.shape
+        c_out = dout.shape[2]
+        self.grad_b = dout.reshape(-1, c_out).sum(axis=0)
         dw = np.zeros_like(self.v)              # dead taps keep a zero gradient
-        dw[:, :, 0] = d2.T @ z2
-        dz = d2 @ w[0] if input_grad else None
-        for u, rows in self._shifted_taps(z2.shape[0] // batch, batch):
-            dw[:, :, u] = d2[-rows:].T @ z2[:rows]
+        dz = np.zeros(z.shape) if input_grad else None
+        for u, dst, src in taps:
+            d_u = dout[dst].reshape(-1, c_out)
+            dw[:, :, u] = d_u.T @ z[src].reshape(-1, c_in)
             if input_grad:
-                dz[:rows] += d2[-rows:] @ w[u]
+                dz[src] += (d_u @ w[u].T).reshape(-1, batch, c_in)
         # Chain through the weight-norm reparameterisation.
         flat_v = self.v.reshape(self.v.shape[0], -1)
         norms = np.linalg.norm(flat_v, axis=1)
@@ -198,7 +277,7 @@ class _WeightNormConv:
         self.grad_g = dot
         self.grad_v = ((self.g / norms)[:, None] * (dw_flat - dot[:, None] * vhat)
                        ).reshape(self.v.shape)
-        return None if dz is None else dz.reshape(dout.shape[:2] + (-1,))
+        return dz
 
     def parameters(self):
         return [("v", self.v), ("g", self.g), ("b", self.b)]
@@ -220,7 +299,7 @@ class _Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
-        return x @ self.w.T + self.b[None, :]
+        return _gemm(x, self.w.T.copy()) + self.b[None, :]
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         x = self._cache
@@ -246,47 +325,56 @@ class _TemporalBlock:
         self.dropout = dropout
         self._cache: Optional[tuple] = None
 
-    def _drop(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator]):
-        """Dropout on time-major x; the mask is drawn as (B, C, L)."""
+    def _drop(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator],
+              length: int, steps):
+        """Dropout on time-major x at the given window steps; the mask is
+        drawn over the whole (B, C, length) window."""
         if not train or self.dropout == 0.0:
             return x, None
         keep = 1.0 - self.dropout
-        length, b, c = x.shape
-        mask = (rng.random((b, c, length)) < keep) / keep
+        _, b, c = x.shape
+        mask = (rng.random((b, c, length))[:, :, steps] < keep) / keep
         return x * mask.transpose(2, 0, 1), mask
 
-    def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator]):
-        """z: (B, C_in, L) -> (B, C_out, L); cached arrays are (B, C, L) too."""
+    def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator],
+                steps: Optional[_BlockSteps] = None):
+        """z: (B, C_in, n_in) -> (B, C_out, n_out) over the steps of a plan,
+        by default every step; cached arrays are (B, C, n) too."""
+        if steps is None:
+            steps = _BlockSteps(z.shape[2], self.conv1.q, self.conv1.h, range(z.shape[2]))
         x = np.ascontiguousarray(z.transpose(2, 0, 1))
-        a1 = self.conv1.forward(x)
-        d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng)
-        a2 = self.conv2.forward(d1)
-        d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng)
-        res = x
+        a1 = self.conv1.forward(x, steps.conv1)
+        d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng, steps.length, steps.mid)
+        a2 = self.conv2.forward(d1, steps.conv2)
+        d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng, steps.length, steps.out)
+        res = x[steps.skip]
         if self.proj is not None:
             # 1x1 conv over channels == linear map applied per time step.
-            length, b, c = x.shape
-            res = self.proj.forward(x.reshape(-1, c)).reshape(length, b, -1)
-        self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, z.shape)
+            n, b, c = res.shape
+            res = self.proj.forward(res.reshape(-1, c)).reshape(n, b, -1)
+        self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, steps)
         return (d2 + res).transpose(1, 2, 0)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
-        """dout: (B, C_out, L) -> (B, C_in, L), a view of a time-major buffer.
+        """dout: (B, C_out, n_out) -> (B, C_in, n_in), a view of a time-major buffer.
 
         With input_grad False only the parameter gradients are computed and
         None is returned (the first block's input needs no gradient).
         """
-        a1, m1, a2, m2, _ = self._cache
+        a1, m1, a2, m2, steps = self._cache
         d = dres = dout.transpose(2, 0, 1)
         for conv, a, m, grad in ((self.conv2, a2, m2, True), (self.conv1, a1, m1, input_grad)):
             if m is not None:
                 d = d * m.transpose(2, 0, 1)
             d = conv.backward(d * (a.transpose(2, 0, 1) > 0.0), grad)
         if self.proj is not None:
-            length, b, c = dres.shape
+            n, b, c = dres.shape
             dres = self.proj.backward(dres.reshape(-1, c), input_grad)
-            dres = None if dres is None else dres.reshape(length, b, -1)
-        return None if d is None else (d + dres).transpose(1, 2, 0)
+            dres = None if dres is None else dres.reshape(n, b, -1)
+        if d is None:
+            return None
+        d[steps.skip] += dres
+        return d.transpose(1, 2, 0)
 
     def parameters(self):
         out = [("conv1." + n, p) for n, p in self.conv1.parameters()]
@@ -316,10 +404,16 @@ class VelocityPredictor:
                                               config.dropout_rate, rng))
             in_ch = out_ch
         self.head = _Linear(in_ch, config.output_dim, rng)
+        self._plans = {False: step_plan(config), True: step_plan(config, head_only=True)}
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """x: (window, input_dim) or (B, window, input_dim) -> (B, output_dim)."""
+                rng: Optional[np.random.Generator] = None,
+                head_only: bool = False) -> np.ndarray:
+        """x: (window, input_dim) or (B, window, input_dim) -> (B, output_dim).
+
+        Every block step is computed unless head_only, which computes only
+        the steps the head reads; the outputs are bitwise equal either way.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
@@ -330,27 +424,27 @@ class VelocityPredictor:
                 f"got {x.shape}")
         if train and self.config.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        z = x.transpose(0, 2, 1)            # channels first: (B, D, w)
-        for block in self.blocks:
-            z = block.forward(z, train, rng)
+        plan = self._plans[head_only]
+        z = x[:, _selector(plan[0].inputs), :].transpose(0, 2, 1)   # channels first: (B, D, n)
+        for block, steps in zip(self.blocks, plan):
+            z = block.forward(z, train, rng, steps)
         out = self.head.forward(z[:, :, -1])
         self._last_z_shape = z.shape
         return out[0] if single else out
 
     def backward(self, dout: np.ndarray) -> None:
-        """Accumulate parameter gradients for the latest forward pass."""
+        """Accumulate parameter gradients for the latest forward pass, over
+        the steps it computed."""
         dout = np.asarray(dout, dtype=float)
         if dout.ndim == 1:
             dout = dout[None, :]
-        dlast = self.head.backward(dout)
-        b, c, length = self._last_z_shape
-        dz = np.zeros((b, c, length))
-        dz[:, :, -1] = dlast
+        dz = np.zeros(self._last_z_shape)
+        dz[:, :, -1] = self.head.backward(dout)
         for i in reversed(range(len(self.blocks))):
             dz = self.blocks[i].backward(dz, input_grad=i > 0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, train=False)
+        return self.forward(x, train=False, head_only=True)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -394,7 +488,7 @@ def batch_loss(net: VelocityPredictor, x: np.ndarray, y: np.ndarray,
     """Eval-mode loss of a batch (sum over samples), chunked for memory."""
     total = 0.0
     for lo in range(0, x.shape[0], chunk):
-        pred = net.forward(x[lo:lo + chunk], train=False)
+        pred = net.forward(x[lo:lo + chunk], train=False, head_only=True)
         total += loss_and_grad(pred, y[lo:lo + chunk])[0]
     return total
 
@@ -472,7 +566,7 @@ def train(net: VelocityPredictor, x_train: np.ndarray, y_train: np.ndarray,
         take = min(config.batch_size, n)
         idx = rng.choice(n, size=take, replace=False)
         xb, yb = x_train[idx], y_train[idx]
-        pred = net.forward(xb, train=True, rng=rng)
+        pred = net.forward(xb, train=True, rng=rng, head_only=True)
         loss, dpred = loss_and_grad(pred, yb)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at iteration {it} (loss={loss})")

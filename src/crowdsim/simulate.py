@@ -302,8 +302,9 @@ class Simulator:
             ped.window.append(feats.copy())   # a view would keep the whole batch alive
         if not moved:
             return
-        windows = [np.stack(ped.window) for ped in moved]
-        v_hat = np.asarray(self.predictor.predict(np.stack(windows)), dtype=float)
+        rows = np.stack([row for ped in moved for row in ped.window])
+        v_hat = np.asarray(self.predictor.predict(rows.reshape(len(moved), -1, rows.shape[1])),
+                           dtype=float)
         if v_hat.shape != (len(moved), 2):
             raise ValueError(f"predictor returned shape {v_hat.shape}")
         bad = ~np.all(np.isfinite(v_hat), axis=1)

@@ -1,5 +1,7 @@
 """Parsing, clipping, sample building, and split behaviour."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,40 @@ def test_build_samples_row_step_outside_every_module_is_named():
         build_samples(ds, PARAMS)
     assert str(got.value) == str(want.value)
     assert str(got.value) == "pedestrian b at (3.0, 3.4) lies outside every module"
+
+
+def test_build_samples_non_finite_target_from_archive_is_named(tmp_path):
+    # Python's json reads and writes NaN, so a dataset.json from outside can
+    # carry a non-finite target velocity.  Errors come in step order; at one
+    # step the outside-module error comes first.
+    rng = np.random.default_rng(12)
+    tracks = (_polyline_track([(0.5, 1.0), (5.5, 1.0)], "a", 0, 20, rng),
+              _polyline_track([(0.5, 2.0), (5.5, 2.0)], "b", 2, 20, rng))
+    doc = dataset_to_dict(Dataset(make_corridor(), (Run("r", tracks),), "train_val", 0.04),
+                          "corridor")
+
+    def build(outside_step=None, nan_target_step=None):
+        track = json.loads(json.dumps(doc))["runs"][0]["trajectories"][1]
+        if outside_step is not None:
+            track["positions"][outside_step] = [3.0, 3.4]   # above the upper wall
+        if nan_target_step is not None:
+            track["velocities"][nan_target_step - 1] = [float("nan"), 0.0]   # rows from step 1
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps({**doc, "runs": [{"name": "r", "trajectories": [
+            doc["runs"][0]["trajectories"][0], track]}]}))
+        assert (nan_target_step is None) == ("NaN" not in path.read_text())
+        loaded = dataset_from_dict(json.loads(path.read_text()), make_corridor())
+        with pytest.raises(ValueError) as err:
+            build_samples(loaded, PARAMS)
+        return str(err.value)
+
+    nan_msg = "non-finite target velocity for pedestrian b at step {}"
+    out_msg = "pedestrian b at (3.0, 3.4) lies outside every module"
+    assert build(nan_target_step=11) == nan_msg.format(11)
+    assert build(nan_target_step=PARAMS.window + 1) == nan_msg.format(PARAMS.window + 1)
+    assert build(outside_step=10, nan_target_step=11) == out_msg        # same row step
+    assert build(outside_step=12, nan_target_step=11) == nan_msg.format(11)
+    assert build(outside_step=9, nan_target_step=14) == out_msg
 
 
 def test_split_sizes_and_partition():

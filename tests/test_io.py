@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdsim.features import ExtractionParams
 from crowdsim.io import (Checkpoint, RunManifest, canonical_json, derive_seed,
@@ -103,6 +105,62 @@ def test_write_csv_float_repr_roundtrips(tmp_path):
     write_csv(path, ["v"], [[v] for v in values], "h")
     _, rows = read_csv(path)
     assert [float(r[0]) for r in rows] == values
+
+
+def _fmt_oracle(value) -> str:
+    """One CSV cell, formatted on its own: the reference for write_csv."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def _csv_oracle(header, rows, manifest_hash) -> str:
+    lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
+    lines += [",".join(_fmt_oracle(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                   1e16, 1e-5, 0.1, -123456.789]
+_CELLS = st.one_of(
+    st.text(alphabet="abcxyz_-.0123456789", max_size=6),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+    st.none(),
+)
+
+
+def test_write_csv_matches_per_cell_oracle(tmp_path):
+    cells = ["s", True, False, 7, np.int64(-3)] + _SPECIAL_FLOATS + [
+        np.float64(v) for v in _SPECIAL_FLOATS] + [None]
+    rows = [cells,
+            [float(v) for v in _SPECIAL_FLOATS],          # plain types only
+            ["run", "p1", 3, 0.1875, 1.25, -0.0, "m1", 1],
+            ["run", "p1", 3, np.float64(0.1875), True, np.int64(1), "m1", False],
+            []]
+    path = tmp_path / "o.csv"
+    write_csv(path, ["a", "b"], rows, "h")
+    assert path.read_text() == _csv_oracle(["a", "b"], rows, "h")
+    # numpy 2 reprs a float64 as "np.float64(...)"; cells keep the plain text.
+    assert _fmt_oracle(np.float64(0.5)) == "0.5"
+    assert "np." not in path.read_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, max_size=8), max_size=6))
+def test_write_csv_matches_per_cell_oracle_on_random_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    write_csv(path, ["h"], rows, "x")
+    assert path.read_bytes() == _csv_oracle(["h"], rows, "x").encode()
 
 
 def test_write_json_embeds_hash(tmp_path):

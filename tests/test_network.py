@@ -16,6 +16,7 @@ from crowdsim.network import (
     train,
     weight_norm_effective,
     _WeightNormConv,
+    step_plan,
 )
 
 TINY = NetworkConfig(input_dim=6, window=8, tcn_channels=(3, 4, 5),
@@ -143,11 +144,12 @@ def _activation_margin(net: VelocityPredictor) -> float:
 
 
 def _assert_gradients_match_central_differences(net: VelocityPredictor,
-                                                 x: np.ndarray, y: np.ndarray) -> None:
+                                                 x: np.ndarray, y: np.ndarray,
+                                                 head_only: bool = False) -> None:
     # Step 1e-5; max relative error < 1e-5.  The denominator floor keeps
     # near-zero components checked absolutely at 1e-9 rather than dividing
     # noise by noise.
-    pred = net.forward(x, train=False)
+    pred = net.forward(x, train=False, head_only=head_only)
     # Central differences break across a ReLU kink: make sure this seed
     # keeps every pre-activation well clear of zero.
     assert _activation_margin(net) > 1e-3, "reseed the test: activation sits on a kink"
@@ -195,6 +197,87 @@ def test_gradients_match_central_differences_with_dead_taps() -> None:
     data = np.random.default_rng(100)
     _assert_gradients_match_central_differences(
         net, data.normal(size=(2, 8, 6)), data.normal(size=(2, 2)))
+
+
+def test_head_plan_gradients_match_central_differences() -> None:
+    net = VelocityPredictor(TINY, np.random.default_rng(11))
+    rng = np.random.default_rng(100)
+    _assert_gradients_match_central_differences(
+        net, rng.normal(size=(2, 8, 6)), rng.normal(size=(2, 2)), head_only=True)
+
+
+def test_head_plan_gradients_match_central_differences_with_dead_taps() -> None:
+    cfg = NetworkConfig(input_dim=6, window=8, tcn_channels=(3, 4, 5), dropout_rate=0.2)
+    rng = np.random.default_rng(16)
+    net = VelocityPredictor(cfg, rng)
+    for name, p in net.parameters():
+        if name.endswith(".b"):
+            p[:] = rng.normal(scale=0.3, size=p.shape)
+    data = np.random.default_rng(100)
+    _assert_gradients_match_central_differences(
+        net, data.normal(size=(2, 8, 6)), data.normal(size=(2, 2)), head_only=True)
+
+
+def test_step_plan_of_the_default_geometry() -> None:
+    # Kernel 8, dilations 1/2/4 at window 8: the last block needs conv1 at
+    # steps 3 and 7 and conv2 at step 7 only.
+    cfg = NetworkConfig(input_dim=6)
+    full, head = step_plan(cfg), step_plan(cfg, head_only=True)
+    assert [b.inputs for b in full] == [list(range(8))] * 3
+    assert [b.inputs for b in head] == [list(range(8)), [1, 3, 5, 7], [3, 7]]
+    steps = np.arange(8)
+    assert steps[head[2].mid].tolist() == [3, 7] and steps[head[2].out].tolist() == [7]
+    assert [u for u, _, _ in head[2].conv2] == [0, 1]
+
+
+def test_head_plan_matches_full_plan_at_the_default_size() -> None:
+    # 230 inputs and 32/64/96 channels: the products are large enough for
+    # BLAS to pick its kernel by size, and small batches reach its
+    # small-matrix kernels.
+    cfg = NetworkConfig(input_dim=230)
+    net = VelocityPredictor(cfg, np.random.default_rng(30))
+    for batch in (1, 2, 5, 37, 38):
+        x = np.random.default_rng(batch).normal(size=(batch, 8, 230))
+        assert net.predict(x).tobytes() == net.forward(x).tobytes(), batch
+        full = net.forward(x, train=True, rng=np.random.default_rng(31))
+        head = net.forward(x, train=True, rng=np.random.default_rng(31), head_only=True)
+        assert head.tobytes() == full.tobytes(), batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.integers(1, 12), q=st.integers(1, 8),
+       dilations=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       channels=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       input_dim=st.integers(1, 4), dropout=st.sampled_from([0.0, 0.2]),
+       batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(window=8, q=8, dilations=[1, 2, 4], channels=[3, 4, 5], input_dim=6,
+         dropout=0.2, batch=3, seed=0)                    # the default geometry
+@example(window=12, q=3, dilations=[3, 5, 2], channels=[2, 2, 3], input_dim=2,
+         dropout=0.2, batch=2, seed=1)                    # steps not contiguous
+def test_head_plan_matches_full_plan(window, q, dilations, channels, input_dim, dropout,
+                                     batch, seed) -> None:
+    cfg = NetworkConfig(input_dim=input_dim, window=window,
+                        tcn_channels=tuple(channels[:len(dilations)]), kernel_size=q,
+                        dilations=tuple(dilations), dropout_rate=dropout)
+    rng = np.random.default_rng(seed)
+    net = VelocityPredictor(cfg, rng)
+    for name, p in net.parameters():
+        if name.endswith(".b"):
+            p[:] = rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(batch, window, input_dim))
+    dout = rng.normal(size=(batch, 2))
+    for train in (False, True):
+        rng_full, rng_head = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        full = net.forward(x, train=train, rng=rng_full)
+        net.backward(dout)
+        want = {n: g.copy() for n, g in net.gradients()}
+        head = net.forward(x, train=train, rng=rng_head, head_only=True)
+        net.backward(dout)
+        assert head.tobytes() == full.tobytes(), train
+        assert rng_head.bit_generator.state == rng_full.bit_generator.state
+        for name, got in net.gradients():
+            scale = float(np.abs(want[name]).max())
+            assert np.abs(got - want[name]).max() <= 1e-12 * scale, (train, name)
 
 
 @settings(max_examples=80, deadline=None)

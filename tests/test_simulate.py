@@ -502,6 +502,24 @@ def _composite_crowd(n: int, seed: int) -> SimulationConfig:
     return _config(scene, seeds, max_steps=60)
 
 
+def test_predictor_input_is_the_stack_of_the_moved_windows():
+    # The (n, w, D) input is built in one call; row i must be the i-th moved
+    # pedestrian's own window (id order), as np.stack of its deque gives it.
+    sizes = []
+
+    class Checked(_DriftOracle):
+        def predict(self, x):
+            moved = [p for p in sim._active() if p._predicted]
+            want = np.stack([np.stack(p.window) for p in moved])
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()
+            sizes.append(len(moved))
+            return super().predict(x)
+
+    sim = Simulator(_composite_crowd(12, 3), Checked())
+    sim.run()
+    assert sizes and max(sizes) >= 2
+
+
 def _scalar_crossings(p_from, p_to, walls):
     hits = [first_wall_crossing(a, b, walls)
             for a, b in zip(np.reshape(p_from, (-1, 2)), np.reshape(p_to, (-1, 2)))]
