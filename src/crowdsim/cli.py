@@ -6,11 +6,19 @@ same manifest yields byte-identical outputs.  All randomness derives from
 the --seed flag through named sub-streams.  The default output directory
 can be set with the CROWDSIM_OUT environment variable; CROWDSIM_DEBUG=1
 re-raises a failing command's exception instead of printing "error: ...".
+
+Flag defaults are read from the config dataclasses: the extraction flags of
+EXTRACTION_FLAGS from ExtractionParams, the training flags from
+NetworkConfig and TrainingConfig.  `sensitivity` trains with its own
+smaller protocol.  `train` and `sensitivity` share one training stage,
+`simulate` and `sensitivity` one simulation stage.  A run's steps count
+from its earliest track, for seeds and recorded tracks alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -37,28 +45,47 @@ TRAJECTORY_HEADER = ["run", "ped_id", "step", "time_s", "x_m", "y_m",
 # usual camera rates of the source recordings, by leading module kind
 EXPECTED_FPS = {"bottleneck": 25.0, "t_junction": 25.0,
                 "corridor": 16.0, "corner": 16.0}
+# flag -> (ExtractionParams field, help, default grid of `sensitivity`).  The
+# type and default come from the field.  `sensitivity` crosses the flags that
+# have a grid, in this order: its rows are (D_e, beta).
+EXTRACTION_FLAGS = {
+    "de": ("vision_range", "vision range D_e, metres", "20,100"),
+    "beta": ("ray_deg", "vision ray spacing, degrees", "5,10,15,18"),
+    "alpha": ("sector_deg", "social sector width, degrees", None),
+    "radius": ("radius", "social perception radius, metres", None),
+    "window": ("window", "lookback window, steps", None),
+}
 
 
-def _out_dir(args) -> Path:
+def _out_and_manifest(args, data, **fields) -> tuple[Path, RunManifest]:
+    """A command's output directory, made if missing, and its run manifest."""
     out = Path(args.out if args.out is not None
                else os.environ.get(OUT_ENV_VAR, "."))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, RunManifest(command=args.command, scene=args.scene, data=tuple(data),
+                            seed=args.seed, out=str(out), **fields)
 
 
-def _extraction_from_args(args) -> ExtractionParams:
-    return ExtractionParams(radius=args.radius, sector_deg=args.alpha,
-                            ray_deg=args.beta, vision_range=args.de,
-                            window=args.window)
+def _extraction(args, **values) -> ExtractionParams:
+    """Params from the extraction flags, with ``values`` (by flag) taking
+    precedence; a flag left unset keeps its field's default."""
+    values = {flag: getattr(args, flag) for flag in EXTRACTION_FLAGS} | values
+    return ExtractionParams(**{EXTRACTION_FLAGS[flag][0]: v
+                               for flag, v in values.items() if v is not None})
 
 
-def _net_config(params: ExtractionParams, channels_flag: str,
-                dropout: float) -> NetworkConfig:
-    channels = tuple(int(c) for c in channels_flag.split(","))
-    dilations = tuple(2 ** i for i in range(len(channels)))
-    return NetworkConfig(input_dim=params.feature_dim, window=params.window,
-                         tcn_channels=channels, dilations=dilations,
-                         dropout_rate=dropout)
+def _train_configs(args, params: ExtractionParams, val_every: int,
+                   tag: str = "") -> tuple[NetworkConfig, TrainingConfig]:
+    """Network and training configs from the training flags."""
+    channels = tuple(int(c) for c in args.channels.split(","))
+    net_cfg = NetworkConfig(input_dim=params.feature_dim, window=params.window,
+                            tcn_channels=channels,
+                            dilations=tuple(2 ** i for i in range(len(channels))),
+                            dropout_rate=args.dropout)
+    train_cfg = TrainingConfig(learning_rate=args.lr, iterations=args.iters,
+                               batch_size=args.batch, val_every=val_every,
+                               seed=derive_seed(args.seed, f"train{tag}"))
+    return net_cfg, train_cfg
 
 
 def _load_archive(path) -> dict:
@@ -69,30 +96,32 @@ def _load_archive(path) -> dict:
     return doc
 
 
-def _select_run(doc: dict, run_name, path) -> dict:
+def _load_run(path, run_name) -> tuple[Run, float]:
+    """One run of an archive, and the archive's dt."""
+    doc = _load_archive(path)
     runs = {r["name"]: r for r in doc["runs"]}
-    if run_name is not None:
-        if run_name not in runs:
-            raise ValueError(f"{path}: no run named {run_name!r} "
-                             f"(available: {sorted(runs)})")
-        return runs[run_name]
-    if len(runs) != 1:
-        raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
-    return next(iter(runs.values()))
+    if run_name is None:
+        if len(runs) != 1:
+            raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
+        run_name = next(iter(runs))
+    if run_name not in runs:
+        raise ValueError(f"{path}: no run named {run_name!r} "
+                         f"(available: {sorted(runs)})")
+    trajs = tuple(trajectory_from_dict(t) for t in runs[run_name]["trajectories"])
+    return Run(name=run_name, trajectories=trajs), float(doc["dt"])
 
 
-def _tracks_from_run(run_doc: dict, dt: float) -> list[Track]:
-    """Tracks with steps normalised so the earliest trajectory starts at 0.
+def _tracks_from_run(run: Run, dt: float) -> list[Track]:
+    """Recorded tracks with steps counted from the run's earliest track.
 
-    This matches the simulator's seeding convention, so simulated and
-    experimental steps align by index.
+    `seeds_from_run` counts from the same origin, so simulated and recorded
+    steps align by index.
     """
-    trajs = [trajectory_from_dict(t) for t in run_doc["trajectories"]]
-    if not trajs:
-        raise ValueError(f"run {run_doc.get('name')!r} has no trajectories")
-    origin = min(t.t0 for t in trajs)
-    return [Track(ped_id=t.ped_id, steps=t.t0 - origin + np.arange(len(t.positions)),
-                  positions=t.positions, dt=dt) for t in trajs]
+    if not run.trajectories:
+        raise ValueError(f"run {run.name!r} has no trajectories")
+    origin = min(t.t0 for t in run.trajectories)
+    return [Track(ped_id=t.ped_id, steps=t.t0 - origin + np.arange(len(t)),
+                  positions=t.positions, dt=dt) for t in run.trajectories]
 
 
 def _tracks_from_csv(path) -> list[Track]:
@@ -127,8 +156,7 @@ def _tracks_from_csv(path) -> list[Track]:
 def _load_tracks(path, run_name=None) -> list[Track]:
     path = str(path)
     if path.endswith(".json"):
-        doc = _load_archive(path)
-        return _tracks_from_run(_select_run(doc, run_name, path), float(doc["dt"]))
+        return _tracks_from_run(*_load_run(path, run_name))
     return _tracks_from_csv(path)
 
 
@@ -145,13 +173,11 @@ def _focus_area(scene, module_flag):
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+    out, manifest = _out_and_manifest(
+        args, args.data, options={"fps": args.fps, "unit_scale": args.unit_scale,
+                                  "role": args.role, "window": args.window,
+                                  "module": args.module})
     scene = resolve_scene(args.scene)
-    manifest = RunManifest(command="ingest", scene=args.scene,
-                           data=tuple(args.data), seed=args.seed, out=str(out),
-                           options={"fps": args.fps, "unit_scale": args.unit_scale,
-                                    "role": args.role, "window": args.window,
-                                    "module": args.module})
     expected = EXPECTED_FPS.get(scene.modules[0].kind)
     if expected is not None and abs(args.fps - expected) > 1e-9:
         manifest.warnings.append(
@@ -177,101 +203,90 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _build_training_arrays(archives, scene, params, seed):
-    samples = []
-    for path in archives:
-        doc = _load_archive(path)
-        dataset = dataset_from_dict(doc, scene)
-        samples.extend(build_samples(dataset, params))
+def _train_stage(datasets, params: ExtractionParams, net_cfg: NetworkConfig,
+                 train_cfg: TrainingConfig, seed: int, tag: str = ""):
+    """Samples of every run, the 4:1 split and the trained predictor.
+
+    Returns the predictor, the TrainResult and the training-sample count.
+    """
+    samples = [s for dataset in datasets for s in build_samples(dataset, params)]
     if not samples:
         raise ValueError("no training samples could be built from the archives")
     tr, va = split_train_val(samples, ratio=4, seed=derive_seed(seed, "split"))
     x_tr, y_tr = samples_to_arrays(tr)
     x_va, y_va = samples_to_arrays(va)
-    return x_tr, y_tr, x_va, y_va
+    del samples, tr, va         # their windows keep every run's feature array alive
+    net = VelocityPredictor(net_cfg, rng=substream(seed, f"init{tag}"))
+    return net, train(net, x_tr, y_tr, x_va, y_va, train_cfg), len(x_tr)
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
+    params = _extraction(args)
+    net_cfg, train_cfg = _train_configs(args, params, args.val_every)
+    out, manifest = _out_and_manifest(args, args.data, model="tcn",
+                                      extraction=params.to_dict(),
+                                      network=net_cfg.to_dict(),
+                                      training=train_cfg.to_dict())
     scene = resolve_scene(args.scene)
-    params = _extraction_from_args(args)
-    net_cfg = _net_config(params, args.channels, args.dropout)
-    train_cfg = TrainingConfig(learning_rate=args.lr, iterations=args.iters,
-                               batch_size=args.batch, val_every=args.val_every,
-                               seed=derive_seed(args.seed, "train"))
-    manifest = RunManifest(command="train", scene=args.scene, data=tuple(args.data),
-                           seed=args.seed, out=str(out), model="tcn",
-                           extraction=params.to_dict(), network=net_cfg.to_dict(),
-                           training=train_cfg.to_dict())
     mhash = manifest.hash()
-    x_tr, y_tr, x_va, y_va = _build_training_arrays(args.data, scene, params, args.seed)
-    net = VelocityPredictor(net_cfg, rng=substream(args.seed, "init"))
-    result = train(net, x_tr, y_tr, x_va, y_va, train_cfg)
+    datasets = [dataset_from_dict(_load_archive(path), scene) for path in args.data]
+    _, result, n_train = _train_stage(datasets, params, net_cfg, train_cfg, args.seed)
     save_checkpoint(out / "checkpoint.json", result.state, net_cfg, params,
                     mhash, training=train_cfg)
     write_csv(out / "loss_history.csv",
               ["iteration", "train_loss", "val_loss"], result.history, mhash)
     manifest.save(out / "manifest.json")
-    print(f"trained {train_cfg.iterations} iterations on {x_tr.shape[0]} samples "
+    print(f"trained {train_cfg.iterations} iterations on {n_train} samples "
           f"(best val {result.best_val_loss:.6f} at {result.best_iteration}) "
           f"-> {out / 'checkpoint.json'}")
     return 0
 
 
-def _check_flag(name, flag_value, stored, what) -> None:
-    if flag_value is not None and abs(flag_value - stored) > 1e-9:
-        raise ValueError(f"{what} mismatch: --{name} {flag_value} but the "
-                         f"checkpoint was trained with {stored}")
+def _simulate_stage(scene, dt: float, run: Run, params: ExtractionParams, max_steps: int,
+                    net=None, seed: int = 0):
+    """Closed-loop run seeded from a recorded run: the TCN ``net``, or social
+    force when it is None.  None when no track fills a window."""
+    seeds = seeds_from_run(run.trajectories, window=params.window)
+    if not seeds:
+        return None
+    config = SimulationConfig(scene=scene, dt=dt, pedestrians=tuple(seeds),
+                              params=params, max_steps=max_steps)
+    if net is None:
+        return sf_run(config, SFParams(), rng=substream(seed, "sf-speeds"))
+    return run_simulation(config, net)
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     scene = resolve_scene(args.scene)
-    doc = _load_archive(args.data)
-    run_doc = _select_run(doc, args.run, args.data)
-    dt = float(doc["dt"])
-    trajs = [trajectory_from_dict(t) for t in run_doc["trajectories"]]
+    run, dt = _load_run(args.data, args.run)
 
+    net = None
     if args.model == "tcn":
         if args.checkpoint is None:
             raise ValueError("model tcn needs --checkpoint")
         ckpt = load_checkpoint(args.checkpoint)
-        _check_flag("beta", args.beta, ckpt.extraction.ray_deg, "vision ray spacing")
-        _check_flag("de", args.de, ckpt.extraction.vision_range, "vision range")
-        _check_flag("alpha", args.alpha, ckpt.extraction.sector_deg, "sector width")
-        _check_flag("radius", args.radius, ckpt.extraction.radius, "perception radius")
-        _check_flag("window", args.window, ckpt.extraction.window, "window length")
+        for flag, (field, _, _) in EXTRACTION_FLAGS.items():
+            given, stored = getattr(args, flag), getattr(ckpt.extraction, field)
+            if given is not None and abs(given - stored) > 1e-9:
+                raise ValueError(f"{field} mismatch: --{flag} {given} but the "
+                                 f"checkpoint was trained with {stored}")
         params = ckpt.extraction
         net = VelocityPredictor(ckpt.network)
         net.load_state_dict(ckpt.state)
     else:
-        params = ExtractionParams(
-            radius=args.radius if args.radius is not None else 1.2,
-            sector_deg=args.alpha if args.alpha is not None else 18.0,
-            ray_deg=args.beta if args.beta is not None else 10.0,
-            vision_range=args.de if args.de is not None else 20.0,
-            window=args.window if args.window is not None else 8)
-        net = None
+        params = _extraction(args)
 
-    manifest = RunManifest(command="simulate", scene=args.scene,
-                           data=(args.data,), seed=args.seed, out=str(out),
-                           model=args.model, extraction=params.to_dict(),
-                           options={"run": run_doc["name"],
-                                    "checkpoint": args.checkpoint,
-                                    "max_steps": args.max_steps})
+    out, manifest = _out_and_manifest(args, [args.data], model=args.model,
+                                      extraction=params.to_dict(),
+                                      options={"run": run.name,
+                                               "checkpoint": args.checkpoint,
+                                               "max_steps": args.max_steps})
     mhash = manifest.hash()
-    seeds = seeds_from_run(trajs, window=params.window)
-    if not seeds:
-        raise ValueError(f"run {run_doc['name']!r}: no trajectory is long enough "
+    result = _simulate_stage(scene, dt, run, params, args.max_steps, net, args.seed)
+    if result is None:
+        raise ValueError(f"run {run.name!r}: no trajectory is long enough "
                          f"to seed a {params.window}-step window")
-    config = SimulationConfig(scene=scene, dt=dt, pedestrians=tuple(seeds),
-                              params=params, max_steps=args.max_steps)
-    if args.model == "tcn":
-        result = run_simulation(config, net)
-    else:
-        result = sf_run(config, SFParams(), rng=substream(args.seed, "sf-speeds"))
-    write_csv(out / "trajectories.csv", TRAJECTORY_HEADER,
-              result.to_rows(run_doc["name"]), mhash)
+    write_csv(out / "trajectories.csv", TRAJECTORY_HEADER, result.to_rows(run.name), mhash)
     manifest.save(out / "manifest.json")
     exited = sum(t.exited for t in result.trajectories)
     print(f"simulated {len(result.trajectories)} pedestrians "
@@ -281,12 +296,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+    out, manifest = _out_and_manifest(args, [args.data, args.sim], model=args.model,
+                                      options={"run": args.run, "module": args.module})
     scene = resolve_scene(args.scene)
-    manifest = RunManifest(command="evaluate", scene=args.scene,
-                           data=(args.data, args.sim), seed=args.seed,
-                           out=str(out), model=args.model,
-                           options={"run": args.run, "module": args.module})
     mhash = manifest.hash()
     sim_tracks = _load_tracks(args.sim, args.run)
     exp_tracks = _load_tracks(args.data, args.run)
@@ -334,12 +346,10 @@ def _fd_svg(points) -> str:
 
 
 def cmd_fd(args) -> int:
-    out = _out_dir(args)
+    out, manifest = _out_and_manifest(args, [args.data],
+                                      options={"module": args.module,
+                                               "svg": bool(args.svg), "run": args.run})
     scene = resolve_scene(args.scene)
-    manifest = RunManifest(command="fd", scene=args.scene, data=(args.data,),
-                           seed=args.seed, out=str(out),
-                           options={"module": args.module, "svg": bool(args.svg),
-                                    "run": args.run})
     mhash = manifest.hash()
     tracks = _load_tracks(args.data, args.run)
     if not tracks:
@@ -383,58 +393,35 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 
 
 def cmd_sensitivity(args) -> int:
-    out = _out_dir(args)
     scene = resolve_scene(args.scene)
-    de_grid = _parse_grid(args.de, "de")
-    beta_grid = _parse_grid(args.beta, "beta")
-    combos = [(de, beta) for de in de_grid for beta in beta_grid]
+    grids = {flag: _parse_grid(getattr(args, flag), flag)
+             for flag, (_, _, grid) in EXTRACTION_FLAGS.items() if grid is not None}
+    combos = list(itertools.product(*grids.values()))
     if len(combos) < 2:
         raise ValueError("sensitivity analysis needs at least 2 parameter combinations")
-    manifest = RunManifest(command="sensitivity", scene=args.scene,
-                           data=tuple(args.data), seed=args.seed, out=str(out),
-                           model="tcn",
-                           options={"de": de_grid, "beta": beta_grid,
-                                    "alpha": args.alpha, "radius": args.radius,
-                                    "window": args.window, "iters": args.iters,
-                                    "batch": args.batch, "lr": args.lr,
-                                    "channels": args.channels,
-                                    "max_steps": args.max_steps})
+    out, manifest = _out_and_manifest(
+        args, args.data, model="tcn",
+        options={**{flag: grids.get(flag, getattr(args, flag)) for flag in EXTRACTION_FLAGS},
+                 "iters": args.iters, "batch": args.batch, "lr": args.lr,
+                 "channels": args.channels, "max_steps": args.max_steps})
     mhash = manifest.hash()
+    datasets = [dataset_from_dict(_load_archive(path), scene) for path in args.data]
     reports = []
-    for de, beta in combos:
-        tag = f"de{de:g}-beta{beta:g}"
-        params = ExtractionParams(radius=args.radius, sector_deg=args.alpha,
-                                  ray_deg=beta, vision_range=de, window=args.window)
-        x_tr, y_tr, x_va, y_va = _build_training_arrays(args.data, scene,
-                                                        params, args.seed)
-        net_cfg = _net_config(params, args.channels, args.dropout)
-        train_cfg = TrainingConfig(learning_rate=args.lr, iterations=args.iters,
-                                   batch_size=args.batch,
-                                   val_every=max(1, args.iters // 2),
-                                   seed=derive_seed(args.seed, f"train-{tag}"))
-        net = VelocityPredictor(net_cfg, rng=substream(args.seed, f"init-{tag}"))
-        train(net, x_tr, y_tr, x_va, y_va, train_cfg)
-        for path in args.data:
-            doc = _load_archive(path)
-            dt = float(doc["dt"])
-            for run_doc in doc["runs"]:
-                trajs = [trajectory_from_dict(t) for t in run_doc["trajectories"]]
-                seeds = seeds_from_run(trajs, window=params.window)
-                if not seeds:
+    for combo in combos:
+        values = dict(zip(grids, combo))
+        # seeds derive from sub-stream names such as train-de20-beta5
+        tag = "-" + "-".join(f"{flag}{v:g}" for flag, v in values.items())
+        params = _extraction(args, **values)
+        net_cfg, train_cfg = _train_configs(args, params, max(1, args.iters // 2), tag)
+        net, _, _ = _train_stage(datasets, params, net_cfg, train_cfg, args.seed, tag)
+        for dataset in datasets:
+            for run in dataset.runs:
+                result = _simulate_stage(scene, dataset.dt, run, params, args.max_steps, net)
+                if result is None:
                     continue
-                config = SimulationConfig(scene=scene, dt=dt,
-                                          pedestrians=tuple(seeds), params=params,
-                                          max_steps=args.max_steps)
-                result = run_simulation(config, net)
-                sim_tracks = [Track(ped_id=t.ped_id,
-                                    steps=np.asarray(t.steps, dtype=int),
-                                    positions=t.positions, dt=dt)
-                              for t in result.trajectories]
-                exp_tracks = _tracks_from_run(run_doc, dt)
-                report = evaluate_run(sim_tracks, exp_tracks,
-                                      run=str(run_doc["name"]), model="tcn",
-                                      focus_area=None)
-                reports.append(((de, beta), report))
+                report = evaluate_run(result.trajectories, _tracks_from_run(run, dataset.dt),
+                                      run=run.name, model="tcn", focus_area=None)
+                reports.append((combo, report))
     summary = parameter_sensitivity(reports)
     write_csv(out / "sensitivity.csv",
               ["vision_range_m", "ray_deg", "mean_ade_m", "mean_fde_m", "mean_tte_s"],
@@ -462,18 +449,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or .)")
 
-    def extraction(p, with_defaults=True):
-        d = (lambda v: v) if with_defaults else (lambda v: None)
-        p.add_argument("--beta", type=float, default=d(10.0),
-                       help="vision ray spacing, degrees")
-        p.add_argument("--de", type=float, default=d(20.0),
-                       help="vision range D_e, metres")
-        p.add_argument("--alpha", type=float, default=d(18.0),
-                       help="social sector width, degrees")
-        p.add_argument("--radius", type=float, default=d(1.2),
-                       help="social perception radius, metres")
-        p.add_argument("--window", type=int, default=d(8),
-                       help="lookback window, steps")
+    def extraction(p, flags=tuple(EXTRACTION_FLAGS), unset=False, grids=False):
+        for flag in flags:
+            field, text, grid = EXTRACTION_FLAGS[flag]
+            default = getattr(ExtractionParams, field)
+            if grids and grid is not None:
+                p.add_argument(f"--{flag}", default=grid, help=f"comma list: {text}")
+            else:
+                p.add_argument(f"--{flag}", type=type(default),
+                               default=None if unset else default, help=text)
+
+    def training(p, iters=TrainingConfig.iterations, batch=TrainingConfig.batch_size,
+                 channels=NetworkConfig.tcn_channels, dropout=NetworkConfig.dropout_rate):
+        p.add_argument("--iters", type=int, default=iters, help="Adam iterations")
+        p.add_argument("--batch", type=int, default=batch, help="minibatch size")
+        p.add_argument("--lr", type=float, default=TrainingConfig.learning_rate,
+                       help="learning rate")
+        p.add_argument("--channels", default=",".join(map(str, channels)),
+                       help="TCN channels per block")
+        p.add_argument("--dropout", type=float, default=dropout, help="dropout rate")
 
     p = sub.add_parser("ingest", help="normalise raw trajectory files into an archive")
     common(p)
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-scale", type=float, default=0.01, dest="unit_scale",
                    help="factor converting input units to metres")
     p.add_argument("--role", choices=["train_val", "test"], default="train_val")
-    p.add_argument("--window", type=int, default=8)
+    extraction(p, flags=("window",))
     p.add_argument("--module", default=None, help="module whose focus area to clip to")
     p.set_defaults(func=cmd_ingest)
 
@@ -490,12 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", nargs="+", required=True, help="dataset archives")
     extraction(p)
-    p.add_argument("--iters", type=int, default=3000, help="Adam iterations")
-    p.add_argument("--batch", type=int, default=512, help="minibatch size")
-    p.add_argument("--lr", type=float, default=1e-4, help="learning rate")
-    p.add_argument("--channels", default="32,64,96", help="TCN channels per block")
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--val-every", type=int, default=50, dest="val_every")
+    training(p)
+    p.add_argument("--val-every", type=int, default=TrainingConfig.val_every,
+                   dest="val_every")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="closed-loop simulation seeded from a run")
@@ -505,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="trained checkpoint (model tcn)")
     p.add_argument("--run", default=None, help="run name inside the archive")
     p.add_argument("--max-steps", type=int, default=2000, dest="max_steps")
-    extraction(p, with_defaults=False)
+    extraction(p, unset=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="ADE/FDE/TTE of simulated vs experimental")
@@ -529,16 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="metric spread over a D_e x beta grid")
     common(p)
     p.add_argument("--data", nargs="+", required=True, help="dataset archives")
-    p.add_argument("--de", default="20,100", help="comma list of vision ranges")
-    p.add_argument("--beta", default="5,10,15,18", help="comma list of ray spacings")
-    p.add_argument("--alpha", type=float, default=18.0)
-    p.add_argument("--radius", type=float, default=1.2)
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--channels", default="8,8", help="TCN channels per block")
-    p.add_argument("--dropout", type=float, default=0.0)
+    extraction(p, grids=True)
+    training(p, iters=200, batch=64, channels=(8, 8), dropout=0.0)
     p.add_argument("--max-steps", type=int, default=2000, dest="max_steps")
     p.set_defaults(func=cmd_sensitivity)
     return parser

@@ -284,10 +284,16 @@ def points_in_polygon(points, boundary: np.ndarray) -> np.ndarray:
     return on_edge | (np.count_nonzero(crosses & (x < x_cross), axis=1) % 2 == 1)
 
 
-def rect_contains(area, p: Point2) -> bool:
-    """Inclusive containment in an axis-aligned (xmin, ymin, xmax, ymax) rect."""
+def rect_mask(area, points) -> np.ndarray:
+    """Inclusive containment of (n, 2) points in an (xmin, ymin, xmax, ymax) rect."""
     xmin, ymin, xmax, ymax = (float(v) for v in area)
-    return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    return (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+
+
+def rect_contains(area, p: Point2) -> bool:
+    """`rect_mask` of one point."""
+    return bool(rect_mask(area, p)[0])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .features import ExtractionParams, extract_batch
-from .geometry import Scene, point_in_modules, rect_contains
+from .geometry import Scene, point_in_modules, rect_mask
 
 MAX_GAP_FRAMES = 5
 
@@ -191,8 +191,7 @@ def clip_to_focus(trajs, area, window: int = 8) -> list[Trajectory]:
     """
     out: list[Trajectory] = []
     for traj in trajs:
-        inside = np.array([rect_contains(area, p) for p in traj.positions])
-        run = _longest_true_run(inside)
+        run = _longest_true_run(rect_mask(area, traj.positions))
         if run is None:
             continue
         start, stop = run
@@ -208,24 +207,25 @@ def clip_to_focus(trajs, area, window: int = 8) -> list[Trajectory]:
 def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
     """Module of each local step that forms a sample row (1 … n-2), else None.
 
-    A row step outside every module, or a non-finite target, raises
-    ValueError, in step order.
+    A row step outside every module, or a non-finite velocity at any step
+    1 … n-1 (a row's, a target, or a neighbour's on a track too short for
+    samples), raises ValueError.  Errors come in step order, a velocity
+    counting at the row step before it.
     """
     n = len(subject)
     modules: list = [None] * n
-    if n - 1 <= window:          # no sample, so no row steps
-        return modules
-    modules[1:-1] = found = point_in_modules(scene, subject.positions[1:-1])
-    outside = 1 + found.index(None) if None in found else n
-    bad = np.flatnonzero(~np.isfinite(subject.velocities[window + 1:]).all(axis=1))
-    nonfinite = window + int(bad[0]) if bad.size else n
-    if outside < n and outside <= nonfinite:
+    bad = np.flatnonzero(~np.isfinite(subject.velocities[1:]).all(axis=1))
+    nonfinite = 1 + int(bad[0]) if bad.size else n
+    outside = n
+    if n - 1 > window:          # else no sample, so no row steps
+        modules[1:-1] = found = point_in_modules(scene, subject.positions[1:-1])
+        outside = 1 + found.index(None) if None in found else n
+    if outside < nonfinite:
         raise ValueError(f"pedestrian {subject.ped_id} at "
                          f"{tuple(subject.positions[outside].tolist())} lies outside every module")
     if nonfinite < n:
-        raise ValueError(
-            f"non-finite target velocity for pedestrian {subject.ped_id} at step {nonfinite + 1}"
-        )
+        what = "target velocity" if nonfinite > window else "velocity"
+        raise ValueError(f"non-finite {what} for pedestrian {subject.ped_id} at step {nonfinite}")
     return modules
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import rect_contains
+from .geometry import rect_mask
 
 
 @dataclass(frozen=True)
@@ -64,36 +64,39 @@ def ade(sim, exp) -> float:
     return float(np.mean(np.linalg.norm(a.positions[ia] - b.positions[ib], axis=1)))
 
 
-def _last_inside(track: Track, area) -> np.ndarray:
+def _inside(track: Track, area) -> np.ndarray:
+    """In-focus mask of a track's positions; all True without an area."""
     if area is None:
-        return track.positions[-1]
-    for p in track.positions[::-1]:
-        if rect_contains(area, p):
-            return p
-    raise ValueError(f"pedestrian {track.ped_id!r} never enters the focus area")
+        return np.ones(track.steps.size, dtype=bool)
+    return rect_mask(area, track.positions)
+
+
+def _focus_span(track: Track, inside: np.ndarray) -> tuple[int, int]:
+    """Indices of the first and last in-focus positions."""
+    idx = np.flatnonzero(inside)
+    if idx.size == 0:
+        raise ValueError(f"pedestrian {track.ped_id!r} never enters the focus area")
+    return int(idx[0]), int(idx[-1])
+
+
+def _fde_tte(a: Track, b: Track, a_inside, b_inside) -> tuple[float, float]:
+    (a0, a1), (b0, b1) = _focus_span(a, a_inside), _focus_span(b, b_inside)
+    duration_a = float((a.steps[a1] - a.steps[a0]) * a.dt)
+    duration_b = float((b.steps[b1] - b.steps[b0]) * b.dt)
+    return (float(np.linalg.norm(a.positions[a1] - b.positions[b1])),
+            abs(duration_a - duration_b))
 
 
 def fde(sim, exp, focus_area=None) -> float:
     """Distance between the final in-focus points."""
     a, b = as_track(sim), as_track(exp)
-    return float(np.linalg.norm(_last_inside(a, focus_area) - _last_inside(b, focus_area)))
-
-
-def _focus_duration(track: Track, area) -> float:
-    if area is None:
-        inside = np.ones(track.steps.size, dtype=bool)
-    else:
-        inside = np.array([rect_contains(area, p) for p in track.positions])
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        raise ValueError(f"pedestrian {track.ped_id!r} never enters the focus area")
-    return float((track.steps[idx[-1]] - track.steps[idx[0]]) * track.dt)
+    return _fde_tte(a, b, _inside(a, focus_area), _inside(b, focus_area))[0]
 
 
 def tte(sim, exp, focus_area=None) -> float:
     """Absolute difference of the in-focus travel times, in seconds."""
     a, b = as_track(sim), as_track(exp)
-    return abs(_focus_duration(a, focus_area) - _focus_duration(b, focus_area))
+    return _fde_tte(a, b, _inside(a, focus_area), _inside(b, focus_area))[1]
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,8 @@ def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
     and so are pedestrians whose recorded track never enters the focus
     area, with a warning giving their count.
     """
-    sim_by_id = {as_track(t).ped_id: as_track(t) for t in sim_trajectories}
-    exp_by_id = {as_track(t).ped_id: as_track(t) for t in exp_trajectories}
+    sim_by_id = {t.ped_id: t for t in map(as_track, sim_trajectories)}
+    exp_by_id = {t.ped_id: t for t in map(as_track, exp_trajectories)}
     matched = sorted(sim_by_id.keys() & exp_by_id.keys())
     missing = sorted(sim_by_id.keys() ^ exp_by_id.keys())
     if missing:
@@ -140,9 +143,9 @@ def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
                       f"{missing}", RuntimeWarning)
     if not matched:
         raise ValueError(f"run {run!r}: no pedestrian ids in common")
+    exp_inside = {pid: _inside(exp_by_id[pid], focus_area) for pid in matched}
     if focus_area is not None:
-        entering = [pid for pid in matched
-                    if any(rect_contains(focus_area, p) for p in exp_by_id[pid].positions)]
+        entering = [pid for pid in matched if exp_inside[pid].any()]
         if len(entering) < len(matched):
             warnings.warn(f"run {run!r}: excluding {len(matched) - len(entering)} "
                           "pedestrians whose recorded track never enters the focus area",
@@ -152,9 +155,11 @@ def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
         matched = entering
     ades, fdes, ttes = [], [], []
     for pid in matched:
-        ades.append(ade(sim_by_id[pid], exp_by_id[pid]))
-        fdes.append(fde(sim_by_id[pid], exp_by_id[pid], focus_area))
-        ttes.append(tte(sim_by_id[pid], exp_by_id[pid], focus_area))
+        sim, exp = sim_by_id[pid], exp_by_id[pid]
+        ades.append(ade(sim, exp))
+        f, t = _fde_tte(sim, exp, _inside(sim, focus_area), exp_inside[pid])
+        fdes.append(f)
+        ttes.append(t)
     return MetricReport(run=run, model=model, ped_ids=tuple(matched),
                         ade_values=np.asarray(ades), fde_values=np.asarray(fdes),
                         tte_values=np.asarray(ttes))
@@ -180,10 +185,9 @@ def fundamental_diagram(trajectories, area, dt: float) -> list[FDPoint]:
         raise ValueError("measurement area must have positive size")
     frames, inside, speeds, moved = [], [], [], []
     for track in map(as_track, trajectories):
-        x, y = track.positions.T
         step = np.diff(track.positions, axis=0)
         frames.append(track.steps)
-        inside.append((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax))
+        inside.append(rect_mask(area, track.positions))
         speeds.append(np.append(np.nan, np.sqrt(np.vecdot(step, step)) / track.dt))
         moved.append(np.diff(track.steps, prepend=track.steps[0]) == 1)
     if not frames:

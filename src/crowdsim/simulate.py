@@ -552,16 +552,13 @@ def run_simulation(config: SimulationConfig, predictor) -> SimulationResult:
     return Simulator(config, predictor).run()
 
 
-def seeds_from_run(trajectories, window: int, origin: Optional[int] = None) -> list[PedestrianSeed]:
+def seeds_from_run(trajectories, window: int) -> list[PedestrianSeed]:
     """Seed configs from experimental tracks: entry time plus first w positions.
 
-    Steps are shifted so the earliest track starts at ``origin`` (default:
-    step 0).  Tracks shorter than the window are skipped.
+    Steps count from the run's earliest track, the tracks shorter than the
+    window included; those tracks are skipped.
     """
-    usable = [t for t in trajectories if len(t) >= window]
-    if not usable:
-        return []
-    base = min(t.t0 for t in usable) if origin is None else origin
-    return [PedestrianSeed(ped_id=t.ped_id, entry_step=t.t0 - base,
+    origin = min((t.t0 for t in trajectories), default=0)
+    return [PedestrianSeed(ped_id=t.ped_id, entry_step=t.t0 - origin,
                            positions=t.positions[:window].copy())
-            for t in usable]
+            for t in trajectories if len(t) >= window]

@@ -5,8 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from crowdsim.cli import main
+from crowdsim.cli import build_parser, main
+from crowdsim.features import ExtractionParams
+from crowdsim.ingest import Dataset, Run, Trajectory, dataset_to_dict
 from crowdsim.io import read_csv
+from crowdsim.network import NetworkConfig, TrainingConfig
+from crowdsim.scene_library import make_corridor
 
 
 def _write_raw(path, n_peds=3, n_frames=40, origin_cm=(0.0, 0.0)):
@@ -195,6 +199,28 @@ def test_simulate_output_format(pipeline):
         assert manifest["model"] == model
 
 
+def test_flag_defaults_are_the_config_defaults(pipeline):
+    params, net, training = ExtractionParams(), NetworkConfig(input_dim=1), TrainingConfig()
+    fields = {"beta": "ray_deg", "de": "vision_range", "alpha": "sector_deg",
+              "radius": "radius", "window": "window"}
+    parser = build_parser()
+    ingest = parser.parse_args(["ingest", "--scene", "s", "--data", "f"])
+    assert ingest.window == params.window
+    train = parser.parse_args(["train", "--scene", "s", "--data", "f"])
+    assert {flag: getattr(train, flag) for flag in fields} == \
+        {flag: getattr(params, field) for flag, field in fields.items()}
+    assert (train.iters, train.batch, train.lr, train.val_every) == \
+        (training.iterations, training.batch_size, training.learning_rate,
+         training.val_every)
+    assert (train.channels, train.dropout) == \
+        (",".join(map(str, net.tcn_channels)), net.dropout_rate)
+    # unset in simulate: tcn reads the checkpoint, sf the ExtractionParams defaults
+    simulate = parser.parse_args(["simulate", "--scene", "s", "--data", "f"])
+    assert all(getattr(simulate, flag) is None for flag in fields)
+    manifest = json.loads((pipeline["sim_sf"] / "manifest.json").read_text())
+    assert manifest["extraction"] == params.to_dict()
+
+
 def test_simulate_replays_seed_window(pipeline):
     # the first w steps of each pedestrian must reproduce the archive exactly
     doc = json.loads((pipeline["ingest"] / "dataset.json").read_text())
@@ -205,6 +231,28 @@ def test_simulate_replays_seed_window(pipeline):
         got = np.array([[float(r[4]), float(r[5])] for r in rows
                         if r[1] == pid][:8])
         np.testing.assert_array_equal(got, positions[:8])
+
+
+def test_simulate_steps_count_from_earliest_track(tmp_path):
+    # a's track is shorter than the window, so a seeds nothing; its t0 is
+    # still the run's step 0, as in the recorded tracks evaluate reads.
+    def walker(ped_id, t0, n, y):
+        pos = np.column_stack([0.5 + 0.0625 * np.arange(n), np.full(n, y)])
+        vel = np.full_like(pos, np.nan)
+        vel[1:] = 1.0, 0.0
+        return Trajectory(ped_id=ped_id, t0=t0, dt=0.0625, positions=pos, velocities=vel)
+
+    a, b = walker("a", 0, 5, 0.8), walker("b", 3, 30, 2.0)
+    dataset = Dataset(make_corridor(), (Run("r", (a, b)),), "test", 0.0625)
+    archive = tmp_path / "dataset.json"
+    archive.write_text(json.dumps(dataset_to_dict(dataset, "corridor")))
+    assert main(["simulate", "--scene", "corridor", "--data", str(archive),
+                 "--model", "sf", "--max-steps", "100", "--out", str(tmp_path / "sf")]) == 0
+    _, rows = read_csv(tmp_path / "sf" / "trajectories.csv")
+    prefix = [r for r in rows if r[1] == "b"][:8]
+    assert [int(r[2]) for r in prefix] == list(range(3, 11))
+    np.testing.assert_array_equal([[float(r[4]), float(r[5])] for r in prefix],
+                                  b.positions[:8])
 
 
 def test_simulate_without_checkpoint_errors(pipeline, tmp_path, capsys):

@@ -337,23 +337,26 @@ def test_build_samples_row_step_outside_every_module_is_named():
 
 def test_build_samples_non_finite_target_from_archive_is_named(tmp_path):
     # Python's json reads and writes NaN, so a dataset.json from outside can
-    # carry a non-finite target velocity.  Errors come in step order; at one
-    # step the outside-module error comes first.
+    # carry a non-finite velocity.  Errors come in step order; at one step
+    # the outside-module error comes first.  Velocities that only feed
+    # features are checked too: a window row's, and every one of a track too
+    # short to yield samples (c), whose velocities still reach its neighbours.
     rng = np.random.default_rng(12)
     tracks = (_polyline_track([(0.5, 1.0), (5.5, 1.0)], "a", 0, 20, rng),
-              _polyline_track([(0.5, 2.0), (5.5, 2.0)], "b", 2, 20, rng))
+              _polyline_track([(0.5, 2.0), (5.5, 2.0)], "b", 2, 20, rng),
+              _polyline_track([(0.5, 1.5), (1.0, 1.5)], "c", 4, 6, rng))
     doc = dataset_to_dict(Dataset(make_corridor(), (Run("r", tracks),), "train_val", 0.04),
                           "corridor")
 
-    def build(outside_step=None, nan_target_step=None):
-        track = json.loads(json.dumps(doc))["runs"][0]["trajectories"][1]
+    def build(outside_step=None, nan_target_step=None, ped=1):
+        broken = json.loads(json.dumps(doc))
+        track = broken["runs"][0]["trajectories"][ped]
         if outside_step is not None:
             track["positions"][outside_step] = [3.0, 3.4]   # above the upper wall
         if nan_target_step is not None:
             track["velocities"][nan_target_step - 1] = [float("nan"), 0.0]   # rows from step 1
         path = tmp_path / "dataset.json"
-        path.write_text(json.dumps({**doc, "runs": [{"name": "r", "trajectories": [
-            doc["runs"][0]["trajectories"][0], track]}]}))
+        path.write_text(json.dumps(broken))
         assert (nan_target_step is None) == ("NaN" not in path.read_text())
         loaded = dataset_from_dict(json.loads(path.read_text()), make_corridor())
         with pytest.raises(ValueError) as err:
@@ -367,6 +370,11 @@ def test_build_samples_non_finite_target_from_archive_is_named(tmp_path):
     assert build(outside_step=10, nan_target_step=11) == out_msg        # same row step
     assert build(outside_step=12, nan_target_step=11) == nan_msg.format(11)
     assert build(outside_step=9, nan_target_step=14) == out_msg
+    row_msg = "non-finite velocity for pedestrian {} at step {}"
+    assert build(nan_target_step=3) == row_msg.format("b", 3)             # window row
+    assert build(nan_target_step=PARAMS.window) == row_msg.format("b", PARAMS.window)
+    assert build(nan_target_step=2, ped=2) == row_msg.format("c", 2)      # short track
+    assert build(nan_target_step=5, ped=2) == row_msg.format("c", 5)
 
 
 def test_split_sizes_and_partition():
