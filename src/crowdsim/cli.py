@@ -273,6 +273,8 @@ def cmd_simulate(args) -> int:
         params = ckpt.extraction
         net = VelocityPredictor(ckpt.network)
         net.load_state_dict(ckpt.state)
+    elif args.checkpoint is not None:
+        raise ValueError("--checkpoint applies to --model tcn only")
     else:
         params = _extraction(args)
 
@@ -403,7 +405,8 @@ def cmd_sensitivity(args) -> int:
         args, args.data, model="tcn",
         options={**{flag: grids.get(flag, getattr(args, flag)) for flag in EXTRACTION_FLAGS},
                  "iters": args.iters, "batch": args.batch, "lr": args.lr,
-                 "channels": args.channels, "max_steps": args.max_steps})
+                 "channels": args.channels, "dropout": args.dropout,
+                 "max_steps": args.max_steps})
     mhash = manifest.hash()
     datasets = [dataset_from_dict(_load_archive(path), scene) for path in args.data]
     reports = []

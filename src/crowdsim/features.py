@@ -23,7 +23,7 @@ pedestrian's vector and is the reference it equals row by row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,13 +66,7 @@ class ExtractionParams:
         return 2 + 4 * self.n_sectors + 2 * self.n_rays + 4
 
     def to_dict(self) -> dict:
-        return {"radius": self.radius, "sector_deg": self.sector_deg,
-                "ray_deg": self.ray_deg, "vision_range": self.vision_range,
-                "window": self.window}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExtractionParams":
-        return cls(**d)
+        return asdict(self)
 
 
 def _sector_of(angles: np.ndarray, n_sectors: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -43,11 +43,7 @@ class RunManifest:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"command": self.command, "scene": self.scene,
-                "data": list(self.data), "seed": self.seed, "out": self.out,
-                "model": self.model, "extraction": self.extraction,
-                "network": self.network, "training": self.training,
-                "options": self.options, "warnings": list(self.warnings)}
+        return asdict(self)
 
     def hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
@@ -60,17 +56,19 @@ class RunManifest:
             fh.write("\n")
 
 
+def _seed_sequence(master_seed: int, name: str) -> np.random.SeedSequence:
+    tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "little")
+    return np.random.SeedSequence([int(master_seed), tag])
+
+
 def derive_seed(master_seed: int, name: str) -> int:
     """Stable named sub-seed of a master seed."""
-    tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "little")
-    seq = np.random.SeedSequence([int(master_seed), tag])
-    return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**32))
+    return int(_seed_sequence(master_seed, name).generate_state(1, dtype=np.uint64)[0] % (2**32))
 
 
 def substream(master_seed: int, name: str) -> np.random.Generator:
     """Independent generator for one named use of the manifest seed."""
-    tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "little")
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), tag]))
+    return np.random.default_rng(_seed_sequence(master_seed, name))
 
 
 def _encode_tensor(arr: np.ndarray) -> dict:
@@ -97,15 +95,21 @@ class Checkpoint:
 def save_checkpoint(path, state: dict[str, np.ndarray], network: NetworkConfig,
                     extraction: ExtractionParams, manifest_hash: str,
                     training: Optional[TrainingConfig] = None) -> None:
-    doc = {"format": CHECKPOINT_FORMAT,
-           "manifest_hash": manifest_hash,
-           "network": network.to_dict(),
-           "extraction": extraction.to_dict(),
-           "training": training.to_dict() if training is not None else None,
-           "tensors": {name: _encode_tensor(arr) for name, arr in sorted(state.items())}}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
-        fh.write("\n")
+    write_json(path, {"format": CHECKPOINT_FORMAT,
+                      "network": network.to_dict(),
+                      "extraction": extraction.to_dict(),
+                      "training": training.to_dict() if training is not None else None,
+                      "tensors": {name: _encode_tensor(arr) for name, arr in state.items()}},
+               manifest_hash)
+
+
+def _section(path, doc: dict, name: str, cls):
+    """cls from the checkpoint section doc[name], whose keys must be cls's fields."""
+    keys, known = set(doc[name]), {f.name for f in fields(cls)}
+    if keys != known:
+        raise ValueError(f"{path}: checkpoint section {name!r} has missing keys "
+                         f"{sorted(known - keys)} and unknown keys {sorted(keys - known)}")
+    return cls(**doc[name])
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -113,12 +117,12 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    network = NetworkConfig.from_dict(doc["network"])
-    extraction = ExtractionParams.from_dict(doc["extraction"])
+    network = _section(path, doc, "network", NetworkConfig)
+    extraction = _section(path, doc, "extraction", ExtractionParams)
     if network.input_dim != extraction.feature_dim:
         raise ValueError(f"{path}: network input_dim {network.input_dim} does not "
                          f"match the stored extraction feature_dim {extraction.feature_dim}")
-    training = (TrainingConfig.from_dict(doc["training"])
+    training = (_section(path, doc, "training", TrainingConfig)
                 if doc.get("training") is not None else None)
     state = {name: _decode_tensor(t) for name, t in doc["tensors"].items()}
     return Checkpoint(network=network, extraction=extraction, training=training,

@@ -24,7 +24,7 @@ the same order under either plan.  Dropout masks are drawn over the whole
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,17 +59,7 @@ class NetworkConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {"input_dim": self.input_dim, "window": self.window,
-                "tcn_channels": list(self.tcn_channels),
-                "kernel_size": self.kernel_size, "dilations": list(self.dilations),
-                "dropout_rate": self.dropout_rate, "output_dim": self.output_dim}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(input_dim=int(d["input_dim"]), window=int(d["window"]),
-                   tcn_channels=tuple(d["tcn_channels"]),
-                   kernel_size=int(d["kernel_size"]), dilations=tuple(d["dilations"]),
-                   dropout_rate=float(d["dropout_rate"]), output_dim=int(d["output_dim"]))
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,13 +84,7 @@ class TrainingConfig:
             raise ValueError("batch_size and val_every must be positive")
 
     def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "iterations": self.iterations,
-                "batch_size": self.batch_size, "beta1": self.beta1, "beta2": self.beta2,
-                "epsilon": self.epsilon, "val_every": self.val_every, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def weight_norm_effective(v: np.ndarray, g) -> np.ndarray:

@@ -139,20 +139,7 @@ def make_composite(bottleneck_cm: float = 160, entry_cm: float = 80,
         raise ValueError("bottleneck/entry width out of range for this layout")
 
     # Bottleneck room: x in [-4, 0], y in [-2, 2], gap of width bw at x=0.
-    bottleneck = ModuleRegion(
-        id="bottleneck", kind="bottleneck",
-        boundary=np.array([[-4.0, -2.0], [0.0, -2.0], [0.0, 2.0], [-4.0, 2.0]]),
-        walls=np.array([
-            _seg((-4.0, -2.0), (0.0, -2.0)),
-            _seg((-4.0, 2.0), (0.0, 2.0)),
-            _seg((0.0, -2.0), (0.0, -bw / 2)),
-            _seg((0.0, bw / 2), (0.0, 2.0)),
-        ]),
-        exit=np.array(_seg((0.0, -bw / 2), (0.0, bw / 2))),
-        entries=np.array([_seg((-4.0, -2.0), (-4.0, 2.0))]),
-        measurement_area=(-1.0, -1.0, 0.0, 1.0),
-        focus_area=(-4.0, -2.0, 0.0, 2.0),
-    )
+    bottleneck = make_bottleneck(bottleneck_cm).modules[0]
 
     # Corner turns +x flow into +y; junction with the bottleneck is sealed
     # by a virtual wall while a pedestrian is inside the corner.

@@ -38,13 +38,9 @@ from .features import ExtractionParams, extract_batch
 from .geometry import (
     Scene,
     active_walls,
-    closest_point_on_segment,
     closest_points_on_segments,
-    first_wall_crossing,
     first_wall_crossings,
-    point_in_module,
     point_in_modules,
-    point_segment_distance,
 )
 
 WALL_CLEARANCE = 0.05
@@ -252,10 +248,7 @@ class Simulator:
         for ped, start, module_id in zip(entering, starts, point_in_modules(cfg.scene, starts)):
             ped.state = "active"
             ped.module_id = module_id
-            ped.positions.append(start.copy())
-            ped.velocities.append(np.zeros(2))
-            ped.modules.append(module_id)
-            ped.reset_flags.append(False)
+            self._append(ped, start, module_id, np.zeros(2))
 
         active = self._active()
         if not active:
@@ -367,29 +360,27 @@ class Simulator:
     def _commit(self, ped: _PedRuntime, t: int, exits: bool, found: Optional[str]) -> None:
         """Commit the proposal; exits (a predicted step across a terminal exit)
         and found (the module containing the proposal) come from step()."""
-        cfg = self.config
-        pos = ped.positions[-1]
         nxt = np.asarray(ped._proposal, dtype=float)
         vel = ped._velocity
 
         if exits:
-            self._append(ped, nxt, pos, ped.module_id, vel)
+            self._append(ped, nxt, ped.module_id, vel)
             ped.state = "done"
             ped.exited = True
             return
         if found is None and ped._predicted:
-            snapped = snap_to_module(cfg.scene, nxt)
+            snapped = snap_to_module(self.config.scene, nxt)
             if snapped is not None:
                 nxt, found = snapped
             else:
-                pos, nxt, found = self._stranded(ped, nxt, t)
+                nxt, found = self._stranded(ped, nxt, t)
             vel = None
         new_module = found if found is not None else ped.module_id
-        self._append(ped, nxt, pos, new_module, vel)
+        self._append(ped, nxt, new_module, vel)
         ped.module_id = new_module
 
     def _stranded(self, ped: _PedRuntime, nxt: np.ndarray, t: int):
-        """(pos, next, module) for a move out of every module with no snap.
+        """(next, module) for a move out of every module with no snap.
 
         The TCN resets against the wall crossed (or the nearest one), or
         holds when it has reset already this step.
@@ -398,35 +389,33 @@ class Simulator:
             return self._hold(ped)
         pos = ped.positions[-1]
         walls = self._walls[ped.module_id]
-        idx = first_wall_crossing(pos, nxt, walls)
-        if idx is None:
-            idx = self._nearest_wall(pos, walls)
+        idx = int(first_wall_crossings(pos, nxt, walls)[0])
+        if idx < 0:
+            idx = int(np.argmin(closest_points_on_segments(pos, walls[:, 0], walls[:, 1])[1]))
         self._reset(ped, walls[idx], t)
         nxt = np.asarray(ped._proposal, dtype=float)
-        return ped.positions[-1], nxt, point_in_module(self.config.scene, nxt)
+        return nxt, point_in_modules(self.config.scene, nxt)[0]
 
     def _hold(self, ped: _PedRuntime):
-        """(pos, next, module) of staying put.
+        """(next, module) of staying put.
 
-        A hold keeps the current module: on a shared border point_in_module
+        A hold keeps the current module: on a shared border point_in_modules
         would name the earlier module instead.
         """
-        pos = ped.positions[-1]
-        return pos, pos.copy(), ped.module_id
+        return ped.positions[-1].copy(), ped.module_id
 
-    def _append(self, ped: _PedRuntime, nxt: np.ndarray, pos: np.ndarray, module_id: str,
+    def _append(self, ped: _PedRuntime, nxt: np.ndarray, module_id: str,
                 vel: Optional[np.ndarray]) -> None:
+        """Record nxt; vel None records the displacement from the last position over dt."""
+        if vel is None:
+            vel = (nxt - ped.positions[-1]) / self.config.dt
         ped.positions.append(nxt.copy())
-        ped.velocities.append((nxt - pos) / self.config.dt if vel is None else vel)
+        ped.velocities.append(vel)
         ped.modules.append(module_id)
         ped.reset_flags.append(ped._reset_now)
 
-    def _nearest_wall(self, p: np.ndarray, walls: np.ndarray) -> int:
-        dists = [point_segment_distance(p, wall) for wall in walls]
-        return int(np.argmin(dists))
-
     def _clear_point(self, p: np.ndarray, wall: np.ndarray, toward: np.ndarray) -> np.ndarray:
-        c, dist = closest_point_on_segment(p, wall[0], wall[1])
+        (c,), (dist,) = closest_points_on_segments(p, wall[:1], wall[1:])
         if dist >= WALL_CLEARANCE:
             return p.copy()
         if dist > 1e-12:
@@ -480,7 +469,7 @@ class Simulator:
             # first predicted step: the whole window is the seeded prefix,
             # which is never rewritten; just sidestep clear of the wall
             if (np.hypot(*(p_hat - pos_t)) < 1e-12
-                    or first_wall_crossing(pos_t, p_hat, walls_all) is None):
+                    or first_wall_crossings(pos_t, p_hat, walls_all)[0] < 0):
                 ped._proposal = p_hat
             else:
                 ped._proposal = pos_t.copy()
@@ -491,17 +480,15 @@ class Simulator:
         speed = max(float(np.mean(speeds)), MIN_GUIDED_SPEED)
         prev = ped.positions[r0 - 1 - ped.entry]
 
-        guided = [p_hat - direction * speed * dt * (m - 1 - j) for j in range(m)]
-        if self._path_clear(prev, guided, walls_all, wall):
-            step_vel = direction * speed
-        else:
-            guided = [p_hat.copy() for _ in range(m)]
+        # the guided path at speed, else standing at p_hat; zeros, not
+        # direction * 0.0, keep the standing velocities and offsets +0.0
+        for speed, step_vel in ((speed, direction * speed), (0.0, np.zeros(2))):
+            guided = [p_hat - step_vel * dt * (m - 1 - j) for j in range(m)]
             if self._path_clear(prev, guided, walls_all, wall):
-                speed = 0.0
-                step_vel = np.zeros(2)
-            else:
-                ped._proposal = pos_t.copy()
-                return
+                break
+        else:
+            ped._proposal = pos_t.copy()
+            return
 
         for j, s in enumerate(steps):
             i = s - ped.entry
@@ -511,7 +498,7 @@ class Simulator:
         self._rewrite_window(ped, steps, t)
 
         nxt = p_hat + direction * speed * dt
-        if speed > 0.0 and first_wall_crossing(p_hat, nxt, walls_all) is not None:
+        if speed > 0.0 and first_wall_crossings(p_hat, nxt, walls_all)[0] >= 0:
             nxt = p_hat.copy()
         ped._proposal = nxt
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from crowdsim.cli import build_parser, main
 from crowdsim.features import ExtractionParams
 from crowdsim.ingest import Dataset, Run, Trajectory, dataset_to_dict
-from crowdsim.io import read_csv
+from crowdsim.io import load_checkpoint, read_csv
 from crowdsim.network import NetworkConfig, TrainingConfig
 from crowdsim.scene_library import make_corridor
 
@@ -255,6 +256,47 @@ def test_simulate_steps_count_from_earliest_track(tmp_path):
                                   b.positions[:8])
 
 
+def test_simulate_rerun_is_byte_identical(pipeline, tmp_path):
+    checkpoint = ["--checkpoint", str(pipeline["train"] / "checkpoint.json")]
+    for model, extra in (("tcn", checkpoint), ("sf", ["--seed", "1"])):
+        out = tmp_path / model
+        outputs = []
+        for _ in range(2):
+            assert main(["simulate", "--scene", "corridor",
+                         "--data", str(pipeline["ingest"] / "dataset.json"),
+                         "--model", model, "--max-steps", "300", "--out", str(out),
+                         *extra]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trajectories.csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
+
+
+def test_simulate_sf_with_checkpoint_errors(pipeline, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["simulate", "--scene", "corridor",
+                 "--data", str(pipeline["ingest"] / "dataset.json"),
+                 "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
+                 "--model", "sf", "--out", str(out)])
+    assert code == 1
+    assert "--checkpoint applies to --model tcn only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_sections_must_hold_exactly_the_config_fields(pipeline, tmp_path):
+    text = (pipeline["train"] / "checkpoint.json").read_text()
+    for section, removed, added in (("extraction", "vision_range", "range"),
+                                    ("network", "dropout_rate", "bias"),
+                                    ("training", "epsilon", "momentum")):
+        bad = json.loads(text)
+        bad[section][added] = bad[section].pop(removed)
+        path = tmp_path / f"{section}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint section {section!r} has missing keys "
+                f"[{removed!r}] and unknown keys [{added!r}]")):
+            load_checkpoint(path)
+
+
 def test_simulate_without_checkpoint_errors(pipeline, tmp_path, capsys):
     code = main(["simulate", "--scene", "corridor",
                  "--data", str(pipeline["ingest"] / "dataset.json"),
@@ -348,6 +390,8 @@ def test_sensitivity_grid(pipeline, tmp_path):
     assert all(np.isfinite(float(v)) for r in rows for v in r[2:])
     text = (out / "sensitivity.csv").read_text()
     assert "# spread_ade_m=" in text
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["options"]["dropout"] == 0.0
 
 
 def test_sensitivity_single_combo_errors(pipeline, tmp_path, capsys):
