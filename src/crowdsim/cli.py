@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .features import ExtractionParams
-from .ingest import (Dataset, clip_to_focus, dataset_from_dict, dataset_to_dict,
-                     parse_trajectories, Run, build_samples, samples_to_arrays,
-                     split_train_val, trajectory_from_dict)
+from .ingest import (DATASET_FORMAT, Dataset, clip_to_focus, dataset_from_dict,
+                     dataset_to_dict, parse_trajectories, Run, build_samples,
+                     samples_to_arrays, split_train_val, trajectory_from_dict)
 from .io import (RunManifest, derive_seed, load_checkpoint, read_csv,
                  save_checkpoint, substream, write_csv, write_json)
 from .metrics import (Track, evaluate_run, fundamental_diagram,
@@ -91,8 +91,8 @@ def _train_configs(args, params: ExtractionParams, val_every: int,
 def _load_archive(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "crowdsim-dataset-v1":
-        raise ValueError(f"{path}: not a crowdsim-dataset-v1 archive")
+    if doc.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{path}: not a {DATASET_FORMAT} archive")
     return doc
 
 

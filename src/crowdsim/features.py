@@ -17,17 +17,17 @@ relative velocity is minus the subject's velocity.
 feature code that ingest and simulate run.  Its entries may come from
 several snapshots (group ids): a subject's neighbours are the other entries
 of its group only, so one call can serve many frames of a recording or all
-of a simulation step's history rewrites.  `extract_step` builds one
-pedestrian's vector and is the reference it equals row by row.
+of a simulation step's history rewrites.  The scalar reference it equals
+row by row, `extract_step` (one pedestrian's vector), lives with the tests
+in `tests/oracles.py`.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import GEOM_EPS, active_exit, active_walls, ray_cast_batch, ray_distances
+from .geometry import GEOM_EPS, active_exit, active_walls, ray_distances
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,211 +76,13 @@ def _sector_of(angles: np.ndarray, n_sectors: int) -> np.ndarray:
     return np.mod(idx, n_sectors)
 
 
-def wall_points_in_disk(position, walls, radius: float, n_sectors: int):
-    """Nearest wall point per sector wedge, restricted to the disk.
-
-    Returns (dists, points): shape (n_sectors,) and (n_sectors, 2), with
-    +inf / nan where a wedge contains no wall point within the radius.
-    The minimisation uses closed wedges; a point on a shared boundary ray
-    serves both adjacent sectors.
-    """
-    pos = np.asarray(position, dtype=float)
-    seg = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
-    width = TWO_PI / n_sectors
-    dists = np.full(n_sectors, np.inf)
-    points = np.full((n_sectors, 2), np.nan)
-    if seg.shape[0] == 0:
-        return dists, points
-
-    cand_sec: list[np.ndarray] = []
-    cand_dist: list[np.ndarray] = []
-    cand_pt: list[np.ndarray] = []
-
-    a = seg[:, 0, :]
-    b = seg[:, 1, :]
-    ab = b - a
-    len2 = np.maximum(np.einsum("md,md->m", ab, ab), GEOM_EPS**2)
-
-    # Candidate 1: unconstrained closest point of each segment.
-    tproj = np.clip(((pos[None, :] - a) * ab).sum(axis=1) / len2, 0.0, 1.0)
-    proj = a + tproj[:, None] * ab
-    rel = proj - pos[None, :]
-    d_proj = np.linalg.norm(rel, axis=1)
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    keep = d_proj <= radius
-    # A projection collapsing onto the subject belongs to every wedge.
-    on_subject = keep & (d_proj <= GEOM_EPS)
-    regular = keep & ~on_subject
-    cand_sec.append(_sector_of(ang[regular], n_sectors))
-    cand_dist.append(d_proj[regular])
-    cand_pt.append(proj[regular])
-    if np.any(on_subject):
-        for m in np.flatnonzero(on_subject):
-            cand_sec.append(np.arange(n_sectors))
-            cand_dist.append(np.full(n_sectors, d_proj[m]))
-            cand_pt.append(np.tile(proj[m], (n_sectors, 1)))
-
-    # Candidate 2: segment endpoints.
-    for pts in (a, b):
-        rel = pts - pos[None, :]
-        d = np.linalg.norm(rel, axis=1)
-        keep = (d <= radius) & (d > GEOM_EPS)
-        ang = np.arctan2(rel[keep, 1], rel[keep, 0])
-        cand_sec.append(_sector_of(ang, n_sectors))
-        cand_dist.append(d[keep])
-        cand_pt.append(pts[keep])
-
-    # Candidate 3: intersections with the sector boundary rays; each one
-    # serves the wedges on both sides of the ray.
-    bounds = np.arange(n_sectors) * width
-    t_hit = ray_distances(pos, np.stack([np.cos(bounds), np.sin(bounds)], axis=1), seg,
-                          collinear=False)                      # (n_sectors, m)
-    jj, mm = np.nonzero(np.isfinite(t_hit) & (t_hit <= radius))
-    if jj.size:
-        t = t_hit[jj, mm]
-        pts = pos[None, :] + t[:, None] * np.stack(
-            [np.cos(bounds[jj]), np.sin(bounds[jj])], axis=1)
-        for shift in (0, -1):
-            cand_sec.append(np.mod(jj + shift, n_sectors))
-            cand_dist.append(t)
-            cand_pt.append(pts)
-
-    sec = np.concatenate(cand_sec)
-    dist = np.concatenate(cand_dist)
-    pts = np.concatenate(cand_pt, axis=0) if sec.size else np.zeros((0, 2))
-    if sec.size == 0:
-        return dists, points
-    order = np.lexsort((dist, sec))
-    sec_sorted = sec[order]
-    first = np.unique(sec_sorted, return_index=True)[1]
-    for k in first:
-        j = sec_sorted[k]
-        dists[j] = dist[order[k]]
-        points[j] = pts[order[k]]
-    return dists, points
-
-
-def extract_social(position, velocity, others_pos, others_vel, walls,
-                   params: ExtractionParams) -> np.ndarray:
-    """Nearest-entity table over the perception disk, shape (n_sectors, 4).
-
-    Each row holds (dx, dy, dvx, dvy) of the nearest pedestrian or wall
-    point in that sector; empty sectors fall back to a static virtual
-    entity at the sector's arc midpoint on the disk rim.  Distance ties
-    prefer pedestrians, then the lower pedestrian index.
-    """
-    pos = np.asarray(position, dtype=float)
-    vel = np.asarray(velocity, dtype=float)
-    opos = np.asarray(others_pos, dtype=float).reshape(-1, 2)
-    ovel = np.asarray(others_vel, dtype=float).reshape(-1, 2)
-    n = params.n_sectors
-    width = TWO_PI / n
-
-    best_dist = np.full(n, np.inf)
-    best_pos = np.zeros((n, 2))
-    best_vel = np.zeros((n, 2))
-
-    if opos.shape[0]:
-        rel = opos - pos[None, :]
-        d = np.linalg.norm(rel, axis=1)
-        keep = d <= params.radius
-        idx = np.flatnonzero(keep)
-        if idx.size:
-            ang = np.arctan2(rel[idx, 1], rel[idx, 0])
-            sec = _sector_of(ang, n)
-            # A co-located pedestrian has no defined bearing: sector 0.
-            sec = np.where(d[idx] <= GEOM_EPS, 0, sec)
-            order = np.lexsort((idx, d[idx], sec))
-            sec_sorted = sec[order]
-            first = np.unique(sec_sorted, return_index=True)[1]
-            for k in first:
-                j = sec_sorted[k]
-                i = idx[order[k]]
-                best_dist[j] = d[i]
-                best_pos[j] = opos[i]
-                best_vel[j] = ovel[i]
-
-    wd, wp = wall_points_in_disk(pos, walls, params.radius, n)
-    wall_wins = wd < best_dist          # pedestrians win exact ties
-    best_dist = np.where(wall_wins, wd, best_dist)
-    best_pos = np.where(wall_wins[:, None], wp, best_pos)
-    best_vel = np.where(wall_wins[:, None], 0.0, best_vel)
-
-    empty = ~np.isfinite(best_dist)
-    if np.any(empty):
-        mid = (np.flatnonzero(empty) + 0.5) * width
-        best_pos[empty] = pos[None, :] + params.radius * np.stack(
-            [np.cos(mid), np.sin(mid)], axis=1)
-        best_vel[empty] = 0.0
-
-    out = np.empty((n, 4))
-    out[:, 0:2] = best_pos - pos[None, :]
-    out[:, 2:4] = best_vel - vel[None, :]
-    return out
-
-
-def extract_visual(position, walls, params: ExtractionParams) -> np.ndarray:
-    """Relative visual points along evenly spaced rays, shape (n_rays, 2).
-
-    Ray k points at angle k * ray_deg from the positive x axis.  A ray
-    blocked by a wall contributes the hit point; an unobstructed ray
-    contributes the point at the vision range.
-    """
-    pos = np.asarray(position, dtype=float)
-    n = params.n_rays
-    angles = np.arange(n) * (TWO_PI / n)
-    dists, pts = ray_cast_batch(pos, angles, walls)
-    miss = ~np.isfinite(dists)
-    if np.any(miss):
-        pts = pts.copy()
-        pts[miss] = pos[None, :] + params.vision_range * np.stack(
-            [np.cos(angles[miss]), np.sin(angles[miss])], axis=1)
-    if int(miss.sum()) * 2 > n:
-        warnings.warn(
-            f"{int(miss.sum())}/{n} vision rays hit no wall; "
-            "the subject may be outside the scene geometry",
-            RuntimeWarning, stacklevel=2)
-    return pts - pos[None, :]
-
-
-def extract_exit(position, exit_segment) -> np.ndarray:
-    """Relative exit endpoints, shape (2, 2), lexicographically ordered.
-
-    Ordering uses the absolute endpoint coordinates (x, then y) so the
-    row order does not depend on the subject's position.
-    """
-    return _ordered_exit(exit_segment) - np.asarray(position, dtype=float)[None, :]
-
-
 def _ordered_exit(exit_segment) -> np.ndarray:
+    """Exit endpoints ordered by (x, then y), so the row order does not depend
+    on the subject's position."""
     ex = np.asarray(exit_segment, dtype=float).reshape(2, 2)
     if (ex[0, 0], ex[0, 1]) > (ex[1, 0], ex[1, 1]):
         ex = ex[::-1]
     return ex
-
-
-def assemble_step(velocity, social: np.ndarray, visual: np.ndarray,
-                  exit_rel: np.ndarray, params: ExtractionParams) -> np.ndarray:
-    """Flatten one step's blocks into the feature vector (row-major)."""
-    vel = np.asarray(velocity, dtype=float).reshape(-1)
-    if vel.shape != (2,):
-        raise ValueError(f"velocity must have 2 entries, got {vel.shape}")
-    if social.shape != (params.n_sectors, 4):
-        raise ValueError(f"social block must be {(params.n_sectors, 4)}, got {social.shape}")
-    if visual.shape != (params.n_rays, 2):
-        raise ValueError(f"visual block must be {(params.n_rays, 2)}, got {visual.shape}")
-    if exit_rel.shape != (2, 2):
-        raise ValueError(f"exit block must be (2, 2), got {exit_rel.shape}")
-    return np.concatenate([vel, social.ravel(), visual.ravel(), exit_rel.ravel()])
-
-
-def extract_step(position, velocity, others_pos, others_vel, walls,
-                 exit_segment, params: ExtractionParams) -> np.ndarray:
-    """One pedestrian-step feature vector of length params.feature_dim."""
-    social = extract_social(position, velocity, others_pos, others_vel, walls, params)
-    visual = extract_visual(position, walls, params)
-    exit_rel = extract_exit(position, exit_segment)
-    return assemble_step(velocity, social, visual, exit_rel, params)
 
 
 def _group_pairs(subjects: np.ndarray, groups: np.ndarray):
@@ -329,7 +131,8 @@ def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
 
 
 def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sectors: int):
-    """`wall_points_in_disk` for every subject of pos (g, 2) against one wall set.
+    """`wall_points_in_disk` (tests/oracles.py) for every subject of pos (g, 2)
+    against one wall set.
 
     Each wedge takes the nearest of its candidates, laid out per subject and
     sector as [projections, first endpoints, second endpoints, hits on the
@@ -388,7 +191,8 @@ def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sector
 
 
 def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams) -> np.ndarray:
-    """`extract_visual` for every subject of pos (g, 2), shape (g, n_rays, 2)."""
+    """`extract_visual` (tests/oracles.py) for every subject of pos (g, 2),
+    shape (g, n_rays, 2)."""
     n = params.n_rays
     angles = np.arange(n) * (TWO_PI / n)
     u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -408,11 +212,12 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
     """Feature rows against one or more snapshots, shape (n, feature_dim).
 
     groups gives each entry a snapshot id (None: one snapshot).  Each entry
-    with a module gets a row, in order, equal bit for bit to `extract_step`
-    of that pedestrian with the other entries of its group (in order) as its
-    neighbours and the walls and exit of its module.  An entry whose module
-    id is None is a neighbour only and gets no row.  Pairs are built only
-    within groups, so memory grows with subjects times group size.
+    with a module gets a row, in order, equal bit for bit to the reference
+    `extract_step` (tests/oracles.py) of that pedestrian with the other
+    entries of its group (in order) as its neighbours and the walls and exit
+    of its module.  An entry whose module id is None is a neighbour only and
+    gets no row.  Pairs are built only within groups, so memory grows with
+    subjects times group size.
     """
     pos = np.asarray(pos, dtype=float).reshape(-1, 2)
     vel = np.asarray(vel, dtype=float).reshape(-1, 2)
@@ -446,11 +251,3 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
     social = np.concatenate([best_pos - pos[:, None, :], best_vel - vel[:, None, :]], axis=2)
     return np.concatenate([vel, social.reshape(n, 4 * ns), visual.reshape(n, 2 * nr),
                            exit_rel.reshape(n, 4)], axis=1)
-
-
-def stack_window(steps) -> np.ndarray:
-    """Stack per-step feature vectors into a (w, feature_dim) window."""
-    arr = np.asarray(steps, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a list of equal-length step vectors, got shape {arr.shape}")
-    return arr

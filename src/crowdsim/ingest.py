@@ -24,6 +24,8 @@ import numpy as np
 from .features import ExtractionParams, extract_batch
 from .geometry import Scene, point_in_modules, rect_mask
 
+DATASET_FORMAT = "crowdsim-dataset-v1"
+
 MAX_GAP_FRAMES = 5
 
 # Subject rows per `extract_batch` call in build_samples: about one crowd
@@ -319,7 +321,7 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
 def dataset_to_dict(dataset: Dataset, scene_ref: str) -> dict:
     """JSON-ready archive; NaN first-row velocities are left implicit."""
     return {
-        "format": "crowdsim-dataset-v1",
+        "format": DATASET_FORMAT,
         "scene": scene_ref,
         "role": dataset.role,
         "dt": dataset.dt,
@@ -332,7 +334,7 @@ def dataset_to_dict(dataset: Dataset, scene_ref: str) -> dict:
 
 
 def dataset_from_dict(doc: dict, scene: Scene) -> Dataset:
-    if doc.get("format") != "crowdsim-dataset-v1":
+    if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"unsupported dataset format {doc.get('format')!r}")
     runs = tuple(
         Run(name=str(r["name"]),

@@ -49,11 +49,7 @@ class RunManifest:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
     def save(self, path) -> None:
-        doc = self.to_dict()
-        doc["manifest_hash"] = self.hash()
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2))
-            fh.write("\n")
+        write_json(path, self.to_dict(), self.hash())
 
 
 def _seed_sequence(master_seed: int, name: str) -> np.random.SeedSequence:

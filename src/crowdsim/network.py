@@ -20,7 +20,8 @@ depends on are computed, forward and backward; `train`, `batch_loss` and
 index arrays where not, taps in increasing u so every output row sums in
 the same order under either plan.  Dropout masks are drawn over the whole
 (B, C, window) either way, so the rng stream does not depend on the plan.
-`dilated_causal_conv` is the scalar oracle.
+The scalar reference of each conv, `dilated_causal_conv` (the defining sum),
+lives with the tests in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -95,7 +96,7 @@ def weight_norm_effective(v: np.ndarray, g) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    if g_arr.ndim == 0 or (v.ndim == 1 and g_arr.size == 1):
+    if v.ndim == 1 and g_arr.size == 1:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("direction tensor has zero norm")
@@ -106,33 +107,6 @@ def weight_norm_effective(v: np.ndarray, g) -> np.ndarray:
         raise ValueError("direction tensor has zero norm")
     shape = (v.shape[0],) + (1,) * (v.ndim - 1)
     return g_arr.reshape(shape) * v / norms.reshape(shape)
-
-
-def dilated_causal_conv(z, f, q: int, h: int) -> np.ndarray:
-    """Plain dilated causal convolution per the defining sum.
-
-    out[e] = sum_{u=0}^{q-1} f[u] * z[e - h*u], with out-of-range samples
-    reading as zero so input and output lengths match.  z may be (L,) for
-    scalar channels or (L, C); f is (q,) or (q, C) accordingly.
-    """
-    z = np.asarray(z, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != q:
-        raise ValueError(f"filter length {f.shape[0]} != q={q}")
-    if h < 1:
-        raise ValueError("dilation must be positive")
-    scalar = z.ndim == 1
-    z2 = z[:, None] if scalar else z
-    f2 = f[:, None] if f.ndim == 1 else f
-    L = z2.shape[0]
-    out = np.zeros(L)
-    for u in range(q):
-        shift = h * u
-        if shift >= L:
-            break
-        contrib = (z2[: L - shift] * f2[u][None, :]).sum(axis=1)
-        out[shift:] += contrib
-    return out
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,23 +48,6 @@ MIN_GUIDED_SPEED = 0.1
 JUNCTION_SNAP = 0.02
 
 
-class ConstantVelocityOracle:
-    """Model stub predicting one fixed velocity for every window."""
-
-    def __init__(self, velocity):
-        self.velocity = np.asarray(velocity, dtype=float).reshape(2)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.tile(self.velocity, (x.shape[0], 1))
-
-
-class ZeroVelocityOracle(ConstantVelocityOracle):
-    """Model stub that keeps every pedestrian exactly in place."""
-
-    def __init__(self):
-        super().__init__((0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class PedestrianSeed:
     """Entry step plus the w seed positions replayed before prediction."""

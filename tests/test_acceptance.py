@@ -16,20 +16,20 @@ import numpy as np
 import pytest
 
 from crowdsim.cli import main as cli_main
-from crowdsim.features import ExtractionParams, extract_step, stack_window
+from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (ModuleRegion, Scene, active_exit, active_walls,
-                               first_wall_crossing, point_in_module,
-                               point_segment_distance, ray_cast)
+                               first_wall_crossing, point_in_module)
 from crowdsim.io import read_csv
 from crowdsim.metrics import Track, ade, fde, fundamental_diagram, tte
 from crowdsim.network import (NetworkConfig, TrainingConfig, VelocityPredictor,
-                              dilated_causal_conv, loss_and_grad, train)
+                              loss_and_grad, train)
 from crowdsim.scene_library import make_bottleneck, make_corridor
-from crowdsim.simulate import (ConstantVelocityOracle, PedestrianSeed,
-                               SimulationConfig, ZeroVelocityOracle,
-                               run_simulation)
+from crowdsim.simulate import PedestrianSeed, SimulationConfig, run_simulation
 from crowdsim.social_force import SFParams, sf_run
 
+from oracles import (ConstantVelocityOracle, ZeroVelocityOracle,
+                     dilated_causal_conv, extract_step, point_segment_distance,
+                     ray_cast, stack_window)
 from test_geometry import _sampling_oracle
 
 acceptance = pytest.mark.acceptance

@@ -7,26 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdsim.features import (
-    ExtractionParams,
-    assemble_step,
-    extract_batch,
-    extract_exit,
-    extract_social,
-    extract_step,
-    extract_visual,
-    stack_window,
-    wall_points_in_disk,
-)
+from crowdsim.features import ExtractionParams, extract_batch
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
     active_exit,
     active_walls,
     point_in_module,
-    ray_cast_batch,
 )
 from crowdsim.scene_library import BUILTIN_SCENES
+
+from oracles import (
+    assemble_step,
+    extract_exit,
+    extract_social,
+    extract_step,
+    extract_visual,
+    ray_cast_batch,
+    stack_window,
+    wall_points_in_disk,
+)
 
 P18 = ExtractionParams(sector_deg=18.0)
 

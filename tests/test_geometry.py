@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,15 +22,13 @@ from crowdsim.geometry import (
     point_in_modules,
     point_in_polygon,
     points_in_polygon,
-    point_segment_distance,
-    ray_cast,
-    ray_cast_batch,
-    rect_contains,
     save_scene,
     scene_from_dict,
     scene_to_dict,
 )
 from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
+
+from oracles import point_segment_distance, ray_cast, ray_cast_batch, rect_contains
 
 
 def _square_module(mid: str = "m1", x0: float = 0.0) -> ModuleRegion:
@@ -389,6 +390,18 @@ def test_scene_validation_rejects_cycles_and_bad_refs() -> None:
         Scene(modules=(m1,), successor={"m1": "ghost"}).validate()
     with pytest.raises(ValueError, match="missing from successor"):
         Scene(modules=(m1,), successor={}).validate()
+
+
+def test_exit_endpoints_must_lie_within_1e_6_of_the_boundary() -> None:
+    m = _square_module()
+    for off in (0.9e-6, -0.9e-6):
+        replace(m, exit=np.array([[2.0 + off, 0.5], [2.0 + off, 1.5]])).validate()
+    for exit, first_bad in (([[2.0, 0.5], [2.0 + 2e-6, 1.5]], 1),
+                            ([[2.0 - 2e-6, 0.5], [2.0 + 2e-6, 1.5]], 0)):
+        exit = np.array(exit)
+        message = f"exit endpoint {exit[first_bad]} not on boundary"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(m, exit=exit).validate()
 
 
 def test_scene_round_trip_through_dict() -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import crowdsim.ingest
-from crowdsim.features import ExtractionParams, extract_step, stack_window
+from crowdsim.features import ExtractionParams
 from crowdsim.geometry import active_exit, active_walls, point_in_module
 from crowdsim.ingest import (
     Dataset,
@@ -21,6 +21,8 @@ from crowdsim.ingest import (
     split_train_val,
 )
 from crowdsim.scene_library import make_composite, make_corridor
+
+from oracles import extract_step, stack_window
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 

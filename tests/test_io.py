@@ -34,6 +34,13 @@ def test_manifest_save_roundtrip(tmp_path):
     assert doc["command"] == "train"
 
 
+def test_manifest_file_is_written_by_write_json(tmp_path):
+    m = _manifest(warnings=["w1"], options={"b": 1, "a": [0.5, None]})
+    m.save(tmp_path / "manifest.json")
+    write_json(tmp_path / "doc.json", m.to_dict(), m.hash())
+    assert (tmp_path / "manifest.json").read_bytes() == (tmp_path / "doc.json").read_bytes()
+
+
 def test_derive_seed_deterministic_and_name_dependent():
     assert derive_seed(7, "split") == derive_seed(7, "split")
     assert derive_seed(7, "split") != derive_seed(7, "init")

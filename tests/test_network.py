@@ -11,13 +11,14 @@ from crowdsim.network import (
     TrainingConfig,
     VelocityPredictor,
     batch_loss,
-    dilated_causal_conv,
     loss_and_grad,
     train,
     weight_norm_effective,
     _WeightNormConv,
     step_plan,
 )
+
+from oracles import dilated_causal_conv
 
 TINY = NetworkConfig(input_dim=6, window=8, tcn_channels=(3, 4, 5),
                      kernel_size=3, dilations=(1, 2, 4), dropout_rate=0.2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crowdsim.simulate
-from crowdsim.features import ExtractionParams, extract_step
+from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
@@ -13,22 +13,26 @@ from crowdsim.geometry import (
     closest_point_on_segment,
     first_wall_crossing,
     point_in_module,
-    point_segment_distance,
 )
 from crowdsim.ingest import Trajectory
 from crowdsim.network import NetworkConfig, VelocityPredictor
 from crowdsim.scene_library import make_bottleneck, make_composite, make_corridor
 from crowdsim.simulate import (
-    ConstantVelocityOracle,
     PedestrianSeed,
     SimulationConfig,
     Simulator,
-    ZeroVelocityOracle,
     run_simulation,
     seeds_from_run,
     snap_to_module,
 )
 from crowdsim.social_force import SFParams, sf_run
+
+from oracles import (
+    ConstantVelocityOracle,
+    ZeroVelocityOracle,
+    extract_step,
+    point_segment_distance,
+)
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 

@@ -17,7 +17,6 @@ from crowdsim.geometry import (
     closest_point_on_segment,
     first_wall_crossing,
     point_in_module,
-    point_segment_distance,
 )
 from crowdsim.scene_library import make_corner, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig
@@ -29,6 +28,8 @@ from crowdsim.social_force import (
     sf_run,
     shrunk_exit,
 )
+
+from oracles import point_segment_distance
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 NO_WALLS = np.zeros((0, 2, 2))
