@@ -28,8 +28,8 @@ import numpy as np
 
 from .features import ExtractionParams
 from .ingest import (DATASET_FORMAT, Dataset, clip_to_focus, dataset_from_dict,
-                     dataset_to_dict, parse_trajectories, Run, build_samples,
-                     samples_to_arrays, split_train_val, trajectory_from_dict)
+                     dataset_to_dict, parse_trajectories, Run, SampleSet, build_samples,
+                     trajectory_from_dict)
 from .io import (RunManifest, derive_seed, load_checkpoint, read_csv,
                  save_checkpoint, substream, write_csv, write_json)
 from .metrics import (Track, evaluate_run, fundamental_diagram,
@@ -209,13 +209,12 @@ def _train_stage(datasets, params: ExtractionParams, net_cfg: NetworkConfig,
 
     Returns the predictor, the TrainResult and the training-sample count.
     """
-    samples = [s for dataset in datasets for s in build_samples(dataset, params)]
-    if not samples:
+    samples = SampleSet.concatenate([build_samples(dataset, params) for dataset in datasets])
+    if not len(samples):
         raise ValueError("no training samples could be built from the archives")
-    tr, va = split_train_val(samples, ratio=4, seed=derive_seed(seed, "split"))
-    x_tr, y_tr = samples_to_arrays(tr)
-    x_va, y_va = samples_to_arrays(va)
-    del samples, tr, va         # their windows keep every run's feature array alive
+    # Both splits index the samples' one feature array; a batch is gathered
+    # from it when train or batch_loss takes one.
+    x_tr, y_tr, x_va, y_va = samples.split(ratio=4, seed=derive_seed(seed, "split"))
     net = VelocityPredictor(net_cfg, rng=substream(seed, f"init{tag}"))
     return net, train(net, x_tr, y_tr, x_va, y_va, train_cfg), len(x_tr)
 

@@ -10,13 +10,13 @@ Velocities are backward differences, ``v[t] = (p[t] - p[t-1]) / dt``, stored
 at index t with index 0 left NaN.  This makes the simulator update
 ``p[t+1] = p[t] + v[t+1]*dt`` the exact inverse of the differencing.
 Training samples take their features from `features.extract_batch`, as the
-simulator does, many frames per call; each sample window is a slice of its
-run's rows.
+simulator does, many frames per call; each sample window indexes rows of
+one feature array that holds every extracted row once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -103,6 +103,80 @@ class Sample:
     X: np.ndarray               # (w, feature_dim)
     target: np.ndarray          # (2,)
     meta: tuple[str, str, int]  # (run name, ped_id, local step t)
+
+
+@dataclass(frozen=True)
+class Windows:
+    """Sample windows over shared feature rows, each row stored once.
+
+    Window i is rows[first[i] : first[i] + window].  Indexing with a batch
+    index array or a slice gathers the batch into one C-contiguous
+    time-major (window, B, D) buffer and returns its (B, window, D)
+    transposed view: the values of the stacked (n, window, D) array at
+    those indices, in the layout the network's blocks convolve over, so
+    they take it without a copy.  Holding n windows costs R·D·8 + n·8
+    bytes instead of n·window·D·8.
+    """
+
+    rows: np.ndarray            # (R, D) float64
+    first: np.ndarray           # (n,) row of each window's oldest step
+    window: int
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return len(self.first), self.window, self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        steps = np.add.outer(np.arange(self.window), self.first[idx])
+        return np.moveaxis(self.rows[steps], 0, -2)
+
+
+@dataclass(frozen=True)
+class SampleSet:
+    """Training samples in one order: windows over shared feature rows,
+    (n, 2) next-step velocity targets and (run, ped_id, t) metadata.
+
+    A sequence of `Sample`s to iterate or index; `split` hands training the
+    windows themselves.
+    """
+
+    windows: Windows
+    targets: np.ndarray         # (n, 2)
+    meta: tuple[tuple[str, str, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i: int) -> Sample:
+        return Sample(X=self.windows[i], target=self.targets[i], meta=self.meta[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def split(self, ratio: int = 4, seed: int = 0):
+        """The `split_train_val` split as (x_train, y_train, x_val, y_val),
+        both windows over this set's rows."""
+        tr, va = (np.array(part, dtype=np.intp)
+                  for part in split_train_val(range(len(self)), ratio, seed))
+        return (replace(self.windows, first=self.windows.first[tr]), self.targets[tr],
+                replace(self.windows, first=self.windows.first[va]), self.targets[va])
+
+    @staticmethod
+    def concatenate(sets) -> "SampleSet":
+        """One set holding the samples of ``sets`` in order; a single set is
+        returned as is, so its rows are not copied."""
+        if len(sets) == 1:
+            return sets[0]
+        offsets = np.cumsum([0] + [len(s.windows.rows) for s in sets[:-1]])
+        return SampleSet(
+            Windows(np.concatenate([s.windows.rows for s in sets]),
+                    np.concatenate([s.windows.first + o for s, o in zip(sets, offsets)]),
+                    sets[0].windows.window),
+            np.concatenate([s.targets for s in sets]),
+            tuple(m for s in sets for m in s.meta))
 
 
 def _derive_velocities(positions: np.ndarray, dt: float) -> np.ndarray:
@@ -231,49 +305,58 @@ def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
     return modules
 
 
-def build_samples(dataset: Dataset, params: ExtractionParams) -> list[Sample]:
-    """Emit one Sample per (pedestrian, t) with a full window and a target.
+def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
+    """Emit one sample per (pedestrian, t) with a full window and a target.
 
     Valid t ranges over [w, n-2]: every window row needs a defined velocity
     (local step >= 1) and the target is v[t+1].  A track with n positions
-    yields max(0, n - 1 - w) samples, in run, track and t order.  Windows are
-    views of one feature array per run.  It is filled by one `extract_batch`
-    call per chunk of consecutive frames, the frame being the group: everyone
-    present is a neighbour, only row steps are subjects.  A chunk holds about
-    _CHUNK_ROWS subject rows; the call's temporaries grow with its rows, so
-    one call per run would cost hundreds of MiB on a long recording.
+    yields max(0, n - 1 - w) samples, in run, track and t order.  Each row
+    step of a track that yields samples (1 … n-2) is one row of the set's
+    feature array, tracks in run order and steps in order, so a window is
+    w consecutive rows and every row is stored once.  The rows are filled
+    by one `extract_batch` call per chunk of consecutive frames of a run,
+    the frame being the group: everyone present is a neighbour, only row
+    steps are subjects.  A chunk holds about _CHUNK_ROWS subject rows; the
+    call's temporaries grow with its rows, so one call per run would cost
+    hundreds of MiB on a long recording.
     """
     w = params.window
-    samples: list[Sample] = []
-    for run in dataset.runs:
+    runs = [(run, [m for traj in run.trajectories
+                   for m in _row_modules(traj, dataset.scene, w)])
+            for run in dataset.runs if run.trajectories]
+    rows = np.empty((sum(m is not None for _, ids in runs for m in ids), params.feature_dim))
+    first, targets, meta = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))], []
+    offset = 0                          # rows of the runs before this one
+    for run, module_ids in runs:
         tracks = run.trajectories
-        if not tracks:
-            continue
-        module_ids = [m for traj in tracks for m in _row_modules(traj, dataset.scene, w)]
         starts = np.cumsum([0] + [len(traj) for traj in tracks[:-1]])
         frame = np.concatenate([traj.t0 + np.arange(len(traj)) for traj in tracks])
         pos = np.concatenate([traj.positions for traj in tracks])
         vel = np.concatenate([traj.velocities for traj in tracks])
         vel[starts] = 0.0                   # Trajectory.velocity_at(0)
         is_row = np.array([m is not None for m in module_ids])
+        row_of = offset + np.cumsum(is_row) - 1
         # Every entry in frame order, tracks in run order within a frame;
         # a frame joins the chunk in which its first row would fall.
         order = np.argsort(frame, kind="stable")
-        first = np.unique(frame[order], return_index=True)[1]
-        chunk = (np.cumsum(is_row[order]) - is_row[order])[first] // _CHUNK_ROWS
-        bounds = np.append(first[np.flatnonzero(np.diff(chunk, prepend=-1))], len(order))
-        feats = np.full((len(frame), params.feature_dim), np.nan)
+        first_of_frame = np.unique(frame[order], return_index=True)[1]
+        chunk = (np.cumsum(is_row[order]) - is_row[order])[first_of_frame] // _CHUNK_ROWS
+        bounds = np.append(first_of_frame[np.flatnonzero(np.diff(chunk, prepend=-1))],
+                           len(order))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             idx = order[lo:hi]
-            feats[idx[is_row[idx]]] = extract_batch(
+            rows[row_of[idx[is_row[idx]]]] = extract_batch(
                 pos[idx], vel[idx], [module_ids[i] for i in idx], dataset.scene, params,
                 groups=frame[idx])
         for start, traj in zip(starts, tracks):
-            for t in range(w, len(traj) - 1):
-                samples.append(Sample(X=feats[start + t - w + 1:start + t + 1],
-                                      target=traj.velocities[t + 1].copy(),
-                                      meta=(run.name, traj.ped_id, t)))
-    return samples
+            count = max(0, len(traj) - 1 - w)
+            if count:                       # window of t starts at row step t - w + 1
+                first.append(row_of[start + 1] + np.arange(count))
+                targets.append(traj.velocities[w + 1:])
+                meta += [(run.name, traj.ped_id, t) for t in range(w, len(traj) - 1)]
+        offset += int(is_row.sum())
+    return SampleSet(Windows(rows, np.concatenate(first), w), np.concatenate(targets),
+                     tuple(meta))
 
 
 def split_train_val(samples, ratio: int = 4, seed: int = 0):
@@ -286,15 +369,6 @@ def split_train_val(samples, ratio: int = 4, seed: int = 0):
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
     return [samples[i] for i in train_idx], [samples[i] for i in val_idx]
-
-
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (n, w, d) inputs and (n, 2) targets."""
-    if not samples:
-        raise ValueError("no samples")
-    x = np.stack([s.X for s in samples]).astype(float)
-    y = np.stack([s.target for s in samples]).astype(float)
-    return x, y
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:

@@ -441,9 +441,12 @@ def loss_and_grad(pred: np.ndarray, target: np.ndarray,
     return float(per.sum()), diff / per[:, None]
 
 
-def batch_loss(net: VelocityPredictor, x: np.ndarray, y: np.ndarray,
-               chunk: int = 2048) -> float:
-    """Eval-mode loss of a batch (sum over samples), chunked for memory."""
+def batch_loss(net: VelocityPredictor, x, y: np.ndarray, chunk: int = 2048) -> float:
+    """Eval-mode loss of a batch (sum over samples), chunked for memory.
+
+    x is a (n, window, input_dim) array or anything with its ``shape[0]``
+    and slicing, such as `ingest.Windows`, which gathers one chunk at a time.
+    """
     total = 0.0
     for lo in range(0, x.shape[0], chunk):
         pred = net.forward(x[lo:lo + chunk], train=False, head_only=True)
@@ -488,11 +491,13 @@ class TrainResult:
     best_val_loss: float = np.inf
 
 
-def train(net: VelocityPredictor, x_train: np.ndarray, y_train: np.ndarray,
-          x_val: np.ndarray, y_val: np.ndarray,
+def train(net: VelocityPredictor, x_train, y_train: np.ndarray, x_val, y_val: np.ndarray,
           config: TrainingConfig) -> TrainResult:
     """Minibatch Adam training with periodic validation snapshots.
 
+    Inputs are (n, window, input_dim) arrays or anything with their
+    ``shape[0]`` and indexing by slices and index arrays, such as
+    `ingest.Windows`, which gathers each batch from shared feature rows.
     Loss history rows are (iteration, train_loss, val_loss) with losses
     normalised per sample; the returned state is the parameter set with
     the best recorded validation loss.  Raises RuntimeError on NaN loss.

@@ -8,7 +8,9 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
   `extract_exit`, `assemble_step` and `extract_step`:
   `features.extract_batch` (`_wall_points_batch`, `_visual_batch`), bit
   for bit;
-* `dilated_causal_conv`: `network._WeightNormConv.forward`, to 1e-12.
+* `dilated_causal_conv`: `network._WeightNormConv.forward`, to 1e-12;
+* `samples_to_arrays`: `ingest.Windows`, whose batches equal its stacked
+  arrays at the same indices, bit for bit.
 
 `point_segment_distance`, `rect_contains`, `stack_window` and the two
 velocity stubs are small helpers that tests build their cases with.  The
@@ -289,6 +291,15 @@ def stack_window(steps) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a list of equal-length step vectors, got shape {arr.shape}")
     return arr
+
+
+def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Stack samples into (n, w, d) inputs and (n, 2) targets."""
+    if not samples:
+        raise ValueError("no samples")
+    x = np.stack([s.X for s in samples]).astype(float)
+    y = np.stack([s.target for s in samples]).astype(float)
+    return x, y
 
 
 def dilated_causal_conv(z, f, q: int, h: int) -> np.ndarray:

@@ -17,12 +17,11 @@ from crowdsim.ingest import (
     dataset_from_dict,
     dataset_to_dict,
     parse_trajectories,
-    samples_to_arrays,
     split_train_val,
 )
 from crowdsim.scene_library import make_composite, make_corridor
 
-from oracles import extract_step, stack_window
+from oracles import extract_step, samples_to_arrays, stack_window
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 
