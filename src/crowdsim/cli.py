@@ -133,10 +133,18 @@ def _tracks_from_csv(path) -> list[Track]:
             raise ValueError(f"{path}: missing column {name!r}")
         idx[name] = header.index(name)
     by_ped: dict[str, list[tuple[int, float, float, float]]] = {}
+    seen = set()
     for row in rows:
-        by_ped.setdefault(row[idx["ped_id"]], []).append(
-            (int(row[idx["step"]]), float(row[idx["time_s"]]),
-             float(row[idx["x_m"]]), float(row[idx["y_m"]])))
+        pid = row[idx["ped_id"]] if idx["ped_id"] < len(row) else "?"
+        if len(row) != len(header):
+            raise ValueError(f"{path}: pedestrian {pid!r}: a row of {len(row)} fields "
+                             f"under a header of {len(header)}")
+        step = int(row[idx["step"]])
+        if (pid, step) in seen:
+            raise ValueError(f"{path}: pedestrian {pid!r} has two rows at step {step}")
+        seen.add((pid, step))
+        by_ped.setdefault(pid, []).append(
+            (step, float(row[idx["time_s"]]), float(row[idx["x_m"]]), float(row[idx["y_m"]])))
     dt = None
     for recs in by_ped.values():
         if len(recs) >= 2:

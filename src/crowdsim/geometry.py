@@ -4,11 +4,17 @@ A scene is a list of modules (bottleneck, corridor, corner, t_junction)
 chained by a successor map.  Every module carries its own walls, an exit
 segment, optional virtual walls that seal junctions, and two axis-aligned
 rectangles (measurement and focus area).  All coordinates are metres.
+
+Each predicate has one implementation, a kernel over many rays, moves or
+points.  `first_wall_crossing` and `point_in_module` are its one-move and
+one-point views; the scalar references the kernels are tested against live
+in the test suite, not here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,62 +81,16 @@ def ray_distances(origins, d: np.ndarray, seg: np.ndarray, collinear: bool = Tru
     return t_hit
 
 
-# Kept scalar: perfbench counts a run's exits with it, independently of the batched kernel.
-def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
-    """Index of the wall crossed first along the displacement, or None."""
-    seg = _as_walls(walls)
-    if seg.shape[0] == 0:
-        return None
-    a = np.asarray(p_from, dtype=float)
-    b = np.asarray(p_to, dtype=float)
-    d = b - a
-    dlen = np.linalg.norm(d)
-
-    p0 = seg[:, 0, :]
-    s = seg[:, 1, :] - seg[:, 0, :]
-    slen = np.linalg.norm(s, axis=1)
-    a0 = p0 - a
-
-    denom = d[0] * s[:, 1] - d[1] * s[:, 0]
-    a0xs = a0[:, 0] * s[:, 1] - a0[:, 1] * s[:, 0]
-    a0xd = a0[:, 0] * d[1] - a0[:, 1] * d[0]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = a0xs / denom
-        u = a0xd / denom
-
-    eps_t = GEOM_EPS / max(dlen, GEOM_EPS)
-    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)
-    nonpar = np.abs(denom) > 1e-12
-    ok = nonpar & (t >= -eps_t) & (t <= 1.0 + eps_t) & (u >= -eps_u) & (u <= 1.0 + eps_u)
-    t_hit = np.where(ok, np.clip(t, 0.0, 1.0), np.inf)
-
-    par = ~nonpar
-    if np.any(par) and dlen > GEOM_EPS:
-        dn = d / dlen
-        perp = np.abs(a0[:, 0] * dn[1] - a0[:, 1] * dn[0])
-        ta = (a0 @ dn) / dlen
-        tb = ta + (s @ dn) / dlen
-        lo = np.minimum(ta, tb)
-        hi = np.maximum(ta, tb)
-        okp = par & (perp <= GEOM_EPS) & (hi >= -eps_t) & (lo <= 1.0 + eps_t)
-        t_par = np.where(okp, np.clip(lo, 0.0, 1.0), np.inf)
-        t_hit = np.minimum(t_hit, t_par)
-
-    best = int(np.argmin(t_hit))
-    if not np.isfinite(t_hit[best]):
-        return None
-    return best
-
-
 def first_wall_crossings(p_from, p_to, walls) -> np.ndarray:
-    """`first_wall_crossing` of every move p_from[i] -> p_to[i], bit for bit.
+    """Index of the wall crossed first by every move p_from[i] -> p_to[i].
 
     Takes (n, 2) move endpoints and one wall set; returns an (n,) int array
-    of wall indices, -1 where the scalar gives None.  Each step keeps the
-    scalar's operation: sqrt of `np.vecdot` is `np.linalg.norm` of one
-    vector, and the stacked `@` rounds as its per-move `a0 @ dn` and
-    `s @ dn` do (einsum and vecdot do not).
+    of wall indices, -1 where a move crosses none.  A move crosses a wall
+    it touches: endpoints and collinear overlaps count, within GEOM_EPS.
+    The tests hold it to a per-move scalar reference bit for bit, so each
+    step keeps that reference's operation: sqrt of `np.vecdot` is
+    `np.linalg.norm` of one vector, and the stacked `@` rounds as its
+    per-move `a0 @ dn` and `s @ dn` do (einsum and vecdot do not).
     """
     seg = _as_walls(walls)
     a = np.asarray(p_from, dtype=float).reshape(-1, 2)
@@ -179,27 +139,21 @@ def first_wall_crossings(p_from, p_to, walls) -> np.ndarray:
     return np.where(np.isfinite(t_hit[np.arange(n), best]), best, -1)
 
 
-# Kept scalar: desired_direction calls it per point, where it beats the batched kernel ~1.8x.
-def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarray, float]:
-    """Closest point of segment a-b to p (clamped projection) and its distance."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    ab = np.asarray(b, dtype=float) - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
-    c = a + t * ab
-    dx, dy = p - c
-    return c, float(np.hypot(dx, dy))
+def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
+    """`first_wall_crossings` of one move, with None for no crossing."""
+    idx = int(first_wall_crossings(p_from, p_to, walls)[0])
+    return None if idx < 0 else idx
 
 
 def closest_points_on_segments(p, a: np.ndarray,
                                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`closest_point_on_segment` of p to every segment a[i]-b[i], bit for bit.
+    """Closest point of p to every segment a[i]-b[i] (clamped projection).
 
     Returns the points (m, 2) and distances (m,).  p may carry leading
-    axes: k points as (k, 1, 2) give (k, m, 2) and (k, m).  Dots use the
+    axes: k points as (k, 1, 2) give (k, m, 2) and (k, m), and (m, 2)
+    points give each point's distance to its own segment.  Dots use the
     `@` kernel (np.vecdot) and the clamp keeps Python's min/max choices, so
-    each row equals the scalar helper's result exactly.
+    each row equals the tests' scalar reference exactly.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -213,34 +167,34 @@ def closest_points_on_segments(p, a: np.ndarray,
     return c, np.hypot(diff[..., 0], diff[..., 1])
 
 
-# Kept scalar: point_in_module, which perfbench imports, tests one point with it.
-def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:
-    """Even-odd containment; points on the boundary count as inside."""
+def polygon_edges(boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end vertices, (v, 2) each, of a closed polygon's edges:
+    edge i runs from vertex i to vertex i + 1 (mod v)."""
     poly = np.asarray(boundary, dtype=float)
-    x, y = float(p[0]), float(p[1])
-    nxt = np.concatenate((poly[1:], poly[:1]))
-    if closest_points_on_segments((x, y), poly, nxt)[1].min() <= GEOM_EPS:
-        return True
-    # Even-odd count of the edges that straddle y and cross the ray from p
-    # toward +x; x_cross is anchored at the edge's later vertex i, as in an
-    # edge loop with j = i - 1, so it rounds the same way.
-    xi, yi, xj, yj = nxt[:, 0], nxt[:, 1], poly[:, 0], poly[:, 1]
-    crosses = (yi > y) != (yj > y)
-    x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
-    return bool(np.count_nonzero(crosses & (x < x_cross)) % 2)
+    return poly, np.roll(poly, -1, axis=0)
 
 
 def points_in_polygon(points, boundary: np.ndarray) -> np.ndarray:
-    """`point_in_polygon` of every point (k, 2), bit for bit: (k,) bool."""
-    poly = np.asarray(boundary, dtype=float)
+    """Even-odd containment of every point (k, 2): (k,) bool.  Points on
+    the boundary count as inside."""
+    return _points_in_polygons(points, *polygon_edges(boundary), [0])[:, 0]
+
+
+def _points_in_polygons(points, start: np.ndarray, end: np.ndarray, first) -> np.ndarray:
+    """`points_in_polygon` of every point (k, 2) in each of several polygons
+    whose edges (E, 2) run back to back, polygon j's from index first[j]
+    on: (k, len(first)) bool."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    nxt = np.concatenate((poly[1:], poly[:1]))
-    on_edge = closest_points_on_segments(pts[:, None], poly, nxt)[1].min(axis=1) <= GEOM_EPS
+    on_edge = closest_points_on_segments(pts[:, None], start, end)[1] <= GEOM_EPS
+    # Even-odd count of the edges that straddle y and cross the ray from p
+    # toward +x; x_cross is anchored at the edge's later vertex i, as in an
+    # edge loop with j = i - 1, so it rounds the same way.
     x, y = pts[:, :1], pts[:, 1:]
-    xi, yi, xj, yj = nxt[:, 0], nxt[:, 1], poly[:, 0], poly[:, 1]
+    xi, yi, xj, yj = end[:, 0], end[:, 1], start[:, 0], start[:, 1]
     crosses = (yi > y) != (yj > y)
     x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
-    return on_edge | (np.count_nonzero(crosses & (x < x_cross), axis=1) % 2 == 1)
+    return (np.logical_or.reduceat(on_edge, first, axis=1)
+            | (np.add.reduceat(crosses & (x < x_cross), first, axis=1, dtype=int) % 2 == 1))
 
 
 def rect_mask(area, points) -> np.ndarray:
@@ -282,8 +236,7 @@ class ModuleRegion:
                 self.walls.size or self.virtual_walls.size) else []:
             if np.linalg.norm(seg[1] - seg[0]) <= GEOM_EPS:
                 raise ValueError(f"module {self.id!r}: zero-length wall segment")
-        nxt = np.concatenate((self.boundary[1:], self.boundary[:1]))
-        gaps = closest_points_on_segments(self.exit[:, None], self.boundary, nxt)[1]
+        gaps = closest_points_on_segments(self.exit[:, None], *polygon_edges(self.boundary))[1]
         for p, gap in zip(self.exit, gaps):
             if not np.any(gap <= 1e-6):
                 raise ValueError(f"module {self.id!r}: exit endpoint {p} not on boundary")
@@ -307,6 +260,15 @@ class Scene:
 
     modules: tuple[ModuleRegion, ...]
     successor: dict[str, Optional[str]]
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every module's `polygon_edges`, back to back in module order and
+        built on first use: starts and ends (E, 2), and the index of each
+        module's first edge (M,)."""
+        starts, ends = zip(*(polygon_edges(m.boundary) for m in self.modules))
+        return (np.concatenate(starts), np.concatenate(ends),
+                np.cumsum([0] + [len(m.boundary) for m in self.modules[:-1]]))
 
     def module(self, module_id: str) -> ModuleRegion:
         for m in self.modules:
@@ -339,28 +301,18 @@ class Scene:
                 cur = self.successor[cur]
 
 
-# Kept scalar: perfbench places its crowd and checks where each track ends with it.
-def point_in_module(scene: Scene, p: Point2) -> Optional[str]:
-    """Id of the first module (traversal order) containing p, else None."""
-    for m in scene.modules:
-        if point_in_polygon(p, m.boundary):
-            return m.id
-    return None
-
-
 def point_in_modules(scene: Scene, points) -> list[Optional[str]]:
-    """`point_in_module` of every point (k, 2): one id or None per point."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    found: list[Optional[str]] = [None] * len(pts)
-    left = np.arange(len(pts))
-    for m in scene.modules:
-        if left.size == 0:
-            break
-        inside = points_in_polygon(pts[left], m.boundary)
-        for i in left[inside].tolist():
-            found[i] = m.id
-        left = left[~inside]
-    return found
+    """Id of the first module, in traversal order, whose boundary polygon
+    contains each point (k, 2), else None: one entry per point."""
+    inside = _points_in_polygons(points, *scene.edges)
+    first = np.where(inside.any(axis=1), inside.argmax(axis=1), len(scene.modules))
+    ids = [m.id for m in scene.modules] + [None]
+    return [ids[i] for i in first.tolist()]
+
+
+def point_in_module(scene: Scene, p: Point2) -> Optional[str]:
+    """`point_in_modules` of one point."""
+    return point_in_modules(scene, [p])[0]
 
 
 def active_walls(scene: Scene, module_id: str) -> np.ndarray:

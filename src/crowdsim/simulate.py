@@ -184,14 +184,12 @@ def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP
     Returns (snapped point, module id), or None when the point is farther
     than ``tolerance`` from every module.
     """
-    ids = [m.id for m in scene.modules for _ in m.boundary]
-    c, d = closest_points_on_segments(
-        p, np.concatenate([m.boundary for m in scene.modules]),
-        np.concatenate([np.roll(m.boundary, -1, axis=0) for m in scene.modules]))
+    start, end, first = scene.edges
+    c, d = closest_points_on_segments(p, start, end)
     best = int(np.argmin(d))            # the first edge, in module order, at the minimum
     if not d[best] <= tolerance:
         return None
-    return c[best], ids[best]
+    return c[best], scene.modules[int(np.searchsorted(first, best, side="right")) - 1].id
 
 
 class Simulator:

@@ -15,7 +15,9 @@ Force terms are divided by the mass; the driving term is an acceleration
 already.
 
 Desired directions aim at the nearest point of the current module's exit
-segment shrunk inward by the pedestrian radius; integration is
+segment shrunk inward by the pedestrian radius (each module's shrunk exit
+is built once per run, and a step's directions come from one call);
+the force law runs once per moved pedestrian.  Integration is
 semi-implicit Euler (v then p) at the caller's dt, and a step that would
 cross a wall holds position.  The run itself (entry seeding, prefix
 replay, exit removal, module handoff, junction snap, truncation and the
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import closest_point_on_segment, closest_points_on_segments
+from .geometry import closest_points_on_segments
 from .simulate import SimulationConfig, SimulationResult, Simulator
 
 DESIRED_SPEED_CLAMP = (0.5, 2.5)
@@ -132,21 +134,19 @@ def shrunk_exit(exit_segment, radius: float) -> np.ndarray:
     return np.stack([seg[0] + u * radius, seg[1] - u * radius])
 
 
-def desired_direction(position, exit_segment, radius: float,
-                      previous: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unit vector toward the nearest point of the shrunk exit segment.
+def desired_directions(positions, targets, previous) -> np.ndarray:
+    """Unit vectors from each position (m, 2) toward the nearest point of
+    its shrunk exit segment targets[i] (m, 2, 2), in one call.
 
-    A position already at that nearest point keeps the previous direction
-    (or +x when none is known).
+    A position already at that nearest point keeps previous[i] (m, 2);
+    pass +x for a pedestrian with no direction yet.
     """
-    p = np.asarray(position, dtype=float)
-    seg = shrunk_exit(exit_segment, radius)
-    target, dist = closest_point_on_segment(p, seg[0], seg[1])
-    if dist < 1e-9:
-        if previous is None:
-            return np.array([1.0, 0.0])
-        return np.asarray(previous, dtype=float).copy()
-    return (target - p) / dist
+    p = np.asarray(positions, dtype=float)
+    seg = np.asarray(targets, dtype=float)
+    target, dist = closest_points_on_segments(p, seg[:, 0], seg[:, 1])
+    at_target = dist < 1e-9
+    toward = (target - p) / np.where(at_target, 1.0, dist)[:, None]
+    return np.where(at_target[:, None], np.asarray(previous, dtype=float), toward)
 
 
 class _SocialForceSimulator(Simulator):
@@ -158,15 +158,20 @@ class _SocialForceSimulator(Simulator):
         self.sf_params = params
         self.desired_speeds = desired_speeds
         self._directions: dict[str, np.ndarray] = {}
+        self._targets = {m.id: shrunk_exit(m.exit, params.radius) for m in config.scene.modules}
 
     def _propose(self, active, moved, snap, t) -> None:
         """One force-law step per moved pedestrian; no features, no network.
         A step that crosses a wall holds position instead."""
+        if not moved:
+            return
         cfg = self.config
-        for ped in moved:
+        directions = desired_directions(
+            [ped.positions[-1] for ped in moved],
+            [self._targets[ped.module_id] for ped in moved],
+            [self._directions.get(ped.ped_id, (1.0, 0.0)) for ped in moved])
+        for ped, e in zip(moved, directions):
             pos, vel = ped.positions[-1], ped.velocities[-1]
-            e = desired_direction(pos, self._exits[ped.module_id][0],
-                                  self.sf_params.radius, self._directions.get(ped.ped_id))
             self._directions[ped.ped_id] = e
             acc = sf_acceleration(pos, vel, self.desired_speeds[ped.ped_id], e,
                                   *snap.others(ped.ped_id), self._walls[ped.module_id],

@@ -4,6 +4,14 @@ Each function here computes one pedestrian, one ray or one point the plain
 way, and the tests hold a batched kernel of `crowdsim` to it:
 
 * `ray_cast` and `ray_cast_batch`: `geometry.ray_distances`;
+* `scalar_first_wall_crossing`: `geometry.first_wall_crossings`, bit for
+  bit (`geometry.first_wall_crossing` is the kernel's one-move view);
+* `closest_point_on_segment`: `geometry.closest_points_on_segments`, bit
+  for bit;
+* `point_in_polygon` and `scalar_point_in_module`:
+  `geometry.points_in_polygon` and `geometry.point_in_modules`
+  (`geometry.point_in_module` is the latter's one-point view);
+* `desired_direction`: `social_force.desired_directions`, bit for bit;
 * `wall_points_in_disk`, `extract_social`, `extract_visual`,
   `extract_exit`, `assemble_step` and `extract_step`:
   `features.extract_batch` (`_wall_points_batch`, `_visual_batch`), bit
@@ -29,11 +37,13 @@ from crowdsim.features import TWO_PI, ExtractionParams, _ordered_exit, _sector_o
 from crowdsim.geometry import (
     GEOM_EPS,
     Point2,
+    Scene,
     _as_walls,
-    closest_point_on_segment,
+    closest_points_on_segments,
     ray_distances,
     rect_mask,
 )
+from crowdsim.social_force import shrunk_exit
 
 
 def ray_cast(origin: Point2, angle: float, walls) -> Optional[tuple[Point2, float]]:
@@ -72,6 +82,89 @@ def ray_cast_batch(origin: Point2, angles: np.ndarray, walls) -> tuple[np.ndarra
         pts = o[None, :] + out_t[:, None] * d
     pts[~np.isfinite(out_t)] = np.nan
     return out_t, pts
+
+
+def scalar_first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
+    """Index of the wall crossed first along the displacement, or None."""
+    seg = _as_walls(walls)
+    if seg.shape[0] == 0:
+        return None
+    a = np.asarray(p_from, dtype=float)
+    b = np.asarray(p_to, dtype=float)
+    d = b - a
+    dlen = np.linalg.norm(d)
+
+    p0 = seg[:, 0, :]
+    s = seg[:, 1, :] - seg[:, 0, :]
+    slen = np.linalg.norm(s, axis=1)
+    a0 = p0 - a
+
+    denom = d[0] * s[:, 1] - d[1] * s[:, 0]
+    a0xs = a0[:, 0] * s[:, 1] - a0[:, 1] * s[:, 0]
+    a0xd = a0[:, 0] * d[1] - a0[:, 1] * d[0]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a0xs / denom
+        u = a0xd / denom
+
+    eps_t = GEOM_EPS / max(dlen, GEOM_EPS)
+    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)
+    nonpar = np.abs(denom) > 1e-12
+    ok = nonpar & (t >= -eps_t) & (t <= 1.0 + eps_t) & (u >= -eps_u) & (u <= 1.0 + eps_u)
+    t_hit = np.where(ok, np.clip(t, 0.0, 1.0), np.inf)
+
+    par = ~nonpar
+    if np.any(par) and dlen > GEOM_EPS:
+        dn = d / dlen
+        perp = np.abs(a0[:, 0] * dn[1] - a0[:, 1] * dn[0])
+        ta = (a0 @ dn) / dlen
+        tb = ta + (s @ dn) / dlen
+        lo = np.minimum(ta, tb)
+        hi = np.maximum(ta, tb)
+        okp = par & (perp <= GEOM_EPS) & (hi >= -eps_t) & (lo <= 1.0 + eps_t)
+        t_par = np.where(okp, np.clip(lo, 0.0, 1.0), np.inf)
+        t_hit = np.minimum(t_hit, t_par)
+
+    best = int(np.argmin(t_hit))
+    if not np.isfinite(t_hit[best]):
+        return None
+    return best
+
+
+def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> tuple[np.ndarray, float]:
+    """Closest point of segment a-b to p (clamped projection) and its distance."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0.0 else min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
+    c = a + t * ab
+    dx, dy = p - c
+    return c, float(np.hypot(dx, dy))
+
+
+def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:
+    """Even-odd containment; points on the boundary count as inside."""
+    poly = np.asarray(boundary, dtype=float)
+    x, y = float(p[0]), float(p[1])
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    if closest_points_on_segments((x, y), poly, nxt)[1].min() <= GEOM_EPS:
+        return True
+    # Even-odd count of the edges that straddle y and cross the ray from p
+    # toward +x; x_cross is anchored at the edge's later vertex i, as in an
+    # edge loop with j = i - 1, so it rounds the same way.
+    xi, yi, xj, yj = nxt[:, 0], nxt[:, 1], poly[:, 0], poly[:, 1]
+    crosses = (yi > y) != (yj > y)
+    x_cross = xi + (y - yi) / np.where(crosses, yj - yi, 1.0) * (xj - xi)
+    return bool(np.count_nonzero(crosses & (x < x_cross)) % 2)
+
+
+def scalar_point_in_module(scene: Scene, p: Point2) -> Optional[str]:
+    """Id of the first module (traversal order) containing p, else None."""
+    for m in scene.modules:
+        if point_in_polygon(p, m.boundary):
+            return m.id
+    return None
 
 
 def point_segment_distance(p: Point2, seg) -> float:
@@ -327,6 +420,23 @@ def dilated_causal_conv(z, f, q: int, h: int) -> np.ndarray:
         contrib = (z2[: L - shift] * f2[u][None, :]).sum(axis=1)
         out[shift:] += contrib
     return out
+
+
+def desired_direction(position, exit_segment, radius: float,
+                      previous: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unit vector toward the nearest point of the shrunk exit segment.
+
+    A position already at that nearest point keeps the previous direction
+    (or +x when none is known).
+    """
+    p = np.asarray(position, dtype=float)
+    seg = shrunk_exit(exit_segment, radius)
+    target, dist = closest_point_on_segment(p, seg[0], seg[1])
+    if dist < 1e-9:
+        if previous is None:
+            return np.array([1.0, 0.0])
+        return np.asarray(previous, dtype=float).copy()
+    return (target - p) / dist
 
 
 class ConstantVelocityOracle:

@@ -17,8 +17,7 @@ import pytest
 
 from crowdsim.cli import main as cli_main
 from crowdsim.features import ExtractionParams
-from crowdsim.geometry import (ModuleRegion, Scene, active_exit, active_walls,
-                               first_wall_crossing, point_in_module)
+from crowdsim.geometry import ModuleRegion, Scene, active_exit, active_walls
 from crowdsim.io import read_csv
 from crowdsim.metrics import Track, ade, fde, fundamental_diagram, tte
 from crowdsim.network import (NetworkConfig, TrainingConfig, VelocityPredictor,
@@ -30,6 +29,8 @@ from crowdsim.social_force import SFParams, sf_run
 from oracles import (ConstantVelocityOracle, ZeroVelocityOracle,
                      dilated_causal_conv, extract_step, point_segment_distance,
                      ray_cast, stack_window)
+from oracles import scalar_first_wall_crossing as first_wall_crossing
+from oracles import scalar_point_in_module as point_in_module
 from test_geometry import _sampling_oracle
 
 acceptance = pytest.mark.acceptance

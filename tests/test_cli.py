@@ -374,6 +374,31 @@ def test_fd_without_measurement_area_errors(pipeline, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+_TRACK_HEADER = "run,ped_id,step,time_s,x_m,y_m,module_id,reset_flag\n"
+
+
+def test_fd_repeated_step_errors_with_file_and_pedestrian(tmp_path, capsys):
+    data = tmp_path / "repeated.csv"
+    data.write_text(_TRACK_HEADER + "r,a,0,0.0,1.0,1.0,corridor,0\n"
+                    "r,a,0,0.0,1.1,1.0,corridor,0\nr,b,1,0.0625,1.2,1.0,corridor,0\n")
+    code = main(["fd", "--scene", "corridor", "--data", str(data),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "pedestrian 'a' has two rows at step 0" in err
+
+
+def test_fd_short_row_errors_with_file_and_pedestrian(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text(_TRACK_HEADER + "r,a,0,0.0,1.0,1.0,corridor,0\n"
+                    "r,b,0,0.0,1.2\nr,b,1,0.0625,1.3,1.0,corridor,0\n")
+    code = main(["fd", "--scene", "corridor", "--data", str(data),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "pedestrian 'b'" in err and "5 fields" in err
+
+
 def test_sensitivity_grid(pipeline, tmp_path):
     out = tmp_path / "sens"
     assert main(["sensitivity", "--scene", "corridor",

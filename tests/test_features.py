@@ -13,7 +13,6 @@ from crowdsim.geometry import (
     Scene,
     active_exit,
     active_walls,
-    point_in_module,
 )
 from crowdsim.scene_library import BUILTIN_SCENES
 
@@ -27,6 +26,7 @@ from oracles import (
     stack_window,
     wall_points_in_disk,
 )
+from oracles import scalar_point_in_module as point_in_module
 
 P18 = ExtractionParams(sector_deg=18.0)
 

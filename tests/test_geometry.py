@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdsim.geometry
 from crowdsim.geometry import (
     GEOM_EPS,
     ModuleRegion,
     Scene,
     active_exit,
     active_walls,
-    closest_point_on_segment,
     closest_points_on_segments,
-    first_wall_crossing,
     first_wall_crossings,
-    point_in_module,
     point_in_modules,
-    point_in_polygon,
     points_in_polygon,
     save_scene,
     scene_from_dict,
@@ -28,7 +25,16 @@ from crowdsim.geometry import (
 )
 from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
 
-from oracles import point_segment_distance, ray_cast, ray_cast_batch, rect_contains
+from oracles import (
+    closest_point_on_segment,
+    point_in_polygon,
+    point_segment_distance,
+    ray_cast,
+    ray_cast_batch,
+    rect_contains,
+)
+from oracles import scalar_first_wall_crossing as first_wall_crossing
+from oracles import scalar_point_in_module as point_in_module
 
 
 def _square_module(mid: str = "m1", x0: float = 0.0) -> ModuleRegion:
@@ -257,6 +263,7 @@ def test_first_wall_crossings_equal_the_scalar_per_move(m, n, grid, seed) -> Non
     want = [first_wall_crossing(p, q, walls) for p, q in zip(a, b)]
     assert got.shape == (n,) and got.dtype.kind == "i"
     assert got.tolist() == [-1 if w is None else w for w in want]
+    assert [crowdsim.geometry.first_wall_crossing(p, q, walls) for p, q in zip(a, b)] == want
 
 
 def test_point_in_polygon_boundary_inclusive() -> None:
@@ -334,6 +341,8 @@ def test_point_in_modules_equals_point_in_module(which, seed) -> None:
     rng = np.random.default_rng(seed)
     points = np.concatenate([_probe_points(rng, m.boundary) for m in scene.modules])
     assert point_in_modules(scene, points) == [point_in_module(scene, p) for p in points]
+    assert ([crowdsim.geometry.point_in_module(scene, p) for p in points]
+            == [point_in_module(scene, p) for p in points])
     assert point_in_modules(scene, np.zeros((0, 2))) == []
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import crowdsim.ingest
 from crowdsim.features import ExtractionParams
-from crowdsim.geometry import active_exit, active_walls, point_in_module
+from crowdsim.geometry import active_exit, active_walls
 from crowdsim.ingest import (
     Dataset,
     Run,
@@ -22,6 +22,7 @@ from crowdsim.ingest import (
 from crowdsim.scene_library import make_composite, make_corridor
 
 from oracles import extract_step, samples_to_arrays, stack_window
+from oracles import scalar_point_in_module as point_in_module
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 

@@ -10,9 +10,6 @@ from crowdsim.geometry import (
     Scene,
     active_exit,
     active_walls,
-    closest_point_on_segment,
-    first_wall_crossing,
-    point_in_module,
 )
 from crowdsim.ingest import Trajectory
 from crowdsim.network import NetworkConfig, VelocityPredictor
@@ -30,9 +27,12 @@ from crowdsim.social_force import SFParams, sf_run
 from oracles import (
     ConstantVelocityOracle,
     ZeroVelocityOracle,
+    closest_point_on_segment,
     extract_step,
     point_segment_distance,
 )
+from oracles import scalar_first_wall_crossing as first_wall_crossing
+from oracles import scalar_point_in_module as point_in_module
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 

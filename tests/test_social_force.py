@@ -14,22 +14,21 @@ from crowdsim.geometry import (
     Scene,
     active_exit,
     active_walls,
-    closest_point_on_segment,
-    first_wall_crossing,
-    point_in_module,
 )
 from crowdsim.scene_library import make_corner, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig
 from crowdsim.social_force import (
     SFParams,
-    desired_direction,
+    desired_directions,
     draw_desired_speeds,
     sf_acceleration,
     sf_run,
     shrunk_exit,
 )
 
-from oracles import point_segment_distance
+from oracles import closest_point_on_segment, desired_direction, point_segment_distance
+from oracles import scalar_first_wall_crossing as first_wall_crossing
+from oracles import scalar_point_in_module as point_in_module
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 NO_WALLS = np.zeros((0, 2, 2))
@@ -140,6 +139,32 @@ def test_shrunk_exit_endpoints():
     assert np.allclose(s, [[6.0, 0.3], [6.0, 2.7]])
     tiny = shrunk_exit(np.array([[0.0, 0.0], [0.5, 0.0]]), 0.3)
     assert np.allclose(tiny[0], tiny[1])
+
+
+@settings(max_examples=200)
+@given(m=st.integers(1, 16), radius=st.sampled_from([0.2, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_desired_directions_equal_the_scalar_per_row(m, radius, seed) -> None:
+    rng = np.random.default_rng(seed)
+    # exits shorter than 2 * radius shrink to their midpoint
+    length = rng.choice([0.1, 2.0 * radius - 1e-9, 2.0 * radius, 1.0, 4.0], m)
+    angle = rng.uniform(0.0, 2.0 * np.pi, m)
+    start = rng.uniform(-3.0, 3.0, (m, 2))
+    exits = np.stack([start, start + length[:, None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=1)], axis=1)
+    targets = np.array([shrunk_exit(e, radius) for e in exits])
+    positions = rng.uniform(-4.0, 4.0, (m, 2))
+    # some pedestrians stand on their target segment: an endpoint or a point along it
+    along = rng.choice([0.0, 0.5, 1.0, rng.uniform()], (m, 1))
+    on_target = rng.random(m) < 0.4
+    positions[on_target] = (targets[:, 0] + along * (targets[:, 1] - targets[:, 0]))[on_target]
+    previous = [rng.normal(size=2) if rng.random() < 0.5 else None for _ in range(m)]
+    got = desired_directions(positions, targets,
+                             [(1.0, 0.0) if e is None else e for e in previous])
+    assert got.shape == (m, 2)
+    for i in range(m):
+        want = desired_direction(positions[i], exits[i], radius, previous[i])
+        assert got[i].tobytes() == want.tobytes(), i
 
 
 def test_desired_direction_matches_nearest_point_oracle():
