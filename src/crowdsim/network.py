@@ -22,6 +22,14 @@ the same order under either plan.  Dropout masks are drawn over the whole
 (B, C, window) either way, so the rng stream does not depend on the plan.
 The scalar reference of each conv, `dilated_causal_conv` (the defining sum),
 lives with the tests in `tests/oracles.py`.
+
+An activation lives from the forward that caches it until the backward that
+reads it: each conv's and block's backward releases its cache, and the
+predictor keeps the last block output only until its backward.  The head and
+the 1x1 projections keep no input; a block gathers its projection's input
+again from the block input conv1 holds.  Dropout keeps boolean keep masks,
+scaled where they are applied.  Eval-mode forwards cache too, so a block's
+activations can be read after any forward.
 """
 from __future__ import annotations
 
@@ -214,8 +222,10 @@ class _WeightNormConv:
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
-        """Parameter gradients; returns dz unless input_grad is False."""
+        """Parameter gradients; returns dz unless input_grad is False.  The
+        forward's cache is released."""
         z, w, taps = self._cache
+        self._cache = None
         _, batch, c_in = z.shape
         c_out = dout.shape[2]
         self.grad_b = dout.reshape(-1, c_out).sum(axis=0)
@@ -253,14 +263,15 @@ class _Linear:
         self.b = np.zeros(out_dim)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
         return _gemm(x, self.w.T.copy()) + self.b[None, :]
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
-        x = self._cache
+    def backward(self, dout: np.ndarray, x: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Parameter gradients at x, the input of the forward pass, which the
+        caller passes back (the layer keeps nothing); returns the input
+        gradient unless input_grad is False."""
         self.grad_w = dout.T @ x
         self.grad_b = dout.sum(axis=0)
         return dout @ self.w if input_grad else None
@@ -285,14 +296,15 @@ class _TemporalBlock:
 
     def _drop(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator],
               length: int, steps):
-        """Dropout on time-major x at the given window steps; the mask is
-        drawn over the whole (B, C, length) window."""
+        """Dropout on time-major x at the given window steps; the boolean
+        keep mask is drawn over the whole (B, C, length) window, and scaled
+        by 1 / keep where it is applied."""
         if not train or self.dropout == 0.0:
             return x, None
         keep = 1.0 - self.dropout
         _, b, c = x.shape
-        mask = (rng.random((b, c, length))[:, :, steps] < keep) / keep
-        return x * mask.transpose(2, 0, 1), mask
+        mask = rng.random((b, c, length))[:, :, steps] < keep
+        return x * (mask / keep).transpose(2, 0, 1), mask
 
     def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator],
                 steps: Optional[_BlockSteps] = None):
@@ -317,18 +329,25 @@ class _TemporalBlock:
         """dout: (B, C_out, n_out) -> (B, C_in, n_in), a view of a time-major buffer.
 
         With input_grad False only the parameter gradients are computed and
-        None is returned (the first block's input needs no gradient).
+        None is returned (the first block's input needs no gradient).  The
+        block's and its convs' caches are released.
         """
         a1, m1, a2, m2, steps = self._cache
+        self._cache = None
         d = dres = dout.transpose(2, 0, 1)
+        if self.proj is not None:
+            # The projection's input is gathered again from the block input,
+            # which conv1 holds until its backward.
+            n, b, c = dres.shape
+            dres = self.proj.backward(dres.reshape(-1, c),
+                                      self.conv1._cache[0][steps.skip].reshape(n * b, -1),
+                                      input_grad)
+            dres = None if dres is None else dres.reshape(n, b, -1)
+        keep = 1.0 - self.dropout
         for conv, a, m, grad in ((self.conv2, a2, m2, True), (self.conv1, a1, m1, input_grad)):
             if m is not None:
-                d = d * m.transpose(2, 0, 1)
+                d = d * (m / keep).transpose(2, 0, 1)
             d = conv.backward(d * (a.transpose(2, 0, 1) > 0.0), grad)
-        if self.proj is not None:
-            n, b, c = dres.shape
-            dres = self.proj.backward(dres.reshape(-1, c), input_grad)
-            dres = None if dres is None else dres.reshape(n, b, -1)
         if d is None:
             return None
         d[steps.skip] += dres
@@ -362,6 +381,7 @@ class VelocityPredictor:
                                               config.dropout_rate, rng))
             in_ch = out_ch
         self.head = _Linear(in_ch, config.output_dim, rng)
+        self._z: Optional[np.ndarray] = None     # last block output, until backward
         self._plans = {False: step_plan(config), True: step_plan(config, head_only=True)}
 
     def forward(self, x: np.ndarray, train: bool = False,
@@ -387,17 +407,26 @@ class VelocityPredictor:
         for block, steps in zip(self.blocks, plan):
             z = block.forward(z, train, rng, steps)
         out = self.head.forward(z[:, :, -1])
-        self._last_z_shape = z.shape
+        self._z = z
         return out[0] if single else out
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate parameter gradients for the latest forward pass, over
-        the steps it computed."""
+        the steps it computed.
+
+        Each layer's backward releases the activations its forward cached,
+        so a second backward needs a new forward; without one it raises
+        RuntimeError.
+        """
+        if self._z is None:
+            raise RuntimeError("backward needs a forward pass first")
+        z, self._z = self._z, None
         dout = np.asarray(dout, dtype=float)
         if dout.ndim == 1:
             dout = dout[None, :]
-        dz = np.zeros(self._last_z_shape)
-        dz[:, :, -1] = self.head.backward(dout)
+        dz = np.zeros(z.shape)
+        dz[:, :, -1] = self.head.backward(dout, z[:, :, -1])
+        del z
         for i in reversed(range(len(self.blocks))):
             dz = self.blocks[i].backward(dz, input_grad=i > 0)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,15 +312,54 @@ def test_backward_skips_only_the_first_block_input_gradient() -> None:
     net.forward(x, train=True, rng=np.random.default_rng(19))
     net.backward(dout)
     skipped = [g.copy() for _, g in net.gradients()]
-    # The full chain, down to the gradient of the input features.
-    dz = np.zeros(net._last_z_shape)
-    dz[:, :, -1] = net.head.backward(dout)
+    # The full chain, down to the gradient of the input features, after the
+    # same forward again (same rng seed, so the same dropout masks).
+    net.forward(x, train=True, rng=np.random.default_rng(19))
+    z = net._z
+    dz = np.zeros(z.shape)
+    dz[:, :, -1] = net.head.backward(dout, z[:, :, -1])
     for block in reversed(net.blocks):
         dz = block.backward(dz)
     assert dz.shape == (5, 6, 8)
     assert net.blocks[0].proj is not None
     for got, (name, want) in zip(skipped, net.gradients()):
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_backward_without_a_forward_raises() -> None:
+    net = VelocityPredictor(TINY, np.random.default_rng(21))
+    dout = np.ones((2, 2))
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        net.backward(dout)
+    net.forward(np.zeros((2, 8, 6)), train=True, rng=np.random.default_rng(22))
+    net.backward(dout)
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        net.backward(dout)
+
+
+def test_backward_releases_every_activation() -> None:
+    net = VelocityPredictor(NetworkConfig(input_dim=230), np.random.default_rng(23))
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(64, 8, 230))
+    dout = rng.normal(size=(64, 2))
+    net.forward(x, train=True, rng=rng, head_only=True)     # first-call set-up
+    net.backward(dout)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net.forward(x, train=True, rng=rng, head_only=True)
+        mask_dtypes = {blk._cache[i].dtype for blk in net.blocks for i in (1, 3)}
+        net.backward(dout)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert mask_dtypes == {np.dtype(bool)}
+    assert net._z is None
+    for blk in net.blocks:
+        assert blk._cache is None and blk.conv1._cache is None and blk.conv2._cache is None
+    # Nothing but the new gradient arrays outlives backward.
+    grads = sum(g.nbytes for _, g in net.gradients())
+    assert after - before <= grads + 64 * 1024, (after - before, grads)
 
 
 def test_zero_error_batch_has_tiny_gradient() -> None:
