@@ -17,7 +17,9 @@ relative velocity is minus the subject's velocity.
 feature code that ingest and simulate run.  Its entries may come from
 several snapshots (group ids): a subject's neighbours are the other entries
 of its group only, so one call can serve many frames of a recording or all
-of a simulation step's history rewrites.  The scalar reference it equals
+of a simulation step's history rewrites.  Subjects of every module go
+through one pass, each against its module's walls in the scene's padded
+`Scene.wall_table`.  The scalar reference it equals
 row by row, `extract_step` (one pedestrian's vector), lives with the tests
 in `tests/oracles.py`.
 """
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import GEOM_EPS, active_exit, active_walls, ray_distances
+from .geometry import GEOM_EPS, ray_distances
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,25 +132,27 @@ def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
     return dist, near_pos, near_vel
 
 
-def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sectors: int):
-    """`wall_points_in_disk` (tests/oracles.py) for every subject of pos (g, 2)
-    against one wall set.
+def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, valid: np.ndarray,
+                       radius: float, n_sectors: int):
+    """`wall_points_in_disk` (tests/oracles.py) for every subject of pos
+    (g, 2) against its own wall set: the valid (g, m) walls of seg (g, m, 2, 2).
 
     Each wedge takes the nearest of its candidates, laid out per subject and
     sector as [projections, first endpoints, second endpoints, hits on the
     wedge's own boundary ray, hits on the next boundary ray], m each.  That
     is the scalar code's concatenation order, so argmin's first-minimum rule
-    breaks distance ties the way its stable sort does.
+    breaks distance ties the way its stable sort does; padded walls, which
+    sit after a subject's own, are never candidates.
     """
-    g, m = pos.shape[0], seg.shape[0]
+    g, m = seg.shape[:2]
     dists = np.full((g, n_sectors), np.inf)
     points = np.full((g, n_sectors, 2), np.nan)
     if m == 0 or g == 0:
         return dists, points
-    a = seg[:, 0, :]
-    b = seg[:, 1, :]
+    a = seg[:, :, 0, :]                                         # (g, m, 2)
+    b = seg[:, :, 1, :]
     ab = b - a
-    len2 = np.maximum(np.einsum("md,md->m", ab, ab), GEOM_EPS**2)
+    len2 = np.maximum(np.einsum("gmd,gmd->gm", ab, ab), GEOM_EPS**2)
     wedge = np.arange(n_sectors)[None, :, None]                 # (1, S, 1)
 
     tproj = np.clip(((pos[:, None, :] - a) * ab).sum(axis=-1) / len2, 0.0, 1.0)
@@ -156,22 +160,22 @@ def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sector
     rel = proj - pos[:, None, :]
     d_proj = np.linalg.norm(rel, axis=-1)
     sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
-    keep = d_proj <= radius
+    keep = (d_proj <= radius) & valid
     # A projection collapsing onto the subject belongs to every wedge.
     on_subject = (keep & (d_proj <= GEOM_EPS))[:, None, :]
     ok_proj = (keep[:, None, :] & (sec[:, None, :] == wedge)) | on_subject
     cand_d = [np.where(ok_proj, d_proj[:, None, :], np.inf)]
 
     for pts in (a, b):
-        rel = pts[None, :, :] - pos[:, None, :]
+        rel = pts - pos[:, None, :]
         d = np.linalg.norm(rel, axis=-1)
         sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
-        ok = ((d <= radius) & (d > GEOM_EPS))[:, None, :] & (sec[:, None, :] == wedge)
+        ok = ((d <= radius) & (d > GEOM_EPS) & valid)[:, None, :] & (sec[:, None, :] == wedge)
         cand_d.append(np.where(ok, d[:, None, :], np.inf))
 
     bounds = np.arange(n_sectors) * (TWO_PI / n_sectors)
     u = np.stack([np.cos(bounds), np.sin(bounds)], axis=1)
-    t_hit = ray_distances(pos, u, seg, collinear=False)         # (g, S, m)
+    t_hit = ray_distances(pos, u, seg, valid, collinear=False)   # (g, S, m)
     t_hit = np.where(t_hit <= radius, t_hit, np.inf)
     cand_d += [t_hit, np.roll(t_hit, -1, axis=1)]   # a boundary ray serves both wedges
 
@@ -182,7 +186,7 @@ def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sector
     rows, sectors = np.nonzero(found)
     block, j = np.divmod(best[found], m)
     dist = dist[found]
-    choices = np.stack([proj[rows, j], a[j], b[j],
+    choices = np.stack([proj[rows, j], a[rows, j], b[rows, j],
                         pos[rows] + dist[:, None] * u[sectors],
                         pos[rows] + dist[:, None] * u[(sectors + 1) % n_sectors]])
     dists[found] = dist
@@ -190,14 +194,15 @@ def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, radius: float, n_sector
     return dists, points
 
 
-def _visual_batch(pos: np.ndarray, seg: np.ndarray, params: ExtractionParams) -> np.ndarray:
-    """`extract_visual` (tests/oracles.py) for every subject of pos (g, 2),
-    shape (g, n_rays, 2)."""
+def _visual_batch(pos: np.ndarray, seg: np.ndarray, valid: np.ndarray,
+                  params: ExtractionParams) -> np.ndarray:
+    """`extract_visual` (tests/oracles.py) for every subject of pos (g, 2)
+    against its own wall set (the valid walls of seg), shape (g, n_rays, 2)."""
     n = params.n_rays
     angles = np.arange(n) * (TWO_PI / n)
     u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if seg.shape[0]:
-        t = ray_distances(pos, u, seg).min(axis=2)              # (g, n_rays)
+    if seg.shape[1]:
+        t = ray_distances(pos, u, seg, valid).min(axis=2)    # (g, n_rays)
     else:
         t = np.full((pos.shape[0], n), np.inf)
     miss = ~np.isfinite(t)
@@ -226,22 +231,18 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
     n, ns, nr = subjects.size, params.n_sectors, params.n_rays
     best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, groups, params)
     pos, vel = pos[subjects], vel[subjects]
-    visual = np.empty((n, nr, 2))
-    exit_rel = np.empty((n, 2, 2))
+    table_rows, table, table_valid = scene.wall_table
+    row = np.array([table_rows[module_ids[i]] for i in subjects], dtype=int)
+    walls, valid = table[row], table_valid[row]
 
-    by_module: dict[str, list[int]] = {}
-    for row, i in enumerate(subjects):
-        by_module.setdefault(module_ids[i], []).append(row)
-    for module_id, idx in by_module.items():
-        idx = np.asarray(idx)
-        walls = active_walls(scene, module_id)
-        wd, wp = _wall_points_batch(pos[idx], walls, params.radius, ns)
-        wall_wins = wd < best_dist[idx]             # pedestrians win exact ties
-        best_dist[idx] = np.where(wall_wins, wd, best_dist[idx])
-        best_pos[idx] = np.where(wall_wins[..., None], wp, best_pos[idx])
-        best_vel[idx] = np.where(wall_wins[..., None], 0.0, best_vel[idx])
-        visual[idx] = _visual_batch(pos[idx], walls, params)
-        exit_rel[idx] = _ordered_exit(active_exit(scene, module_id))[None] - pos[idx, None, :]
+    wd, wp = _wall_points_batch(pos, walls, valid, params.radius, ns)
+    wall_wins = wd < best_dist                  # pedestrians win exact ties
+    best_dist = np.where(wall_wins, wd, best_dist)
+    best_pos = np.where(wall_wins[..., None], wp, best_pos)
+    best_vel = np.where(wall_wins[..., None], 0.0, best_vel)
+    visual = _visual_batch(pos, walls, valid, params)
+    exits = np.stack([_ordered_exit(m.exit) for m in scene.modules])
+    exit_rel = exits[row] - pos[:, None, :]
 
     empty = ~np.isfinite(best_dist)
     mid = (np.arange(ns) + 0.5) * (TWO_PI / ns)

@@ -39,23 +39,28 @@ def _as_walls(walls) -> np.ndarray:
     return arr
 
 
-def ray_distances(origins, d: np.ndarray, seg: np.ndarray, collinear: bool = True) -> np.ndarray:
-    """Distance along each unit ray d (k, 2) from each origin (..., 2) to each wall (m, 2, 2).
+def ray_distances(origins, d: np.ndarray, seg: np.ndarray, valid: np.ndarray,
+                  collinear: bool = True) -> np.ndarray:
+    """Distance along each unit ray d (k, 2) from each origin (..., 2) to each
+    wall of its own wall set seg (..., m, 2, 2).
 
-    Returns shape (..., k, m), +inf where the ray misses the wall.  With
-    collinear=False a ray running along a wall misses it; otherwise it hits
-    at the nearest overlap point.
+    valid (..., m) marks the walls of each set that exist; the others never
+    hit, so sets of different sizes can be padded to one m.  One shared set
+    (m, 2, 2) with its mask (m,) broadcasts over the origins.  Returns shape
+    (..., k, m), +inf where the ray misses the wall.  With collinear=False a
+    ray running along a wall misses it; otherwise it hits at the nearest
+    overlap point.
     """
     o = np.asarray(origins, dtype=float)[..., None, None, :]   # (..., 1, 1, 2)
-    p0 = seg[:, 0, :]                                           # (m, 2)
-    s = seg[:, 1, :] - seg[:, 0, :]                             # (m, 2)
-    slen = np.linalg.norm(s, axis=1)                            # (m,)
+    p0 = seg[..., None, :, 0, :]                                # (..., 1, m, 2)
+    s = seg[..., None, :, 1, :] - p0                            # (..., 1, m, 2)
+    slen = np.linalg.norm(s, axis=-1)                           # (..., 1, m)
     a0 = p0 - o                                                 # (..., 1, m, 2)
     dx, dy = d[:, None, 0], d[:, None, 1]                       # (k, 1)
 
     # 2x2 solve via cross products: t*d - u*s = p0 - o.
-    denom = dx * s[:, 1] - dy * s[:, 0]                         # (k, m)
-    a0xs = a0[..., 0] * s[:, 1] - a0[..., 1] * s[:, 0]          # (..., 1, m)
+    denom = dx * s[..., 1] - dy * s[..., 0]                     # (..., k, m)
+    a0xs = a0[..., 0] * s[..., 1] - a0[..., 1] * s[..., 0]      # (..., 1, m)
     a0xd = a0[..., 0] * dy - a0[..., 1] * dx                    # (..., k, m)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -64,20 +69,23 @@ def ray_distances(origins, d: np.ndarray, seg: np.ndarray, collinear: bool = Tru
 
     eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)               # metric endpoint slack
     nonpar = np.abs(denom) > 1e-12
-    ok = nonpar & (t >= -GEOM_EPS) & (u >= -eps_u) & (u <= 1.0 + eps_u)
+    ok = nonpar & (t >= -GEOM_EPS) & (u >= -eps_u) & (u <= 1.0 + eps_u) & valid[..., None, :]
     t_hit = np.where(ok, np.maximum(t, 0.0), np.inf)
 
     # Parallel rays: collinear overlap hits at the nearest overlap point.
-    par = ~nonpar
-    if collinear and np.any(par):
-        perp = np.abs(a0xd)                                     # distance of p0 from the ray line
-        ta = a0[..., 0] * dx + a0[..., 1] * dy
-        tb = ta + (s[:, 0] * dx + s[:, 1] * dy)
-        lo = np.minimum(ta, tb)
-        hi = np.maximum(ta, tb)
-        okp = par & (perp <= GEOM_EPS) & (hi >= -GEOM_EPS)
-        t_par = np.where(okp, np.maximum(lo, 0.0), np.inf)
-        t_hit = np.minimum(t_hit, t_par)
+    # Only the (origin, ray, wall) triples that are parallel are evaluated.
+    if collinear:
+        at = np.nonzero(np.broadcast_to(~nonpar & valid[..., None, :], t_hit.shape))
+        if at[0].size:
+            ax, ay, sx, sy, rx, ry = (np.broadcast_to(x, t_hit.shape)[at] for x in (
+                a0[..., 0], a0[..., 1], s[..., 0], s[..., 1], dx, dy))
+            perp = np.abs(a0xd[at])                             # distance of p0 from the ray line
+            ta = ax * rx + ay * ry
+            tb = ta + (sx * rx + sy * ry)
+            lo = np.minimum(ta, tb)
+            hi = np.maximum(ta, tb)
+            okp = (perp <= GEOM_EPS) & (hi >= -GEOM_EPS)
+            t_hit[at] = np.where(okp, np.maximum(lo, 0.0), np.inf)
     return t_hit
 
 
@@ -174,16 +182,11 @@ def polygon_edges(boundary) -> tuple[np.ndarray, np.ndarray]:
     return poly, np.roll(poly, -1, axis=0)
 
 
-def points_in_polygon(points, boundary: np.ndarray) -> np.ndarray:
-    """Even-odd containment of every point (k, 2): (k,) bool.  Points on
-    the boundary count as inside."""
-    return _points_in_polygons(points, *polygon_edges(boundary), [0])[:, 0]
-
-
 def _points_in_polygons(points, start: np.ndarray, end: np.ndarray, first) -> np.ndarray:
-    """`points_in_polygon` of every point (k, 2) in each of several polygons
-    whose edges (E, 2) run back to back, polygon j's from index first[j]
-    on: (k, len(first)) bool."""
+    """Even-odd containment of every point (k, 2) in each of several
+    polygons whose edges (E, 2) run back to back, polygon j's from index
+    first[j] on: (k, len(first)) bool.  Points on a boundary count as
+    inside."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     on_edge = closest_points_on_segments(pts[:, None], start, end)[1] <= GEOM_EPS
     # Even-odd count of the edges that straddle y and cross the ray from p
@@ -270,6 +273,20 @@ class Scene:
         return (np.concatenate(starts), np.concatenate(ends),
                 np.cumsum([0] + [len(m.boundary) for m in self.modules[:-1]]))
 
+    @cached_property
+    def wall_table(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """Every module's `active_walls`, padded to the largest count and
+        built on first use: the row of each module id, the walls
+        (M, W, 2, 2), zero past a module's own, and valid (M, W), True on
+        a module's own walls."""
+        walls = [active_walls(self, m.id) for m in self.modules]
+        table = np.zeros((len(walls), max(len(w) for w in walls), 2, 2))
+        valid = np.zeros(table.shape[:2], dtype=bool)
+        for row, w in enumerate(walls):
+            table[row, :len(w)] = w
+            valid[row, :len(w)] = True
+        return {m.id: row for row, m in enumerate(self.modules)}, table, valid
+
     def module(self, module_id: str) -> ModuleRegion:
         for m in self.modules:
             if m.id == module_id:
@@ -323,11 +340,6 @@ def active_walls(scene: Scene, module_id: str) -> np.ndarray:
     if m.walls.size == 0:
         return m.virtual_walls.copy()
     return np.concatenate([m.walls, m.virtual_walls], axis=0)
-
-
-def active_exit(scene: Scene, module_id: str) -> np.ndarray:
-    """Exit segment endpoints of a module, shape (2, 2)."""
-    return scene.module(module_id).exit.copy()
 
 
 def _area_from_json(value) -> Optional[tuple[float, float, float, float]]:

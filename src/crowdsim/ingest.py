@@ -61,12 +61,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def velocity_at(self, step: int) -> np.ndarray:
-        """Velocity at a local step; the undefined first step reads as zero."""
-        if step == 0:
-            return np.zeros(2)
-        return self.velocities[step]
-
 
 @dataclass(frozen=True)
 class Run:
@@ -333,7 +327,7 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
         frame = np.concatenate([traj.t0 + np.arange(len(traj)) for traj in tracks])
         pos = np.concatenate([traj.positions for traj in tracks])
         vel = np.concatenate([traj.velocities for traj in tracks])
-        vel[starts] = 0.0                   # Trajectory.velocity_at(0)
+        vel[starts] = 0.0                   # a track's undefined first velocity reads as zero
         is_row = np.array([m is not None for m in module_ids])
         row_of = offset + np.cumsum(is_row) - 1
         # Every entry in frame order, tracks in run order within a frame;

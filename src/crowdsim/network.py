@@ -21,7 +21,11 @@ index arrays where not, taps in increasing u so every output row sums in
 the same order under either plan.  Dropout masks are drawn over the whole
 (B, C, window) either way, so the rng stream does not depend on the plan.
 The scalar reference of each conv, `dilated_causal_conv` (the defining sum),
-lives with the tests in `tests/oracles.py`.
+lives with the tests in `tests/oracles.py`.  Each conv keeps its
+weight-normed, re-laid-out weight for as long as v and g keep their bits,
+so inference with frozen parameters builds it once.  During training Adam
+moves v and g before every forward, so the cache misses each time and holds
+one extra (v, g, weight) per conv beside the parameters.
 
 An activation lives from the forward that caches it until the backward that
 reads it: each conv's and block's backward releases its cache, and the
@@ -203,16 +207,31 @@ class _WeightNormConv:
         self.grad_g = np.zeros_like(self.g)
         self.grad_b = np.zeros_like(self.b)
         self._cache: Optional[tuple] = None
+        self._weight: Optional[tuple] = None     # (v copy, g copy, laid-out weight)
 
     def effective_weight(self) -> np.ndarray:
         return weight_norm_effective(self.v, self.g)
+
+    def _laid_out_weight(self) -> np.ndarray:
+        """The effective weight as (q, C_in, C_out), rebuilt only when v or
+        g differ in any bit from the copies it was built from: parameters
+        are written in place (Adam, load_state_dict, tests), so the copies,
+        not a version count, tell whether it is stale."""
+        if self._weight is not None:
+            v, g, w = self._weight
+            if (np.array_equal(v.view(np.int64), self.v.view(np.int64))
+                    and np.array_equal(g.view(np.int64), self.g.view(np.int64))):
+                return w
+        w = self.effective_weight().transpose(2, 1, 0).copy()
+        self._weight = (self.v.copy(), self.g.copy(), w)
+        return w
 
     def forward(self, z: np.ndarray, taps: Optional[list] = None) -> np.ndarray:
         """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
         table; by default every step, n_out = n_in."""
         _, batch, c_in = z.shape
         taps = _tap_table(range(len(z)), range(len(z)), self.q, self.h) if taps is None else taps
-        w = self.effective_weight().transpose(2, 1, 0).copy()   # (q, C_in, C_out)
+        w = self._laid_out_weight()
         (_, _, src), *shifted = taps
         out = _gemm(z[src].reshape(-1, c_in), w[0]).reshape(-1, batch, w.shape[2])
         for u, dst, src in shifted:

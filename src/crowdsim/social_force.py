@@ -72,52 +72,53 @@ def draw_desired_speeds(ped_ids, rng: np.random.Generator,
     return out
 
 
-def _repulsion(diff: np.ndarray, d: np.ndarray, reach: float, params: SFParams, what: str):
-    """Per neighbour at offset diff (k, 2) and distance d (k,): the normal
-    force, the overlap g(reach - d) and the tangent, as (k, 2), (k,), (k, 2).
-
-    A neighbour closer than 1e-12 pushes along +x, with one warning.
-    """
-    degenerate = d < 1e-12
-    if np.any(degenerate):
-        warnings.warn(f"{what}: falling back to a fixed repulsion direction", RuntimeWarning)
-        d = np.where(degenerate, 0.0, d)
-        n = np.where(degenerate[:, None], (1.0, 0.0),
-                     diff / np.where(degenerate, 1.0, d)[:, None])
-    else:
-        n = diff / d[:, None]
-    gap = reach - d
-    overlap = np.where(gap > 0.0, gap, 0.0)
-    normal = (params.A * np.exp(gap / params.B) + params.k * overlap)[:, None] * n
-    return normal, overlap, np.stack([-n[:, 1], n[:, 0]], axis=1)
-
-
 def sf_acceleration(position, velocity, desired_speed: float, direction,
                     others_pos, others_vel, walls, params: SFParams) -> np.ndarray:
-    """Net acceleration: driving term plus repulsion force sums over mass."""
+    """Net acceleration: driving term plus repulsion force sums over mass.
+
+    Pedestrians and then walls go through one repulsion pass as k
+    neighbours, each at its reach (2r for a pedestrian, r for a wall) and
+    with its velocity relative to the subject (-v for a wall).  A neighbour
+    closer than 1e-12 pushes along +x, with one warning per kind and call.
+    """
     p = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
     e = np.asarray(direction, dtype=float)
     others_pos = np.asarray(others_pos, dtype=float).reshape(-1, 2)
     others_vel = np.asarray(others_vel, dtype=float).reshape(-1, 2)
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    n_peds = len(others_pos)
 
-    diff = p - others_pos
-    normal, overlap, t = _repulsion(diff, np.hypot(diff[:, 0], diff[:, 1]),
-                                    2.0 * params.radius, params, "overlapping pedestrians")
-    friction = (params.kappa * overlap * np.vecdot(others_vel - v, t))[:, None] * t
-
-    c, d = closest_points_on_segments(p, walls[:, 0], walls[:, 1])
-    w_normal, w_overlap, w_t = _repulsion(p - c, d, params.radius, params,
-                                          "pedestrian centered on a wall")
-    w_friction = (-params.kappa * w_overlap * np.vecdot(v, w_t))[:, None] * w_t
+    c = closest_points_on_segments(p, walls[:, 0], walls[:, 1])[0]
+    diff = p - np.concatenate([others_pos, c])                  # (k, 2)
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    degenerate = d < 1e-12
+    if degenerate.any():
+        for what, rows in (("overlapping pedestrians", degenerate[:n_peds]),
+                           ("pedestrian centered on a wall", degenerate[n_peds:])):
+            if rows.any():
+                warnings.warn(f"{what}: falling back to a fixed repulsion direction",
+                              RuntimeWarning)
+        d = np.where(degenerate, 0.0, d)
+        n = np.where(degenerate[:, None], (1.0, 0.0),
+                     diff / np.where(degenerate, 1.0, d)[:, None])
+    else:
+        n = diff / d[:, None]
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    dv = np.empty_like(diff)
+    dv[:n_peds] = others_vel - v
+    dv[n_peds:] = -v                    # kappa*o*((-v).t) is -kappa*o*(v.t), bit for bit
+    gap = np.repeat([2.0 * params.radius, params.radius], [n_peds, len(c)]) - d
+    overlap = np.where(gap > 0.0, gap, 0.0)
 
     # Add the terms one by one from zero, pedestrians then walls, normal
     # before friction: accumulate keeps that order, so rounding is the same
     # as a loop over the neighbours.
-    terms = np.concatenate([np.zeros((1, 2)),
-                            np.stack([normal, friction], axis=1).reshape(-1, 2),
-                            np.stack([w_normal, w_friction], axis=1).reshape(-1, 2)])
+    terms = np.empty((2 * len(d) + 1, 2))
+    terms[0] = 0.0
+    np.multiply((params.A * np.exp(gap / params.B) + params.k * overlap)[:, None], n,
+                out=terms[1::2])
+    np.multiply((params.kappa * overlap * np.vecdot(dv, t))[:, None], t, out=terms[2::2])
     force = np.add.accumulate(terms, axis=0)[-1]
     return (desired_speed * e - v) / params.tau + force / params.mass
 

@@ -3,14 +3,19 @@
 Each function here computes one pedestrian, one ray or one point the plain
 way, and the tests hold a batched kernel of `crowdsim` to it:
 
-* `ray_cast` and `ray_cast_batch`: `geometry.ray_distances`;
+* `reference_ray_distances` (the ray kernel over one shared wall set,
+  with its collinear branch evaluated over every triple):
+  `geometry.ray_distances`, bit for bit, on shared and on padded
+  per-origin wall sets; `ray_cast`, `ray_cast_batch` and
+  `wall_points_in_disk` cast through it;
 * `scalar_first_wall_crossing`: `geometry.first_wall_crossings`, bit for
   bit (`geometry.first_wall_crossing` is the kernel's one-move view);
 * `closest_point_on_segment`: `geometry.closest_points_on_segments`, bit
   for bit;
-* `point_in_polygon` and `scalar_point_in_module`:
-  `geometry.points_in_polygon` and `geometry.point_in_modules`
-  (`geometry.point_in_module` is the latter's one-point view);
+* `point_in_polygon` and `scalar_point_in_module`: `points_in_polygon`
+  (a one-polygon view of `geometry._points_in_polygons`) and
+  `geometry.point_in_modules` (`geometry.point_in_module` is the latter's
+  one-point view);
 * `desired_direction`: `social_force.desired_directions`, bit for bit;
 * `wall_points_in_disk`, `extract_social`, `extract_visual`,
   `extract_exit`, `assemble_step` and `extract_step`:
@@ -20,11 +25,12 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
 * `samples_to_arrays`: `ingest.Windows`, whose batches equal its stacked
   arrays at the same indices, bit for bit.
 
-`point_segment_distance`, `rect_contains`, `stack_window` and the two
-velocity stubs are small helpers that tests build their cases with.  The
-module is not collected by pytest (its name does not start with "test_");
-tests import it as a sibling module, and `test_oracles.py` keeps these
-names out of the package.
+`active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
+`stack_window` and the two velocity stubs are small helpers that tests
+build their cases with.  The module is not collected by pytest (its name
+does not start with "test_"); tests import it as a sibling module, and
+`test_oracles.py` keeps these names out of the package, its classes
+included.
 """
 from __future__ import annotations
 
@@ -39,11 +45,55 @@ from crowdsim.geometry import (
     Point2,
     Scene,
     _as_walls,
+    _points_in_polygons,
     closest_points_on_segments,
-    ray_distances,
+    polygon_edges,
     rect_mask,
 )
 from crowdsim.social_force import shrunk_exit
+
+
+def reference_ray_distances(origins, d: np.ndarray, seg: np.ndarray,
+                            collinear: bool = True) -> np.ndarray:
+    """Distance along each unit ray d (k, 2) from each origin (..., 2) to each wall (m, 2, 2).
+
+    Returns shape (..., k, m), +inf where the ray misses the wall.  With
+    collinear=False a ray running along a wall misses it; otherwise it hits
+    at the nearest overlap point.
+    """
+    o = np.asarray(origins, dtype=float)[..., None, None, :]   # (..., 1, 1, 2)
+    p0 = seg[:, 0, :]                                           # (m, 2)
+    s = seg[:, 1, :] - seg[:, 0, :]                             # (m, 2)
+    slen = np.linalg.norm(s, axis=1)                            # (m,)
+    a0 = p0 - o                                                 # (..., 1, m, 2)
+    dx, dy = d[:, None, 0], d[:, None, 1]                       # (k, 1)
+
+    # 2x2 solve via cross products: t*d - u*s = p0 - o.
+    denom = dx * s[:, 1] - dy * s[:, 0]                         # (k, m)
+    a0xs = a0[..., 0] * s[:, 1] - a0[..., 1] * s[:, 0]          # (..., 1, m)
+    a0xd = a0[..., 0] * dy - a0[..., 1] * dx                    # (..., k, m)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a0xs / denom
+        u = a0xd / denom
+
+    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)               # metric endpoint slack
+    nonpar = np.abs(denom) > 1e-12
+    ok = nonpar & (t >= -GEOM_EPS) & (u >= -eps_u) & (u <= 1.0 + eps_u)
+    t_hit = np.where(ok, np.maximum(t, 0.0), np.inf)
+
+    # Parallel rays: collinear overlap hits at the nearest overlap point.
+    par = ~nonpar
+    if collinear and np.any(par):
+        perp = np.abs(a0xd)                                     # distance of p0 from the ray line
+        ta = a0[..., 0] * dx + a0[..., 1] * dy
+        tb = ta + (s[:, 0] * dx + s[:, 1] * dy)
+        lo = np.minimum(ta, tb)
+        hi = np.maximum(ta, tb)
+        okp = par & (perp <= GEOM_EPS) & (hi >= -GEOM_EPS)
+        t_par = np.where(okp, np.maximum(lo, 0.0), np.inf)
+        t_hit = np.minimum(t_hit, t_par)
+    return t_hit
 
 
 def ray_cast(origin: Point2, angle: float, walls) -> Optional[tuple[Point2, float]]:
@@ -77,7 +127,7 @@ def ray_cast_batch(origin: Point2, angles: np.ndarray, walls) -> tuple[np.ndarra
 
     o = np.asarray(origin, dtype=float)
     d = np.stack([np.cos(angles), np.sin(angles)], axis=1)      # (k, 2)
-    out_t = ray_distances(o, d, seg).min(axis=1)
+    out_t = reference_ray_distances(o, d, seg).min(axis=1)
     with np.errstate(invalid="ignore"):
         pts = o[None, :] + out_t[:, None] * d
     pts[~np.isfinite(out_t)] = np.nan
@@ -159,12 +209,23 @@ def point_in_polygon(p: Point2, boundary: np.ndarray) -> bool:
     return bool(np.count_nonzero(crosses & (x < x_cross)) % 2)
 
 
+def points_in_polygon(points, boundary: np.ndarray) -> np.ndarray:
+    """Even-odd containment of every point (k, 2): (k,) bool.  Points on
+    the boundary count as inside."""
+    return _points_in_polygons(points, *polygon_edges(boundary), [0])[:, 0]
+
+
 def scalar_point_in_module(scene: Scene, p: Point2) -> Optional[str]:
     """Id of the first module (traversal order) containing p, else None."""
     for m in scene.modules:
         if point_in_polygon(p, m.boundary):
             return m.id
     return None
+
+
+def active_exit(scene: Scene, module_id: str) -> np.ndarray:
+    """Exit segment endpoints of a module, shape (2, 2)."""
+    return scene.module(module_id).exit.copy()
 
 
 def point_segment_distance(p: Point2, seg) -> float:
@@ -235,8 +296,8 @@ def wall_points_in_disk(position, walls, radius: float, n_sectors: int):
     # Candidate 3: intersections with the sector boundary rays; each one
     # serves the wedges on both sides of the ray.
     bounds = np.arange(n_sectors) * width
-    t_hit = ray_distances(pos, np.stack([np.cos(bounds), np.sin(bounds)], axis=1), seg,
-                          collinear=False)                      # (n_sectors, m)
+    t_hit = reference_ray_distances(pos, np.stack([np.cos(bounds), np.sin(bounds)], axis=1),
+                                    seg, collinear=False)       # (n_sectors, m)
     jj, mm = np.nonzero(np.isfinite(t_hit) & (t_hit <= radius))
     if jj.size:
         t = t_hit[jj, mm]
@@ -376,6 +437,14 @@ def extract_step(position, velocity, others_pos, others_vel, walls,
     visual = extract_visual(position, walls, params)
     exit_rel = extract_exit(position, exit_segment)
     return assemble_step(velocity, social, visual, exit_rel, params)
+
+
+def velocity_at(traj, step: int) -> np.ndarray:
+    """A `Trajectory`'s velocity at a local step; the undefined first step
+    reads as zero."""
+    if step == 0:
+        return np.zeros(2)
+    return traj.velocities[step]
 
 
 def stack_window(steps) -> np.ndarray:

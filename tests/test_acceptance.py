@@ -17,7 +17,7 @@ import pytest
 
 from crowdsim.cli import main as cli_main
 from crowdsim.features import ExtractionParams
-from crowdsim.geometry import ModuleRegion, Scene, active_exit, active_walls
+from crowdsim.geometry import ModuleRegion, Scene, active_walls
 from crowdsim.io import read_csv
 from crowdsim.metrics import Track, ade, fde, fundamental_diagram, tte
 from crowdsim.network import (NetworkConfig, TrainingConfig, VelocityPredictor,
@@ -26,7 +26,7 @@ from crowdsim.scene_library import make_bottleneck, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig, run_simulation
 from crowdsim.social_force import SFParams, sf_run
 
-from oracles import (ConstantVelocityOracle, ZeroVelocityOracle,
+from oracles import (ConstantVelocityOracle, ZeroVelocityOracle, active_exit,
                      dilated_causal_conv, extract_step, point_segment_distance,
                      ray_cast, stack_window)
 from oracles import scalar_first_wall_crossing as first_wall_crossing

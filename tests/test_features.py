@@ -11,12 +11,12 @@ from crowdsim.features import ExtractionParams, extract_batch
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
-    active_exit,
     active_walls,
 )
 from crowdsim.scene_library import BUILTIN_SCENES
 
 from oracles import (
+    active_exit,
     assemble_step,
     extract_exit,
     extract_social,
@@ -316,8 +316,21 @@ def _open_scene() -> Scene:
     return Scene(modules=(m,), successor={"open": None})
 
 
+def _open_then_walled_scene() -> Scene:
+    """The open square, its exit leading into a walled one: in one call the
+    open module's empty wall set is padded to the walled one's two walls,
+    with padding at the origin, inside the open square's perception disks."""
+    walled = ModuleRegion(
+        id="walled", kind="corridor",
+        boundary=np.array([[4.0, 0.0], [8.0, 0.0], [8.0, 4.0], [4.0, 4.0]]),
+        walls=np.array([[[4.0, 0.0], [8.0, 0.0]], [[8.0, 4.0], [4.0, 4.0]]]),
+        exit=np.array([[8.0, 0.0], [8.0, 4.0]]))
+    return Scene(modules=(_open_scene().modules[0], walled),
+                 successor={"open": "walled", "walled": None})
+
+
 BATCH_SCENES = {**{name: build() for name, build in BUILTIN_SCENES.items()},
-                "open": _open_scene()}
+                "open": _open_scene(), "open_then_walled": _open_then_walled_scene()}
 
 # Around pedestrian 0: a co-located pedestrian, one within GEOM_EPS of it
 # (sector 0 too), four on the axis sector boundaries at equal distance, and

@@ -13,12 +13,11 @@ from crowdsim.geometry import (
     GEOM_EPS,
     ModuleRegion,
     Scene,
-    active_exit,
     active_walls,
     closest_points_on_segments,
     first_wall_crossings,
     point_in_modules,
-    points_in_polygon,
+    ray_distances,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -26,12 +25,15 @@ from crowdsim.geometry import (
 from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
 
 from oracles import (
+    active_exit,
     closest_point_on_segment,
     point_in_polygon,
     point_segment_distance,
+    points_in_polygon,
     ray_cast,
     ray_cast_batch,
     rect_contains,
+    reference_ray_distances,
 )
 from oracles import scalar_first_wall_crossing as first_wall_crossing
 from oracles import scalar_point_in_module as point_in_module
@@ -173,6 +175,44 @@ def test_ray_cast_matches_sampling_oracle() -> None:
         if hit is not None:
             assert abs(hit[1] - o_dist) <= 1e-3, (origin, angle, hit[1], o_dist)
     assert checked >= 500
+
+
+_AXES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+@settings(max_examples=300)
+@given(g=st.integers(1, 5), k=st.integers(1, 12), m=st.integers(0, 6),
+       collinear=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ray_distances_equal_the_reference_bitwise(g, k, m, collinear, seed) -> None:
+    # Grid coordinates and axis-aligned rays make walls parallel to a ray,
+    # and some collinear with it, common; each origin gets one wall laid
+    # along one of its rays.  Per-origin sets of 0..m walls are padded to m
+    # with more such walls, which the mask must keep from ever hitting.
+    rng = np.random.default_rng(seed)
+    origins = rng.integers(-8, 9, size=(g, 2)) * 0.25
+    angles = rng.integers(0, 36, size=k) * (2.0 * np.pi / 36)
+    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    axis = rng.random(k) < 0.5
+    d[axis] = _AXES[rng.integers(0, 4, size=int(axis.sum()))]
+    walls = rng.integers(-8, 9, size=(g, m, 2, 2)) * 0.25
+    if m:
+        ray = d[rng.integers(0, k, size=g)]
+        along = np.sort(rng.integers(-4, 9, size=(g, 2)) * 0.25, axis=1)
+        walls[:, rng.integers(0, m)] = origins[:, None, :] + along[..., None] * ray[:, None, :]
+    counts = rng.integers(0, m + 1, size=g)
+    valid = np.arange(m) < counts[:, None]
+
+    got = ray_distances(origins, d, walls, valid, collinear)
+    assert got.shape == (g, k, m)
+    for i in range(g):
+        want = reference_ray_distances(origins[i], d, walls[i, :counts[i]], collinear)
+        assert got[i, :, :counts[i]].tobytes() == want.tobytes(), i
+        assert np.all(got[i, :, counts[i]:] == np.inf), i
+    # One shared wall set for every origin, every wall valid.
+    shared = walls.reshape(-1, 2, 2)[: m + 2]
+    every = np.ones(len(shared), dtype=bool)
+    assert (ray_distances(origins, d, shared, every, collinear).tobytes()
+            == reference_ray_distances(origins, d, shared, collinear).tobytes())
 
 
 def test_first_wall_crossing_inclusive_endpoint() -> None:
@@ -388,6 +428,19 @@ def test_active_walls_includes_virtual_walls() -> None:
     assert ex.tolist() == [[2.0, 0.0], [2.0, 2.0]]
     with pytest.raises(KeyError):
         active_walls(scene, "nope")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENES))
+def test_wall_table_pads_each_module_active_walls(name) -> None:
+    scene = builtin_scene(name)
+    rows, table, valid = scene.wall_table
+    assert list(rows) == [m.id for m in scene.modules]
+    assert table.shape[:2] == valid.shape
+    for m in scene.modules:
+        walls = active_walls(scene, m.id)
+        assert valid[rows[m.id]].tolist() == [i < len(walls) for i in range(valid.shape[1])]
+        assert table[rows[m.id], :len(walls)].tobytes() == walls.tobytes()
+    assert scene.wall_table is scene.wall_table         # built once
 
 
 def test_scene_validation_rejects_cycles_and_bad_refs() -> None:

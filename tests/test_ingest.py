@@ -7,7 +7,7 @@ import pytest
 
 import crowdsim.ingest
 from crowdsim.features import ExtractionParams
-from crowdsim.geometry import active_exit, active_walls
+from crowdsim.geometry import active_walls
 from crowdsim.ingest import (
     Dataset,
     Run,
@@ -21,7 +21,7 @@ from crowdsim.ingest import (
 )
 from crowdsim.scene_library import make_composite, make_corridor
 
-from oracles import extract_step, samples_to_arrays, stack_window
+from oracles import active_exit, extract_step, samples_to_arrays, stack_window, velocity_at
 from oracles import scalar_point_in_module as point_in_module
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
@@ -241,7 +241,7 @@ def _step_features_oracle(subject, step, others, scene, params):
         local = frame - other.t0
         if 0 <= local < len(other):
             others_pos.append(other.positions[local])
-            others_vel.append(other.velocity_at(local))
+            others_vel.append(velocity_at(other, local))
     module_id = point_in_module(scene, position)
     if module_id is None:
         raise ValueError(

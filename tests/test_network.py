@@ -461,6 +461,52 @@ def test_network_config_validation() -> None:
         NetworkConfig(input_dim=6, dropout_rate=1.0)
 
 
+def test_predict_never_serves_a_stale_weight() -> None:
+    # Convs reuse their laid-out weight while v and g are unchanged; after
+    # in-place writes, Adam steps and a load_state_dict, predict must equal
+    # a net built fresh with the same parameters, byte for byte.
+    net = VelocityPredictor(TINY, np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(5, 8, 6))
+    conv1, conv2 = net.blocks[1].conv1, net.blocks[2].conv2
+    opt = Adam(net.parameters(), lr=1e-3)
+    other = VelocityPredictor(TINY, np.random.default_rng(33))
+
+    def rescale():                  # the same weight up to rounding
+        conv1.v *= 3.7
+
+    def nudge():                    # one entry, through a view
+        conv2.v.reshape(-1)[5] += 1e-3
+
+    def flip():
+        conv2.g[1] = -conv2.g[1]
+
+    def one_ulp():
+        conv1.g *= 1.0 + 2.0**-52
+
+    def adam_step():
+        pred = net.forward(x, train=True, rng=rng, head_only=True)
+        net.backward(loss_and_grad(pred, rng.normal(size=(5, 2)))[1])
+        opt.step(net.gradients())
+
+    def load():
+        net.load_state_dict(other.state_dict())
+
+    net.predict(x)
+    kept = conv1._weight[2]
+    net.predict(x)
+    assert conv1._weight[2] is kept                     # reused while unchanged
+    for write in (rescale, nudge, flip, one_ulp, adam_step, adam_step, load):
+        before = net.predict(x)
+        write()
+        got = net.predict(x)
+        fresh = VelocityPredictor(TINY, np.random.default_rng(99))
+        fresh.load_state_dict(net.state_dict())
+        assert got.tobytes() == fresh.predict(x).tobytes(), write.__name__
+        assert got.tobytes() != before.tobytes(), write.__name__
+    assert net.predict(x).tobytes() == other.predict(x).tobytes()
+
+
 def test_state_dict_round_trip() -> None:
     net = VelocityPredictor(TINY, np.random.default_rng(29))
     state = net.state_dict()

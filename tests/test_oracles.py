@@ -16,4 +16,8 @@ def test_no_crowdsim_module_defines_or_reexports_a_reference():
     for info in pkgutil.iter_modules(crowdsim.__path__):
         module = importlib.import_module(f"crowdsim.{info.name}")
         assert not references & set(vars(module)), module.__name__
+        # nor as a method or attribute of one of its classes
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                assert not references & set(vars(obj)), f"{module.__name__}.{name}"
     assert not references & set(vars(crowdsim))

@@ -8,7 +8,6 @@ from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
-    active_exit,
     active_walls,
 )
 from crowdsim.ingest import Trajectory
@@ -27,6 +26,7 @@ from crowdsim.social_force import SFParams, sf_run
 from oracles import (
     ConstantVelocityOracle,
     ZeroVelocityOracle,
+    active_exit,
     closest_point_on_segment,
     extract_step,
     point_segment_distance,

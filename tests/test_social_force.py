@@ -12,7 +12,6 @@ from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
-    active_exit,
     active_walls,
 )
 from crowdsim.scene_library import make_corner, make_corridor
@@ -26,7 +25,8 @@ from crowdsim.social_force import (
     shrunk_exit,
 )
 
-from oracles import closest_point_on_segment, desired_direction, point_segment_distance
+from oracles import (active_exit, closest_point_on_segment, desired_direction,
+                     point_segment_distance)
 from oracles import scalar_first_wall_crossing as first_wall_crossing
 from oracles import scalar_point_in_module as point_in_module
 
