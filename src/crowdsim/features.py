@@ -112,13 +112,16 @@ def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
     n, ns = subjects.size, params.n_sectors
     i, j = _group_pairs(subjects, groups)
     own = subjects[i]
-    rel = np.take(pos, j, axis=0) - np.take(pos, own, axis=0)  # p_j - p_subjects[i]
-    d = np.linalg.norm(rel, axis=-1)
+    x, y = pos[:, 0], pos[:, 1]
+    relx, rely = x[j] - x[own], y[j] - y[own]                  # p_j - p_subjects[i]
+    d = np.sqrt(relx * relx + rely * rely)
     near = (d <= params.radius) & (j != own)
-    i, j, rel, d = i[near], j[near], rel[near], d[near]
-    sec = _sector_of(np.arctan2(rel[:, 1], rel[:, 0]), ns)
+    i, j, relx, rely, d = i[near], j[near], relx[near], rely[near], d[near]
+    sec = _sector_of(np.arctan2(rely, relx), ns)
     sec = np.where(d <= GEOM_EPS, 0, sec)
-    order = np.lexsort((j, d, sec, i))
+    # The pairs come subject by subject, in entry order, and lexsort is
+    # stable: equal (subject, sector, distance) keys stay in j order.
+    order = np.lexsort((d, sec, i))
     i, j, d, sec = i[order], j[order], d[order], sec[order]
     first = np.ones(i.size, dtype=bool)         # nearest of each (subject, sector)
     first[1:] = (i[1:] != i[:-1]) | (sec[1:] != sec[:-1])
@@ -132,84 +135,95 @@ def _nearest_pedestrians(pos: np.ndarray, vel: np.ndarray, subjects: np.ndarray,
     return dist, near_pos, near_vel
 
 
-def _wall_points_batch(pos: np.ndarray, seg: np.ndarray, valid: np.ndarray,
-                       radius: float, n_sectors: int):
+def _wall_points_batch(pos: np.ndarray, table: np.ndarray, valid: np.ndarray,
+                       rows: np.ndarray, radius: float, n_sectors: int):
     """`wall_points_in_disk` (tests/oracles.py) for every subject of pos
-    (g, 2) against its own wall set: the valid (g, m) walls of seg (g, m, 2, 2).
+    (g, 2) against its own wall set: the valid walls of table row rows[i]
+    (see `ray_distances`).
 
     Each wedge takes the nearest of its candidates, laid out per subject and
     sector as [projections, first endpoints, second endpoints, hits on the
     wedge's own boundary ray, hits on the next boundary ray], m each.  That
     is the scalar code's concatenation order, so argmin's first-minimum rule
     breaks distance ties the way its stable sort does; padded walls, which
-    sit after a subject's own, are never candidates.
+    sit after a subject's own, are never candidates.  A projection or
+    endpoint lies in one wedge, so those candidates are scattered into
+    place; the arithmetic runs on x and y arrays of shape (g, m).
     """
-    g, m = seg.shape[:2]
+    g, m = len(rows), valid.shape[1]
     dists = np.full((g, n_sectors), np.inf)
     points = np.full((g, n_sectors, 2), np.nan)
     if m == 0 or g == 0:
         return dists, points
-    a = seg[:, :, 0, :]                                         # (g, m, 2)
-    b = seg[:, :, 1, :]
-    ab = b - a
-    len2 = np.maximum(np.einsum("gmd,gmd->gm", ab, ab), GEOM_EPS**2)
-    wedge = np.arange(n_sectors)[None, :, None]                 # (1, S, 1)
+    px, py = pos[:, :1], pos[:, 1:]                             # (g, 1)
+    # Per subject and wall: projection, first and second endpoint.
+    x, y = np.empty((3, g, m)), np.empty((3, g, m))
+    x[1:] = table[rows, :, :, 0].transpose(2, 0, 1)
+    y[1:] = table[rows, :, :, 1].transpose(2, 0, 1)
+    abx, aby = x[2] - x[1], y[2] - y[1]
+    len2 = np.maximum(abx * abx + aby * aby, GEOM_EPS**2)
+    tproj = np.clip(((px - x[1]) * abx + (py - y[1]) * aby) / len2, 0.0, 1.0)
+    x[0], y[0] = x[1] + tproj * abx, y[1] + tproj * aby
+    relx, rely = x - px, y - py
+    d = np.sqrt(relx * relx + rely * rely)
+    sec = _sector_of(np.arctan2(rely, relx), n_sectors)
+    ok = (d <= radius) & valid[rows]
+    near = d <= GEOM_EPS
 
-    tproj = np.clip(((pos[:, None, :] - a) * ab).sum(axis=-1) / len2, 0.0, 1.0)
-    proj = a + tproj[..., None] * ab                            # (g, m, 2)
-    rel = proj - pos[:, None, :]
-    d_proj = np.linalg.norm(rel, axis=-1)
-    sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
-    keep = (d_proj <= radius) & valid
-    # A projection collapsing onto the subject belongs to every wedge.
-    on_subject = (keep & (d_proj <= GEOM_EPS))[:, None, :]
-    ok_proj = (keep[:, None, :] & (sec[:, None, :] == wedge)) | on_subject
-    cand_d = [np.where(ok_proj, d_proj[:, None, :], np.inf)]
-
-    for pts in (a, b):
-        rel = pts - pos[:, None, :]
-        d = np.linalg.norm(rel, axis=-1)
-        sec = _sector_of(np.arctan2(rel[..., 1], rel[..., 0]), n_sectors)
-        ok = ((d <= radius) & (d > GEOM_EPS) & valid)[:, None, :] & (sec[:, None, :] == wedge)
-        cand_d.append(np.where(ok, d[:, None, :], np.inf))
+    cand = np.full((g, n_sectors, 5, m), np.inf)
+    # A projection collapsing onto the subject belongs to every wedge, and
+    # an endpoint there to none.
+    i, j = np.nonzero(ok[0] & near[0])
+    cand[i, :, 0, j] = d[0, i, j, None]
+    ok[1:] &= ~near[1:]
+    block, i, j = np.nonzero(ok)
+    cand[i, sec[block, i, j], block, j] = d[block, i, j]
 
     bounds = np.arange(n_sectors) * (TWO_PI / n_sectors)
-    u = np.stack([np.cos(bounds), np.sin(bounds)], axis=1)
-    t_hit = ray_distances(pos, u, seg, valid, collinear=False)   # (g, S, m)
-    t_hit = np.where(t_hit <= radius, t_hit, np.inf)
-    cand_d += [t_hit, np.roll(t_hit, -1, axis=1)]   # a boundary ray serves both wedges
+    ux, uy = np.cos(bounds), np.sin(bounds)
+    hit = ray_distances(pos, np.stack([ux, uy], axis=1), table, valid, rows,
+                        collinear=False)                        # (g, m, S)
+    hit[hit > radius] = np.inf
+    cand[:, :, 3] = hit.transpose(0, 2, 1)
+    cand[:, :-1, 4] = cand[:, 1:, 3]    # a boundary ray serves both wedges
+    cand[:, -1, 4] = cand[:, 0, 3]
 
-    cand_d = np.concatenate(cand_d, axis=2)                     # (g, S, 5m)
-    best = np.argmin(cand_d, axis=2)                            # (g, S)
-    dist = np.take_along_axis(cand_d, best[..., None], axis=2)[..., 0]
+    cand = cand.reshape(g, n_sectors, 5 * m)
+    best = np.argmin(cand, axis=2)                              # (g, S)
+    dist = np.take_along_axis(cand, best[..., None], axis=2)[..., 0]
     found = np.isfinite(dist)
-    rows, sectors = np.nonzero(found)
+    i, sectors = np.nonzero(found)
     block, j = np.divmod(best[found], m)
     dist = dist[found]
-    choices = np.stack([proj[rows, j], a[rows, j], b[rows, j],
-                        pos[rows] + dist[:, None] * u[sectors],
-                        pos[rows] + dist[:, None] * u[(sectors + 1) % n_sectors]])
+    ray = block >= 3
+    k = (sectors + (block == 4)) % n_sectors
+    fixed = np.minimum(block, 2)
     dists[found] = dist
-    points[found] = choices[block, np.arange(block.size)]
+    points[i, sectors, 0] = np.where(ray, px[i, 0] + dist * ux[k], x[fixed, i, j])
+    points[i, sectors, 1] = np.where(ray, py[i, 0] + dist * uy[k], y[fixed, i, j])
     return dists, points
 
 
-def _visual_batch(pos: np.ndarray, seg: np.ndarray, valid: np.ndarray,
-                  params: ExtractionParams) -> np.ndarray:
+def _visual_batch(pos: np.ndarray, table: np.ndarray, valid: np.ndarray,
+                  rows: np.ndarray, params: ExtractionParams) -> np.ndarray:
     """`extract_visual` (tests/oracles.py) for every subject of pos (g, 2)
-    against its own wall set (the valid walls of seg), shape (g, n_rays, 2)."""
+    against its own wall set (see `ray_distances`), shape (g, n_rays, 2).
+
+    A ray's nearest hit is a running `np.minimum` over the walls, which is
+    exact: no distance is NaN."""
     n = params.n_rays
     angles = np.arange(n) * (TWO_PI / n)
-    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if seg.shape[1]:
-        t = ray_distances(pos, u, seg, valid).min(axis=2)    # (g, n_rays)
-    else:
-        t = np.full((pos.shape[0], n), np.inf)
-    miss = ~np.isfinite(t)
-    with np.errstate(invalid="ignore"):
-        pts = pos[:, None, :] + t[..., None] * u
-    pts[miss] = (pos[:, None, :] + params.vision_range * u)[miss]
-    return pts - pos[:, None, :]
+    ux, uy = np.cos(angles), np.sin(angles)
+    hits = ray_distances(pos, np.stack([ux, uy], axis=1), table, valid, rows)  # (g, m, n)
+    t = np.full((len(rows), n), np.inf)
+    for wall in range(hits.shape[1]):
+        np.minimum(t, hits[:, wall], out=t)
+    t[t == np.inf] = params.vision_range                       # unobstructed sight
+    px, py = pos[:, :1], pos[:, 1:]
+    out = np.empty((len(rows), n, 2))
+    np.subtract(px + t * ux, px, out=out[..., 0])
+    np.subtract(py + t * uy, py, out=out[..., 1])
+    return out
 
 
 def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
@@ -231,24 +245,27 @@ def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
     n, ns, nr = subjects.size, params.n_sectors, params.n_rays
     best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, groups, params)
     pos, vel = pos[subjects], vel[subjects]
-    table_rows, table, table_valid = scene.wall_table
+    table_rows, table, valid = scene.wall_table
     row = np.array([table_rows[module_ids[i]] for i in subjects], dtype=int)
-    walls, valid = table[row], table_valid[row]
 
-    wd, wp = _wall_points_batch(pos, walls, valid, params.radius, ns)
+    wd, wp = _wall_points_batch(pos, table, valid, row, params.radius, ns)
     wall_wins = wd < best_dist                  # pedestrians win exact ties
     best_dist = np.where(wall_wins, wd, best_dist)
-    best_pos = np.where(wall_wins[..., None], wp, best_pos)
-    best_vel = np.where(wall_wins[..., None], 0.0, best_vel)
-    visual = _visual_batch(pos, walls, valid, params)
-    exits = np.stack([_ordered_exit(m.exit) for m in scene.modules])
-    exit_rel = exits[row] - pos[:, None, :]
-
-    empty = ~np.isfinite(best_dist)
+    np.copyto(best_pos, wp, where=wall_wins[..., None])
+    np.copyto(best_vel, 0.0, where=wall_wins[..., None])
+    empty = ~np.isfinite(best_dist)[..., None]
     mid = (np.arange(ns) + 0.5) * (TWO_PI / ns)
     rim = pos[:, None, :] + params.radius * np.stack([np.cos(mid), np.sin(mid)], axis=1)
-    best_pos[empty] = rim[empty]
-    best_vel[empty] = 0.0
-    social = np.concatenate([best_pos - pos[:, None, :], best_vel - vel[:, None, :]], axis=2)
-    return np.concatenate([vel, social.reshape(n, 4 * ns), visual.reshape(n, 2 * nr),
-                           exit_rel.reshape(n, 4)], axis=1)
+    np.copyto(best_pos, rim, where=empty)
+    np.copyto(best_vel, 0.0, where=empty)
+
+    # Each block is written into its columns of the rows.
+    out = np.empty((n, params.feature_dim))
+    out[:, :2] = vel
+    social = out[:, 2:2 + 4 * ns].reshape(n, ns, 4)
+    np.subtract(best_pos, pos[:, None, :], out=social[..., :2])
+    np.subtract(best_vel, vel[:, None, :], out=social[..., 2:])
+    out[:, 2 + 4 * ns:-4] = _visual_batch(pos, table, valid, row, params).reshape(n, 2 * nr)
+    exits = np.stack([_ordered_exit(m.exit) for m in scene.modules])
+    np.subtract(exits[row], pos[:, None, :], out=out[:, -4:].reshape(n, 2, 2))
+    return out

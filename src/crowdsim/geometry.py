@@ -39,53 +39,76 @@ def _as_walls(walls) -> np.ndarray:
     return arr
 
 
-def ray_distances(origins, d: np.ndarray, seg: np.ndarray, valid: np.ndarray,
-                  collinear: bool = True) -> np.ndarray:
-    """Distance along each unit ray d (k, 2) from each origin (..., 2) to each
-    wall of its own wall set seg (..., m, 2, 2).
+def ray_distances(origins, d: np.ndarray, table: np.ndarray, valid: np.ndarray,
+                  rows, collinear: bool = True) -> np.ndarray:
+    """Distance along each unit ray d (k, 2) from each origin (g, 2) to each
+    wall of its own wall set, row rows[i] (g,) of table (M, m, 2, 2).
 
-    valid (..., m) marks the walls of each set that exist; the others never
-    hit, so sets of different sizes can be padded to one m.  One shared set
-    (m, 2, 2) with its mask (m,) broadcasts over the origins.  Returns shape
-    (..., k, m), +inf where the ray misses the wall.  With collinear=False a
-    ray running along a wall misses it; otherwise it hits at the nearest
-    overlap point.
+    valid (M, m) marks the walls of each row that exist; the others never
+    hit, so sets of different sizes can be padded to one m (as
+    `Scene.wall_table` is).  Returns shape (g, m, k), wall-major, +inf where
+    the ray misses the wall.  With collinear=False a ray running along a
+    wall misses it; otherwise it hits at the nearest overlap point.
+
+    The terms of a (ray, wall) pair (segment, slack, denominator, and the
+    candidate and parallel masks) are built once per table row.  Per origin
+    the broadcasts run on x and y arrays with the k rays innermost, and the
+    parallel triples are found from the table rows' parallel masks.
     """
-    o = np.asarray(origins, dtype=float)[..., None, None, :]   # (..., 1, 1, 2)
-    p0 = seg[..., None, :, 0, :]                                # (..., 1, m, 2)
-    s = seg[..., None, :, 1, :] - p0                            # (..., 1, m, 2)
-    slen = np.linalg.norm(s, axis=-1)                           # (..., 1, m)
-    a0 = p0 - o                                                 # (..., 1, m, 2)
-    dx, dy = d[:, None, 0], d[:, None, 1]                       # (k, 1)
+    rows = np.asarray(rows, dtype=int)
+    o = np.asarray(origins, dtype=float).reshape(-1, 2)
+    ox, oy = o[:, :1], o[:, 1:]                                 # (g, 1)
+    dx, dy = d[:, 0].copy(), d[:, 1].copy()                     # (k,)
+    p0x, p0y = table[:, :, 0, 0], table[:, :, 0, 1]             # (M, m)
+    sx = table[:, :, 1, 0] - p0x
+    sy = table[:, :, 1, 1] - p0y
+    eps_u = GEOM_EPS / np.maximum(np.sqrt(sx * sx + sy * sy), GEOM_EPS)  # metric endpoint slack
 
-    # 2x2 solve via cross products: t*d - u*s = p0 - o.
-    denom = dx * s[..., 1] - dy * s[..., 0]                     # (..., k, m)
-    a0xs = a0[..., 0] * s[..., 1] - a0[..., 1] * s[..., 0]      # (..., 1, m)
-    a0xd = a0[..., 0] * dy - a0[..., 1] * dx                    # (..., k, m)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = a0xs / denom
-        u = a0xd / denom
-
-    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)               # metric endpoint slack
+    # 2x2 solve via cross products: t*d - u*s = p0 - o.  The (g, m, k)
+    # arrays are a0xd, t and u, each written into once allocated.
+    denom = dx * sy[..., None] - dy * sx[..., None]             # (M, m, k)
     nonpar = np.abs(denom) > 1e-12
-    ok = nonpar & (t >= -GEOM_EPS) & (u >= -eps_u) & (u <= 1.0 + eps_u) & valid[..., None, :]
-    t_hit = np.where(ok, np.maximum(t, 0.0), np.inf)
+    a0x = p0x[rows] - ox                                        # (g, m)
+    a0y = p0y[rows] - oy
+    a0xs = (a0x * sy[rows] - a0y * sx[rows])[..., None]
+    a0xd = np.multiply(a0x[..., None], dy)                      # (g, m, k)
+    t = np.multiply(a0y[..., None], dx)
+    a0xd -= t
+    u = denom[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(a0xs, u, out=t)
+        np.divide(a0xd, u, out=u)
+    e = eps_u[rows][..., None]
+    ok = (nonpar & valid[..., None])[rows]
+    ok &= t >= -GEOM_EPS
+    ok &= u >= -e
+    ok &= u <= 1.0 + e
+    t_hit = np.maximum(t, 0.0, out=t)
+    t_hit[~ok] = np.inf
 
     # Parallel rays: collinear overlap hits at the nearest overlap point.
-    # Only the (origin, ray, wall) triples that are parallel are evaluated.
+    # Only the (origin, wall, ray) triples that are parallel are evaluated:
+    # each origin takes its table row's triples, in row order.
     if collinear:
-        at = np.nonzero(np.broadcast_to(~nonpar & valid[..., None, :], t_hit.shape))
-        if at[0].size:
-            ax, ay, sx, sy, rx, ry = (np.broadcast_to(x, t_hit.shape)[at] for x in (
-                a0[..., 0], a0[..., 1], s[..., 0], s[..., 1], dx, dy))
-            perp = np.abs(a0xd[at])                             # distance of p0 from the ray line
-            ta = ax * rx + ay * ry
-            tb = ta + (sx * rx + sy * ry)
+        row, wall, ray = np.nonzero(~nonpar & valid[..., None])
+        count = np.bincount(row, minlength=len(table))
+        per = count[rows]
+        i = np.repeat(np.arange(len(rows)), per)
+        if i.size:
+            first = np.repeat((np.cumsum(count) - count)[rows], per)
+            at = first + np.arange(i.size) - np.repeat(np.cumsum(per) - per, per)
+            rx, ry = dx[ray], dy[ray]
+            sd = (sx[row, wall] * rx + sy[row, wall] * ry)[at]
+            rx, ry = rx[at], ry[at]
+            ij = i * sx.shape[1] + wall[at]                     # flat (origin, wall)
+            ijq = ij * len(dx) + ray[at]                        # flat (origin, wall, ray)
+            perp = np.abs(a0xd.take(ijq))                       # distance of p0 from the ray line
+            ta = a0x.take(ij) * rx + a0y.take(ij) * ry
+            tb = ta + sd
             lo = np.minimum(ta, tb)
             hi = np.maximum(ta, tb)
             okp = (perp <= GEOM_EPS) & (hi >= -GEOM_EPS)
-            t_hit[at] = np.where(okp, np.maximum(lo, 0.0), np.inf)
+            t_hit.put(ijq, np.where(okp, np.maximum(lo, 0.0), np.inf))
     return t_hit
 
 
@@ -153,6 +176,24 @@ def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
     return None if idx < 0 else idx
 
 
+def segment_terms(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts a (m, 2), vectors b - a (m, 2) and squared lengths (m,) of the
+    segments a[i]-b[i]: the terms `project_on_segments` reads, so a fixed
+    segment set can build them once."""
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    return a, ab, np.vecdot(ab, ab)
+
+
+def project_on_segments(p, a: np.ndarray, ab: np.ndarray, len2: np.ndarray) -> np.ndarray:
+    """The closest points of `closest_points_on_segments`, from a segment
+    set's `segment_terms`."""
+    degenerate = len2 == 0.0
+    t = np.vecdot(p - a, ab) / np.where(degenerate, 1.0, len2)
+    t = np.where(degenerate | (t < 0.0), 0.0, np.where(t > 1.0, 1.0, t))
+    return a + t[..., None] * ab
+
+
 def closest_points_on_segments(p, a: np.ndarray,
                                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest point of p to every segment a[i]-b[i] (clamped projection).
@@ -164,13 +205,7 @@ def closest_points_on_segments(p, a: np.ndarray,
     each row equals the tests' scalar reference exactly.
     """
     p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    ab = np.asarray(b, dtype=float) - a
-    denom = np.vecdot(ab, ab)
-    degenerate = denom == 0.0
-    t = np.vecdot(p - a, ab) / np.where(degenerate, 1.0, denom)
-    t = np.where(degenerate | (t < 0.0), 0.0, np.where(t > 1.0, 1.0, t))
-    c = a + t[..., None] * ab
+    c = project_on_segments(p, *segment_terms(a, b))
     diff = p - c
     return c, np.hypot(diff[..., 0], diff[..., 1])
 

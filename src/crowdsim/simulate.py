@@ -126,14 +126,13 @@ class SimulationResult:
 
     def to_rows(self, run_name: str) -> list[list]:
         """Rows (run, ped_id, step, time_s, x_m, y_m, module_id, reset_flag)."""
-        rows = []
+        rows, dt = [], float(self.dt)
         for traj in sorted(self.trajectories, key=lambda t: t.ped_id):
-            for i, step in enumerate(traj.steps):
-                rows.append([
-                    run_name, traj.ped_id, int(step), float(step * self.dt),
-                    float(traj.positions[i, 0]), float(traj.positions[i, 1]),
-                    traj.module_ids[i], int(traj.reset_flags[i]),
-                ])
+            steps = range(traj.entry_step, traj.entry_step + len(traj.positions))
+            for step, (x, y), module_id, reset in zip(steps, traj.positions.tolist(),
+                                                      traj.module_ids, traj.reset_flags.tolist()):
+                rows.append([run_name, traj.ped_id, step, step * dt, x, y, module_id,
+                             int(reset)])
         return rows
 
 
@@ -170,12 +169,6 @@ class _Snapshot:
     index: dict[str, int]
     pos: np.ndarray             # (N, 2)
     vel: np.ndarray             # (N, 2)
-
-    def others(self, ped_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Every pedestrian but ped_id, in id order: one subject's neighbours."""
-        i = self.index[ped_id]
-        return (np.concatenate((self.pos[:i], self.pos[i + 1:])),
-                np.concatenate((self.vel[:i], self.vel[i + 1:])))
 
 
 def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP):

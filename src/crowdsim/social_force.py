@@ -17,7 +17,10 @@ already.
 Desired directions aim at the nearest point of the current module's exit
 segment shrunk inward by the pedestrian radius (each module's shrunk exit
 is built once per run, and a step's directions come from one call);
-the force law runs once per moved pedestrian.  Integration is
+the force law runs once per moved pedestrian.  Its inputs cost no per-call
+work: each module's wall terms (`segment_terms`) are built once per run,
+and the law reads the step snapshot's full positions and velocities with
+the subject's index instead of a copy without the subject.  Integration is
 semi-implicit Euler (v then p) at the caller's dt, and a step that would
 cross a wall holds position.  The run itself (entry seeding, prefix
 replay, exit removal, module handoff, junction snap, truncation and the
@@ -34,10 +37,11 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import closest_points_on_segments
+from .geometry import closest_points_on_segments, project_on_segments, segment_terms
 from .simulate import SimulationConfig, SimulationResult, Simulator
 
 DESIRED_SPEED_CLAMP = (0.5, 2.5)
+_QUARTER_TURN = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -72,26 +76,27 @@ def draw_desired_speeds(ped_ids, rng: np.random.Generator,
     return out
 
 
-def sf_acceleration(position, velocity, desired_speed: float, direction,
-                    others_pos, others_vel, walls, params: SFParams) -> np.ndarray:
-    """Net acceleration: driving term plus repulsion force sums over mass.
+def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, desired_speed: float,
+                    direction, walls, params: SFParams) -> np.ndarray:
+    """Net acceleration of pedestrian index of the crowd pos, vel (N, 2):
+    driving term plus repulsion force sums over mass.
 
-    Pedestrians and then walls go through one repulsion pass as k
-    neighbours, each at its reach (2r for a pedestrian, r for a wall) and
-    with its velocity relative to the subject (-v for a wall).  A neighbour
+    walls is the `segment_terms` of the subject's walls.  The crowd and
+    then the walls go through one repulsion pass as N + m neighbours, each
+    at its reach (2r for a pedestrian, r for a wall) and with its velocity
+    relative to the subject (-v for a wall).  The subject's own pair counts
+    as infinitely far, so its two terms are exact zeros.  A neighbour
     closer than 1e-12 pushes along +x, with one warning per kind and call.
     """
-    p = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
+    p, v = pos[index], vel[index]
     e = np.asarray(direction, dtype=float)
-    others_pos = np.asarray(others_pos, dtype=float).reshape(-1, 2)
-    others_vel = np.asarray(others_vel, dtype=float).reshape(-1, 2)
-    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
-    n_peds = len(others_pos)
-
-    c = closest_points_on_segments(p, walls[:, 0], walls[:, 1])[0]
-    diff = p - np.concatenate([others_pos, c])                  # (k, 2)
+    n_peds = len(pos)
+    k = n_peds + len(walls[0])
+    diff = np.empty((k, 2))
+    np.subtract(p, pos, out=diff[:n_peds])
+    np.subtract(p, project_on_segments(p, *walls), out=diff[n_peds:])
     d = np.hypot(diff[:, 0], diff[:, 1])
+    d[index] = np.inf
     degenerate = d < 1e-12
     if degenerate.any():
         for what, rows in (("overlapping pedestrians", degenerate[:n_peds]),
@@ -104,17 +109,20 @@ def sf_acceleration(position, velocity, desired_speed: float, direction,
                      diff / np.where(degenerate, 1.0, d)[:, None])
     else:
         n = diff / d[:, None]
-    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    t = n[:, ::-1] * _QUARTER_TURN                  # (-n_y, n_x), exactly
     dv = np.empty_like(diff)
-    dv[:n_peds] = others_vel - v
+    np.subtract(vel, v, out=dv[:n_peds])
     dv[n_peds:] = -v                    # kappa*o*((-v).t) is -kappa*o*(v.t), bit for bit
-    gap = np.repeat([2.0 * params.radius, params.radius], [n_peds, len(c)]) - d
-    overlap = np.where(gap > 0.0, gap, 0.0)
+    gap = np.empty(k)
+    np.subtract(2.0 * params.radius, d[:n_peds], out=gap[:n_peds])
+    np.subtract(params.radius, d[n_peds:], out=gap[n_peds:])
+    overlap = np.maximum(gap, 0.0)
 
     # Add the terms one by one from zero, pedestrians then walls, normal
     # before friction: accumulate keeps that order, so rounding is the same
-    # as a loop over the neighbours.
-    terms = np.empty((2 * len(d) + 1, 2))
+    # as a loop over the neighbours.  The sum starts at +0.0 and so is never
+    # -0.0, and adding the subject's zero terms leaves its bits unchanged.
+    terms = np.empty((2 * k + 1, 2))
     terms[0] = 0.0
     np.multiply((params.A * np.exp(gap / params.B) + params.k * overlap)[:, None], n,
                 out=terms[1::2])
@@ -160,6 +168,7 @@ class _SocialForceSimulator(Simulator):
         self.desired_speeds = desired_speeds
         self._directions: dict[str, np.ndarray] = {}
         self._targets = {m.id: shrunk_exit(m.exit, params.radius) for m in config.scene.modules}
+        self._wall_terms = {mid: segment_terms(w[:, 0], w[:, 1]) for mid, w in self._walls.items()}
 
     def _propose(self, active, moved, snap, t) -> None:
         """One force-law step per moved pedestrian; no features, no network.
@@ -174,9 +183,9 @@ class _SocialForceSimulator(Simulator):
         for ped, e in zip(moved, directions):
             pos, vel = ped.positions[-1], ped.velocities[-1]
             self._directions[ped.ped_id] = e
-            acc = sf_acceleration(pos, vel, self.desired_speeds[ped.ped_id], e,
-                                  *snap.others(ped.ped_id), self._walls[ped.module_id],
-                                  self.sf_params)
+            acc = sf_acceleration(snap.index[ped.ped_id], snap.pos, snap.vel,
+                                  self.desired_speeds[ped.ped_id], e,
+                                  self._wall_terms[ped.module_id], self.sf_params)
             v_new = vel + acc * cfg.dt
             ped._proposal, ped._velocity = pos + v_new * cfg.dt, v_new
         for ped, idx in zip(moved, self._crossings(moved, self._walls)):

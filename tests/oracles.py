@@ -5,9 +5,9 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
 
 * `reference_ray_distances` (the ray kernel over one shared wall set,
   with its collinear branch evaluated over every triple):
-  `geometry.ray_distances`, bit for bit, on shared and on padded
-  per-origin wall sets; `ray_cast`, `ray_cast_batch` and
-  `wall_points_in_disk` cast through it;
+  `geometry.ray_distances`, bit for bit, on table rows of one wall set
+  per origin, of one shared set and of a scene's `wall_table`; `ray_cast`,
+  `ray_cast_batch` and `wall_points_in_disk` cast through it;
 * `scalar_first_wall_crossing`: `geometry.first_wall_crossings`, bit for
   bit (`geometry.first_wall_crossing` is the kernel's one-move view);
 * `closest_point_on_segment`: `geometry.closest_points_on_segments`, bit
@@ -26,11 +26,12 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
   arrays at the same indices, bit for bit.
 
 `active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
-`stack_window` and the two velocity stubs are small helpers that tests
-build their cases with.  The module is not collected by pytest (its name
+`stack_window`, `snapshot_others` and the two velocity stubs are small
+helpers that tests build their cases with.  The module is not collected by pytest (its name
 does not start with "test_"); tests import it as a sibling module, and
 `test_oracles.py` keeps these names out of the package, its classes
-included.
+included; a helper named `<class>_<name>` is also kept from returning as
+method `<name>` of that class (`snapshot_others` was `_Snapshot.others`).
 """
 from __future__ import annotations
 
@@ -221,6 +222,14 @@ def scalar_point_in_module(scene: Scene, p: Point2) -> Optional[str]:
         if point_in_polygon(p, m.boundary):
             return m.id
     return None
+
+
+def snapshot_others(snap, ped_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities of every pedestrian of a `simulate._Snapshot`
+    but ped_id, in id order: one subject's neighbours for `extract_step`."""
+    i = snap.index[ped_id]
+    return (np.concatenate((snap.pos[:i], snap.pos[i + 1:])),
+            np.concatenate((snap.vel[:i], snap.vel[i + 1:])))
 
 
 def active_exit(scene: Scene, module_id: str) -> np.ndarray:

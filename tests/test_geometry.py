@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdsim.geometry
@@ -178,11 +178,24 @@ def test_ray_cast_matches_sampling_oracle() -> None:
 
 
 _AXES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_COMPOSITE = builtin_scene("composite")
+
+
+def _reference_rows(origins, d, table, valid, rows, collinear):
+    """`reference_ray_distances` of each origin against its own table row's
+    valid walls, padded with misses and laid out wall-major like
+    `ray_distances`: (g, m, k)."""
+    out = np.full((len(origins), table.shape[1], len(d)), np.inf)
+    for i, (o, r) in enumerate(zip(origins, rows)):
+        walls = table[r, valid[r]]
+        out[i, :len(walls)] = reference_ray_distances(o, d, walls, collinear).T
+    return out
 
 
 @settings(max_examples=300)
 @given(g=st.integers(1, 5), k=st.integers(1, 12), m=st.integers(0, 6),
        collinear=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(g=3, k=4, m=0, collinear=True, seed=0)        # empty wall sets
 def test_ray_distances_equal_the_reference_bitwise(g, k, m, collinear, seed) -> None:
     # Grid coordinates and axis-aligned rays make walls parallel to a ray,
     # and some collinear with it, common; each origin gets one wall laid
@@ -202,17 +215,32 @@ def test_ray_distances_equal_the_reference_bitwise(g, k, m, collinear, seed) -> 
     counts = rng.integers(0, m + 1, size=g)
     valid = np.arange(m) < counts[:, None]
 
-    got = ray_distances(origins, d, walls, valid, collinear)
-    assert got.shape == (g, k, m)
-    for i in range(g):
-        want = reference_ray_distances(origins[i], d, walls[i, :counts[i]], collinear)
-        assert got[i, :, :counts[i]].tobytes() == want.tobytes(), i
-        assert np.all(got[i, :, counts[i]:] == np.inf), i
-    # One shared wall set for every origin, every wall valid.
+    # One table row per origin (rows = arange(g)), padded past each count.
+    own = np.arange(g)
+    got = ray_distances(origins, d, walls, valid, own, collinear)
+    assert got.shape == (g, m, k)
+    assert got.tobytes() == _reference_rows(origins, d, walls, valid, own, collinear).tobytes()
+    # One shared set for every origin (rows = zeros(g)), every wall valid.
     shared = walls.reshape(-1, 2, 2)[: m + 2]
-    every = np.ones(len(shared), dtype=bool)
-    assert (ray_distances(origins, d, shared, every, collinear).tobytes()
-            == reference_ray_distances(origins, d, shared, collinear).tobytes())
+    every = np.ones((1, len(shared)), dtype=bool)
+    got = ray_distances(origins, d, shared[None], every, np.zeros(g, dtype=int), collinear)
+    want = reference_ray_distances(origins, d, shared, collinear)      # (g, k, m + 2)
+    assert got.tobytes() == want.transpose(0, 2, 1).tobytes()
+    # The composite's padded table, each origin on a random module's row.
+    _, table, table_valid = _COMPOSITE.wall_table
+    rows = rng.integers(0, len(table), size=g)
+    got = ray_distances(origins + 8.0, d, table, table_valid, rows, collinear)
+    assert got.tobytes() == _reference_rows(origins + 8.0, d, table, table_valid, rows,
+                                            collinear).tobytes()
+    # A ray's nearest hit as a running np.minimum over the walls is the
+    # reduction's; origins far outside the composite miss with every ray.
+    far = np.concatenate([origins + 8.0, origins + 1e3])
+    got = ray_distances(far, d, table, table_valid, np.concatenate([rows, rows]), collinear)
+    nearest = np.full((len(far), k), np.inf)
+    for wall in range(got.shape[1]):
+        np.minimum(nearest, got[:, wall], out=nearest)
+    assert nearest.tobytes() == got.min(axis=1).tobytes()
+    assert np.all(nearest[g:] == np.inf)
 
 
 def test_first_wall_crossing_inclusive_endpoint() -> None:

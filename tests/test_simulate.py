@@ -30,6 +30,7 @@ from oracles import (
     closest_point_on_segment,
     extract_step,
     point_segment_distance,
+    snapshot_others,
 )
 from oracles import scalar_first_wall_crossing as first_wall_crossing
 from oracles import scalar_point_in_module as point_in_module
@@ -341,7 +342,7 @@ class _ScalarFeatureSimulator(Simulator):
     def _step_features(self, active, snap):
         cfg = self.config
         return np.array([
-            extract_step(pos, vel, *snap.others(ped.ped_id),
+            extract_step(pos, vel, *snapshot_others(snap, ped.ped_id),
                          active_walls(cfg.scene, ped.module_id),
                          active_exit(cfg.scene, ped.module_id), cfg.params)
             for ped, pos, vel in zip(active, snap.pos, snap.vel)])
@@ -352,7 +353,7 @@ class _ScalarFeatureSimulator(Simulator):
         for s in steps:
             ped.window[s - t - 1] = extract_step(
                 ped.positions[s - ped.entry], ped.velocities[s - ped.entry],
-                *by_step[s].others(ped.ped_id), active_walls(cfg.scene, ped.module_id),
+                *snapshot_others(by_step[s], ped.ped_id), active_walls(cfg.scene, ped.module_id),
                 active_exit(cfg.scene, ped.module_id), cfg.params)
 
 

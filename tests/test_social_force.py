@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdsim.features import ExtractionParams
@@ -13,6 +13,7 @@ from crowdsim.geometry import (
     ModuleRegion,
     Scene,
     active_walls,
+    segment_terms,
 )
 from crowdsim.scene_library import make_corner, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig
@@ -33,6 +34,16 @@ from oracles import scalar_point_in_module as point_in_module
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 NO_WALLS = np.zeros((0, 2, 2))
 NO_PEDS = np.zeros((0, 2))
+
+
+def _accel_in_crowd(position, velocity, desired_speed, direction, others_pos, others_vel,
+                    walls, params, index=0):
+    """`sf_acceleration` of a subject put at row index of the crowd others."""
+    pos = np.insert(np.asarray(others_pos, dtype=float).reshape(-1, 2), index, position, axis=0)
+    vel = np.insert(np.asarray(others_vel, dtype=float).reshape(-1, 2), index, velocity, axis=0)
+    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    return sf_acceleration(index, pos, vel, desired_speed, direction,
+                           segment_terms(walls[:, 0], walls[:, 1]), params)
 
 
 def _config(scene, seeds, dt=0.04, max_steps=400) -> SimulationConfig:
@@ -65,13 +76,13 @@ def _two_corridor_scene() -> Scene:
 
 
 def test_lone_pedestrian_driving_term():
-    a = sf_acceleration((0, 0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS,
+    a = _accel_in_crowd((0, 0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS,
                         SFParams())
     assert np.allclose(a, [2.8, 0.0], atol=1e-12)
 
 
 def test_equilibrium_at_desired_velocity():
-    a = sf_acceleration((0, 0), (1.4, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS,
+    a = _accel_in_crowd((0, 0), (1.4, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS,
                         SFParams())
     assert np.allclose(a, [0.0, 0.0], atol=1e-12)
 
@@ -80,8 +91,8 @@ def test_far_pair_repulsion_negligible():
     p = SFParams()
     # separation beyond contact + 10 B: exponential term is tiny
     d = 2 * p.radius + 10 * p.B + 0.01
-    base = sf_acceleration((0, 0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS, p)
-    with_other = sf_acceleration((0, 0), (0, 0), 1.4, (1, 0),
+    base = _accel_in_crowd((0, 0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, NO_WALLS, p)
+    with_other = _accel_in_crowd((0, 0), (0, 0), 1.4, (1, 0),
                                  [[d, 0.0]], [[0.0, 0.0]], NO_WALLS, p)
     assert np.linalg.norm(with_other - base) < 1e-3 * np.linalg.norm(base)
 
@@ -89,7 +100,7 @@ def test_far_pair_repulsion_negligible():
 def test_contact_pair_force_arithmetic():
     p = SFParams()
     # centers 0.5 m apart: 0.1 m overlap, no relative tangential motion
-    a = sf_acceleration((0.5, 0.0), (0, 0), 0.0, (1, 0),
+    a = _accel_in_crowd((0.5, 0.0), (0, 0), 0.0, (1, 0),
                         [[0.0, 0.0]], [[0.0, 0.0]], NO_WALLS, p)
     expected = (2000.0 * math.exp(0.1 / 0.08) + 1.2e5 * 0.1) / 80.0
     assert np.allclose(a, [expected, 0.0], rtol=1e-12)
@@ -98,7 +109,7 @@ def test_contact_pair_force_arithmetic():
 def test_wall_force_perpendicular_without_sliding():
     scene = make_corridor()
     walls = active_walls(scene, "corridor")
-    a = sf_acceleration((3.0, 0.25), (0, 0), 0.0, (1, 0), NO_PEDS, NO_PEDS,
+    a = _accel_in_crowd((3.0, 0.25), (0, 0), 0.0, (1, 0), NO_PEDS, NO_PEDS,
                         walls, SFParams())
     assert a[0] == 0.0
     assert a[1] > 0.0
@@ -107,14 +118,14 @@ def test_wall_force_perpendicular_without_sliding():
 def test_wall_friction_opposes_sliding_in_contact():
     scene = make_corridor()
     walls = active_walls(scene, "corridor")
-    a = sf_acceleration((3.0, 0.2), (1.0, 0.0), 0.0, (0, 1), NO_PEDS, NO_PEDS,
+    a = _accel_in_crowd((3.0, 0.2), (1.0, 0.0), 0.0, (0, 1), NO_PEDS, NO_PEDS,
                         walls, SFParams())
     assert a[0] < 0.0
 
 
 def test_overlapping_pedestrians_warn_and_stay_finite():
     with pytest.warns(RuntimeWarning, match="overlapping"):
-        a = sf_acceleration((1.0, 1.0), (0, 0), 1.4, (1, 0),
+        a = _accel_in_crowd((1.0, 1.0), (0, 0), 1.4, (1, 0),
                             [[1.0, 1.0]], [[0.0, 0.0]], NO_WALLS, SFParams())
     assert np.all(np.isfinite(a))
 
@@ -220,7 +231,7 @@ def test_driving_relaxation_matches_closed_form():
     e = np.array([1.0, 0.0])
     worst = 0.0
     for n in range(1, int(2 * p.tau / dt) + 1):
-        a = sf_acceleration((0, 0), v, 1.4, e, NO_PEDS, NO_PEDS, NO_WALLS, p)
+        a = _accel_in_crowd((0, 0), v, 1.4, e, NO_PEDS, NO_PEDS, NO_WALLS, p)
         v = v + a * dt
         closed = 1.4 * e * (1.0 - math.exp(-n * dt / p.tau))
         worst = max(worst, float(np.linalg.norm(v - closed)))
@@ -247,8 +258,8 @@ def test_head_on_pair_stays_mirror_symmetric():
     pos_b, vel_b = np.array([1.0, 1.5]), np.array([-1.0, 0.0])
     e_a, e_b = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     for _ in range(100):
-        acc_a = sf_acceleration(pos_a, vel_a, 1.4, e_a, [pos_b], [vel_b], walls, p)
-        acc_b = sf_acceleration(pos_b, vel_b, 1.4, e_b, [pos_a], [vel_a], walls, p)
+        acc_a = _accel_in_crowd(pos_a, vel_a, 1.4, e_a, [pos_b], [vel_b], walls, p)
+        acc_b = _accel_in_crowd(pos_b, vel_b, 1.4, e_b, [pos_a], [vel_a], walls, p)
         assert abs(acc_a[0] + acc_b[0]) < 1e-9
         assert abs(acc_a[1] - acc_b[1]) < 1e-9
         vel_a = vel_a + acc_a * dt
@@ -407,9 +418,14 @@ def _warning_texts(fn, *args) -> tuple:
 @settings(max_examples=300)
 @given(n_others=st.integers(0, 12), n_walls=st.integers(0, 8),
        spread=st.sampled_from([0.05, 0.3, 1.5]), overlap=st.booleans(),
-       on_wall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       on_wall=st.booleans(), where=st.sampled_from(["first", "middle", "last"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_others=0, n_walls=0, spread=0.3, overlap=True, on_wall=False, where="first",
+         seed=0)                        # a lone subject: no "overlapping" warning
 def test_sf_acceleration_equals_the_loop_bitwise(n_others, n_walls, spread, overlap,
-                                                  on_wall, seed) -> None:
+                                                  on_wall, where, seed) -> None:
+    # The subject sits at the first, a middle or the last row of the crowd;
+    # the loop sees the crowd without it.
     rng = np.random.default_rng(seed)
     p = rng.uniform(-1.0, 1.0, size=2)
     v = rng.normal(size=2)
@@ -424,8 +440,9 @@ def test_sf_acceleration_equals_the_loop_bitwise(n_others, n_walls, spread, over
         if n_walls > 1:
             half = rng.normal(size=2)
             walls[1] = [p - half, p + half]                 # the subject mid-wall
+    index = {"first": 0, "middle": n_others // 2, "last": n_others}[where]
     args = (p, v, 1.3, e, others, others_vel, walls, SFParams())
-    got, got_warnings = _warning_texts(sf_acceleration, *args)
+    got, got_warnings = _warning_texts(_accel_in_crowd, *args, index)
     want, want_warnings = _warning_texts(_sf_acceleration_loop, *args)
     assert got.tobytes() == want.tobytes()
     assert got_warnings == want_warnings
@@ -434,5 +451,5 @@ def test_sf_acceleration_equals_the_loop_bitwise(n_others, n_walls, spread, over
 def test_sf_acceleration_warns_once_per_kind_on_a_wall() -> None:
     wall = np.array([[[0.0, 0.0], [2.0, 0.0]]])
     with pytest.warns(RuntimeWarning, match="centered on a wall"):
-        a = sf_acceleration((1.0, 0.0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, wall, SFParams())
+        a = _accel_in_crowd((1.0, 0.0), (0, 0), 1.4, (1, 0), NO_PEDS, NO_PEDS, wall, SFParams())
     assert np.all(np.isfinite(a))
