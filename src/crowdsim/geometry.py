@@ -6,9 +6,13 @@ segment, optional virtual walls that seal junctions, and two axis-aligned
 rectangles (measurement and focus area).  All coordinates are metres.
 
 Each predicate has one implementation, a kernel over many rays, moves or
-points.  `first_wall_crossing` and `point_in_module` are its one-move and
-one-point views; the scalar references the kernels are tested against live
-in the test suite, not here.
+points.  The wall kernels (`ray_distances`, `first_wall_crossings`) take a
+padded wall table, such as the scene's `Scene.wall_table`, and one table
+row per ray origin or move, so a crowd spread over several modules is one
+call; one shared wall set is a one-row table.  `first_wall_crossing` and
+`point_in_module` are the one-move and one-point views; the scalar
+references the kernels are tested against live in the test suite, not
+here.
 """
 from __future__ import annotations
 
@@ -112,33 +116,41 @@ def ray_distances(origins, d: np.ndarray, table: np.ndarray, valid: np.ndarray,
     return t_hit
 
 
-def first_wall_crossings(p_from, p_to, walls) -> np.ndarray:
+def first_wall_crossings(p_from, p_to, table: np.ndarray, valid: np.ndarray,
+                         rows) -> np.ndarray:
     """Index of the wall crossed first by every move p_from[i] -> p_to[i].
 
-    Takes (n, 2) move endpoints and one wall set; returns an (n,) int array
-    of wall indices, -1 where a move crosses none.  A move crosses a wall
-    it touches: endpoints and collinear overlaps count, within GEOM_EPS.
+    Takes (n, 2) move endpoints and, like `ray_distances`, a padded wall
+    table (M, m, 2, 2) with its mask valid (M, m) and one table row per
+    move, rows (n,): move i is tested against the valid walls of row
+    rows[i] (one shared set is a one-row table read by every move).
+    Returns an (n,) int array of wall indices within the row, -1 where a
+    move crosses none.  A move crosses a wall it touches: endpoints and
+    collinear overlaps count, within GEOM_EPS.
+
     The tests hold it to a per-move scalar reference bit for bit, so each
     step keeps that reference's operation: sqrt of `np.vecdot` is
     `np.linalg.norm` of one vector, and the stacked `@` rounds as its
-    per-move `a0 @ dn` and `s @ dn` do (einsum and vecdot do not).
+    per-move `a0 @ dn` and `s @ dn` do (einsum and vecdot do not).  Segment
+    vectors and slacks are built once per table row.
     """
-    seg = _as_walls(walls)
+    rows = np.asarray(rows, dtype=int).reshape(-1)
     a = np.asarray(p_from, dtype=float).reshape(-1, 2)
     d = np.asarray(p_to, dtype=float).reshape(-1, 2) - a          # (n, 2)
     n = a.shape[0]
-    if seg.shape[0] == 0 or n == 0:
+    if table.shape[1] == 0 or n == 0:
         return np.full(n, -1)
     dlen = np.sqrt(np.vecdot(d, d))                             # (n,)
 
-    p0 = seg[:, 0, :]
-    s = seg[:, 1, :] - seg[:, 0, :]
-    slen = np.linalg.norm(s, axis=1)
-    a0 = p0 - a[:, None, :]                                     # (n, m, 2)
+    s_row = table[:, :, 1, :] - table[:, :, 0, :]               # (M, m, 2)
+    eps_u = (GEOM_EPS / np.maximum(np.linalg.norm(s_row, axis=-1), GEOM_EPS))[rows]
+    s = s_row[rows]                                             # (n, m, 2)
+    sx, sy = s[..., 0], s[..., 1]
+    a0 = table[rows, :, 0, :] - a[:, None, :]                   # (n, m, 2)
     dx, dy = d[:, :1], d[:, 1:]                                 # (n, 1)
 
-    denom = dx * s[:, 1] - dy * s[:, 0]
-    a0xs = a0[..., 0] * s[:, 1] - a0[..., 1] * s[:, 0]
+    denom = dx * sy - dy * sx
+    a0xs = a0[..., 0] * sy - a0[..., 1] * sx
     a0xd = a0[..., 0] * dy - a0[..., 1] * dx
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,33 +158,37 @@ def first_wall_crossings(p_from, p_to, walls) -> np.ndarray:
         u = a0xd / denom
 
     eps_t = (GEOM_EPS / np.maximum(dlen, GEOM_EPS))[:, None]
-    eps_u = GEOM_EPS / np.maximum(slen, GEOM_EPS)
+    own = valid[rows]
     nonpar = np.abs(denom) > 1e-12
-    ok = nonpar & (t >= -eps_t) & (t <= 1.0 + eps_t) & (u >= -eps_u) & (u <= 1.0 + eps_u)
+    par = ~nonpar & own
+    ok = nonpar & own & (t >= -eps_t) & (t <= 1.0 + eps_t) & (u >= -eps_u) & (u <= 1.0 + eps_u)
     t_hit = np.where(ok, np.clip(t, 0.0, 1.0), np.inf)
 
-    rows = np.flatnonzero(~np.all(nonpar, axis=1) & (dlen > GEOM_EPS))
-    if rows.size:
-        dl = dlen[rows, None]
-        dn = d[rows] / dl                                       # (r, 2)
-        ar = a0[rows]                                           # (r, m, 2)
+    sel = np.flatnonzero(par.any(axis=1) & (dlen > GEOM_EPS))
+    if sel.size:
+        dl = dlen[sel, None]
+        dn = d[sel] / dl                                        # (r, 2)
+        ar = a0[sel]                                            # (r, m, 2)
         perp = np.abs(ar[..., 0] * dn[:, 1:] - ar[..., 1] * dn[:, :1])
         ta = (ar @ dn[:, :, None])[..., 0] / dl
-        tb = ta + (np.broadcast_to(s, ar.shape) @ dn[:, :, None])[..., 0] / dl
+        tb = ta + (s[sel] @ dn[:, :, None])[..., 0] / dl
         lo = np.minimum(ta, tb)
         hi = np.maximum(ta, tb)
-        er = eps_t[rows]
-        okp = ~nonpar[rows] & (perp <= GEOM_EPS) & (hi >= -er) & (lo <= 1.0 + er)
+        er = eps_t[sel]
+        okp = par[sel] & (perp <= GEOM_EPS) & (hi >= -er) & (lo <= 1.0 + er)
         t_par = np.where(okp, np.clip(lo, 0.0, 1.0), np.inf)
-        t_hit[rows] = np.minimum(t_hit[rows], t_par)
+        t_hit[sel] = np.minimum(t_hit[sel], t_par)
 
     best = np.argmin(t_hit, axis=1)
     return np.where(np.isfinite(t_hit[np.arange(n), best]), best, -1)
 
 
 def first_wall_crossing(p_from: Point2, p_to: Point2, walls) -> Optional[int]:
-    """`first_wall_crossings` of one move, with None for no crossing."""
-    idx = int(first_wall_crossings(p_from, p_to, walls)[0])
+    """`first_wall_crossings` of one move against one wall set, with None
+    for no crossing."""
+    seg = _as_walls(walls)
+    idx = int(first_wall_crossings(p_from, p_to, seg[None], np.ones((1, len(seg)), dtype=bool),
+                                   [0])[0])
     return None if idx < 0 else idx
 
 

@@ -24,6 +24,14 @@ new position, with a small snap for numerical overshoot at shared borders.
 depend on the model: `_propose` (the next positions of the pedestrians past
 their seeded prefix) and `_stranded` (a move out of every module with
 nothing to snap to); the social-force baseline overrides both.
+
+Each stage of a step is one kernel call for the whole crowd, and a stage
+with no rows calls none: the wall guard and the exit test are one
+`first_wall_crossings` call each, against `Scene.wall_table` and a
+per-module exit table with one row per pedestrian's module.  Feature
+windows live in one (P, w, D) ring over every pedestrian: a step writes
+its rows at t % w with one scatter, the predictor's input is one gather
+over steps t-w+1 .. t, and window rewrites are written into the ring.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ import numpy as np
 from .features import ExtractionParams, extract_batch
 from .geometry import (
     Scene,
-    active_walls,
     closest_points_on_segments,
     first_wall_crossings,
     point_in_modules,
@@ -139,7 +146,7 @@ class SimulationResult:
 @dataclass
 class _PedRuntime:
     seed: PedestrianSeed
-    window: deque                           # feature rows of the last w steps
+    slot: int                               # row of the Simulator's window ring
     state: str = "pending"                  # pending | active | done
     module_id: Optional[str] = None
     positions: list = field(default_factory=list)
@@ -192,14 +199,20 @@ class Simulator:
         self.config = config
         self.predictor = predictor
         self.step_index = 0
-        self._peds = {s.ped_id: _PedRuntime(seed=s, window=deque(maxlen=config.params.window))
-                      for s in config.pedestrians}
-        self._order = sorted(self._peds)
-        self._snapshots: deque = deque(maxlen=config.params.window)
+        params = config.params
+        seeds = sorted(config.pedestrians, key=lambda s: s.ped_id)
+        self._peds = {s.ped_id: _PedRuntime(seed=s, slot=i) for i, s in enumerate(seeds)}
+        self._order = list(self._peds)
+        # feature row of step s of the pedestrian in slot i at ring[i, s % w]
+        self._ring = np.zeros((len(self._order), params.window, params.feature_dim))
+        self._snapshots: deque = deque(maxlen=params.window)
         self._rewrites: list = []           # window rows re-extracted at step end
         scene = config.scene
-        self._walls = {m.id: active_walls(scene, m.id) for m in scene.modules}
-        self._exits = {m.id: m.exit[None] for m in scene.modules}
+        self._rows, table, valid = scene.wall_table
+        self._wall_table = table, valid
+        self._walls = {mid: table[row, valid[row]] for mid, row in self._rows.items()}
+        self._exit_table = (np.stack([m.exit for m in scene.modules])[:, None],
+                            np.ones((len(scene.modules), 1), dtype=bool))
 
     # -- queries ----------------------------------------------------------
 
@@ -218,11 +231,13 @@ class Simulator:
 
         entering = [p for p in map(self._peds.get, self._order)
                     if p.state == "pending" and p.entry == t]
-        starts = [ped.seed.positions[0] for ped in entering]
-        for ped, start, module_id in zip(entering, starts, point_in_modules(cfg.scene, starts)):
-            ped.state = "active"
-            ped.module_id = module_id
-            self._append(ped, start, module_id, np.zeros(2))
+        if entering:
+            starts = [ped.seed.positions[0] for ped in entering]
+            for ped, start, module_id in zip(entering, starts,
+                                             point_in_modules(cfg.scene, starts)):
+                ped.state = "active"
+                ped.module_id = module_id
+                self._append(ped, start, module_id, np.zeros(2))
 
         active = self._active()
         if not active:
@@ -247,7 +262,7 @@ class Simulator:
         # Commits touch only their own pedestrian, so the exit and module
         # tests of every proposal can run before the first commit.
         terminal = [p for p in moved if cfg.scene.successor[p.module_id] is None]
-        exits = {p.ped_id for p, i in zip(terminal, self._crossings(terminal, self._exits))
+        exits = {p.ped_id for p, i in zip(terminal, self._crossings(terminal, *self._exit_table))
                  if i >= 0}
         found = point_in_modules(cfg.scene, [p._proposal for p in active])
         for ped, module_id in zip(active, found):
@@ -265,13 +280,10 @@ class Simulator:
         """
         cfg = self.config
         self._snapshots.append((t, snap))
-        for ped, feats in zip(active, self._step_features(active, snap)):
-            ped.window.append(feats.copy())   # a view would keep the whole batch alive
+        x = self._windows(active, moved, snap, t)
         if not moved:
             return
-        rows = np.stack([row for ped in moved for row in ped.window])
-        v_hat = np.asarray(self.predictor.predict(rows.reshape(len(moved), -1, rows.shape[1])),
-                           dtype=float)
+        v_hat = np.asarray(self.predictor.predict(x), dtype=float)
         if v_hat.shape != (len(moved), 2):
             raise ValueError(f"predictor returned shape {v_hat.shape}")
         bad = ~np.all(np.isfinite(v_hat), axis=1)
@@ -281,22 +293,35 @@ class Simulator:
                              f"{ped.ped_id!r} at step {t}")
         for ped, v in zip(moved, v_hat):
             ped._proposal = ped.positions[-1] + v * cfg.dt
-        for ped, idx in zip(moved, self._crossings(moved, self._walls)):
+        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
             if idx >= 0:
                 self._reset(ped, self._walls[ped.module_id][idx], t)
 
-    def _crossings(self, peds: list, segments: dict) -> np.ndarray:
-        """Index of the first of segments[module] that each pedestrian's step
-        (positions[-1] to _proposal) crosses, or -1; one call per module."""
-        out = np.full(len(peds), -1)
-        groups: dict = {}
-        for i, ped in enumerate(peds):
-            groups.setdefault(ped.module_id, []).append(i)
-        for module_id, idx in groups.items():
-            out[idx] = first_wall_crossings([peds[i].positions[-1] for i in idx],
-                                            [peds[i]._proposal for i in idx],
-                                            segments[module_id])
-        return out
+    def _windows(self, active: list, moved: list, snap: _Snapshot, t: int) -> np.ndarray:
+        """Write the step's feature rows into the ring with one scatter and
+        gather the moved pedestrians' windows (n, w, D) with one gather:
+        steps t-w+1 .. t, oldest first."""
+        w = self.config.params.window
+        self._ring[[p.slot for p in active], t % w] = self._step_features(active, snap)
+        return self._ring[np.array([p.slot for p in moved], dtype=int)[:, None],
+                          np.arange(t + 1, t + w + 1) % w]
+
+    def _crossings(self, peds: list, table: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Index of the first segment that each pedestrian's step
+        (positions[-1] to _proposal) crosses among its module's row of
+        table (rows in `Scene.wall_table` order), or -1: one kernel call,
+        none for no pedestrians."""
+        if not peds:
+            return np.full(0, -1)
+        return first_wall_crossings([p.positions[-1] for p in peds], [p._proposal for p in peds],
+                                    table, valid, [self._rows[p.module_id] for p in peds])
+
+    def _module_crossings(self, module_id: str, p_from, p_to) -> np.ndarray:
+        """`first_wall_crossings` of moves p_from -> p_to against one
+        module's active walls."""
+        p_from = np.reshape(p_from, (-1, 2))
+        return first_wall_crossings(p_from, p_to, *self._wall_table,
+                                    np.full(len(p_from), self._rows[module_id]))
 
     def _step_features(self, active: list, snap: _Snapshot) -> np.ndarray:
         """Feature rows of the active pedestrians against the snapshot, (N, D)."""
@@ -363,7 +388,7 @@ class Simulator:
             return self._hold(ped)
         pos = ped.positions[-1]
         walls = self._walls[ped.module_id]
-        idx = int(first_wall_crossings(pos, nxt, walls)[0])
+        idx = int(self._module_crossings(ped.module_id, pos, nxt)[0])
         if idx < 0:
             idx = int(np.argmin(closest_points_on_segments(pos, walls[:, 0], walls[:, 1])[1]))
         self._reset(ped, walls[idx], t)
@@ -401,13 +426,13 @@ class Simulator:
                 n = -n
         return c + n * WALL_CLEARANCE
 
-    def _path_clear(self, prev: np.ndarray, points: list, walls: np.ndarray,
+    def _path_clear(self, prev: np.ndarray, points: list, module_id: str,
                     violated: np.ndarray) -> bool:
         chain = np.array([prev] + points)
         a, b = chain[:-1], chain[1:]
         moves = np.hypot(*(b - a).T) > 1e-12
         gaps = closest_points_on_segments(b[:, None], violated[:1], violated[1:])[1]
-        return not (np.any(first_wall_crossings(a[moves], b[moves], walls) >= 0)
+        return not (np.any(self._module_crossings(module_id, a[moves], b[moves]) >= 0)
                     or np.any(gaps < WALL_CLEARANCE - 1e-9)
                     or None in point_in_modules(self.config.scene, b))
 
@@ -434,7 +459,6 @@ class Simulator:
             direction = d if float(d @ (exit_mid - pos_t)) >= 0.0 else -d
 
         p_hat = self._clear_point(pos_t, wall, exit_mid)
-        walls_all = self._walls[ped.module_id]
         first_predicted = ped.entry + w
         r0 = max(t - w + 1, first_predicted)
         steps = list(range(r0, t + 1))
@@ -443,7 +467,7 @@ class Simulator:
             # first predicted step: the whole window is the seeded prefix,
             # which is never rewritten; just sidestep clear of the wall
             if (np.hypot(*(p_hat - pos_t)) < 1e-12
-                    or first_wall_crossings(pos_t, p_hat, walls_all)[0] < 0):
+                    or self._module_crossings(ped.module_id, pos_t, p_hat)[0] < 0):
                 ped._proposal = p_hat
             else:
                 ped._proposal = pos_t.copy()
@@ -458,7 +482,7 @@ class Simulator:
         # direction * 0.0, keep the standing velocities and offsets +0.0
         for speed, step_vel in ((speed, direction * speed), (0.0, np.zeros(2))):
             guided = [p_hat - step_vel * dt * (m - 1 - j) for j in range(m)]
-            if self._path_clear(prev, guided, walls_all, wall):
+            if self._path_clear(prev, guided, ped.module_id, wall):
                 break
         else:
             ped._proposal = pos_t.copy()
@@ -472,14 +496,14 @@ class Simulator:
         self._rewrite_window(ped, steps, t)
 
         nxt = p_hat + direction * speed * dt
-        if speed > 0.0 and first_wall_crossings(p_hat, nxt, walls_all)[0] >= 0:
+        if speed > 0.0 and self._module_crossings(ped.module_id, p_hat, nxt)[0] >= 0:
             nxt = p_hat.copy()
         ped._proposal = nxt
 
     def _rewrite_window(self, ped: _PedRuntime, steps: list, t: int) -> None:
-        """Queue the rows of the rewritten steps (window[-1] is step t) for
-        `_flush_rewrites`, each as its recorded snapshot with the subject's
-        rewritten state and current module."""
+        """Queue the rows of the rewritten steps for `_flush_rewrites`, each
+        as its recorded snapshot with the subject's rewritten state and
+        current module."""
         by_step = dict(self._snapshots)
         for s in steps:
             snap = by_step[s]
@@ -489,22 +513,22 @@ class Simulator:
             vel[i] = ped.velocities[s - ped.entry]
             module_ids = [None] * len(pos)
             module_ids[i] = ped.module_id
-            self._rewrites.append((ped, s - t - 1, pos, vel, module_ids))
+            self._rewrites.append((ped, s, pos, vel, module_ids))
 
     def _flush_rewrites(self) -> None:
-        """Extract every queued rewrite row in one call, one group per row.
+        """Extract every queued rewrite row in one call, one group per row,
+        and write them into the ring with one scatter.
 
         Windows are read only in _propose, so a flush after the step's
         commits gives the rows an immediate extraction would."""
         if not self._rewrites:
             return
-        _, _, pos, vel, module_ids = zip(*self._rewrites)
-        rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
-                             [m for ids in module_ids for m in ids], self.config.scene,
-                             self.config.params,
-                             groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
-        for (ped, k, *_), row in zip(self._rewrites, rows):
-            ped.window[k] = row.copy()
+        peds, steps, pos, vel, module_ids = zip(*self._rewrites)
+        self._ring[[p.slot for p in peds], np.array(steps) % self.config.params.window] = \
+            extract_batch(np.concatenate(pos), np.concatenate(vel),
+                          [m for ids in module_ids for m in ids], self.config.scene,
+                          self.config.params,
+                          groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
         self._rewrites.clear()
 
 

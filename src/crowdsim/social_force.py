@@ -18,11 +18,14 @@ Desired directions aim at the nearest point of the current module's exit
 segment shrunk inward by the pedestrian radius (each module's shrunk exit
 is built once per run, and a step's directions come from one call);
 the force law runs once per moved pedestrian.  Its inputs cost no per-call
-work: each module's wall terms (`segment_terms`) are built once per run,
-and the law reads the step snapshot's full positions and velocities with
-the subject's index instead of a copy without the subject.  Integration is
-semi-implicit Euler (v then p) at the caller's dt, and a step that would
-cross a wall holds position.  The run itself (entry seeding, prefix
+work: the wall terms (`segment_terms`) of the scene's padded wall table are
+built once per run, every moved pedestrian's closest points on its
+module's walls come from one `project_on_segments` call per step, and the
+law reads the step snapshot's full positions and velocities with the
+subject's index instead of a copy without the subject.  Integration is
+semi-implicit Euler (v then p) at the caller's dt, once per step over the
+whole crowd's accelerations, and a step that would cross a wall holds
+position.  The run itself (entry seeding, prefix
 replay, exit removal, module handoff, junction snap, truncation and the
 output format) is the data-driven `Simulator`'s: the model only proposes
 each step's positions, and holds where the TCN would reset.  Desired
@@ -77,12 +80,13 @@ def draw_desired_speeds(ped_ids, rng: np.random.Generator,
 
 
 def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, desired_speed: float,
-                    direction, walls, params: SFParams) -> np.ndarray:
+                    direction, wall_points: np.ndarray, params: SFParams) -> np.ndarray:
     """Net acceleration of pedestrian index of the crowd pos, vel (N, 2):
     driving term plus repulsion force sums over mass.
 
-    walls is the `segment_terms` of the subject's walls.  The crowd and
-    then the walls go through one repulsion pass as N + m neighbours, each
+    wall_points (m, 2) are the subject's closest points on its m walls
+    (`project_on_segments`).  The crowd and then the walls go through one
+    repulsion pass as N + m neighbours, each
     at its reach (2r for a pedestrian, r for a wall) and with its velocity
     relative to the subject (-v for a wall).  The subject's own pair counts
     as infinitely far, so its two terms are exact zeros.  A neighbour
@@ -91,10 +95,10 @@ def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, desired_speed:
     p, v = pos[index], vel[index]
     e = np.asarray(direction, dtype=float)
     n_peds = len(pos)
-    k = n_peds + len(walls[0])
+    k = n_peds + len(wall_points)
     diff = np.empty((k, 2))
     np.subtract(p, pos, out=diff[:n_peds])
-    np.subtract(p, project_on_segments(p, *walls), out=diff[n_peds:])
+    np.subtract(p, wall_points, out=diff[n_peds:])
     d = np.hypot(diff[:, 0], diff[:, 1])
     d[index] = np.inf
     degenerate = d < 1e-12
@@ -167,28 +171,40 @@ class _SocialForceSimulator(Simulator):
         self.sf_params = params
         self.desired_speeds = desired_speeds
         self._directions: dict[str, np.ndarray] = {}
-        self._targets = {m.id: shrunk_exit(m.exit, params.radius) for m in config.scene.modules}
-        self._wall_terms = {mid: segment_terms(w[:, 0], w[:, 1]) for mid, w in self._walls.items()}
+        # per module, in Scene.wall_table's row order: shrunk exit, wall
+        # terms (padded) and active wall count
+        self._targets = np.stack([shrunk_exit(m.exit, params.radius)
+                                  for m in config.scene.modules])
+        table, valid = self._wall_table
+        self._wall_terms = segment_terms(table[:, :, 0], table[:, :, 1])
+        self._wall_counts = valid.sum(axis=1)
 
     def _propose(self, active, moved, snap, t) -> None:
         """One force-law step per moved pedestrian; no features, no network.
         A step that crosses a wall holds position instead."""
         if not moved:
             return
-        cfg = self.config
+        dt = self.config.dt
+        index = np.array([snap.index[ped.ped_id] for ped in moved])
+        rows = np.array([self._rows[ped.module_id] for ped in moved])
+        pos, vel = snap.pos[index], snap.vel[index]
         directions = desired_directions(
-            [ped.positions[-1] for ped in moved],
-            [self._targets[ped.module_id] for ped in moved],
+            pos, self._targets[rows],
             [self._directions.get(ped.ped_id, (1.0, 0.0)) for ped in moved])
-        for ped, e in zip(moved, directions):
-            pos, vel = ped.positions[-1], ped.velocities[-1]
+        # every subject's closest points on its module's padded walls (m, W, 2)
+        a, ab, len2 = self._wall_terms
+        points = project_on_segments(pos[:, None], a[rows], ab[rows], len2[rows])
+        acc = np.empty((len(moved), 2))
+        for i, (ped, e, count) in enumerate(zip(moved, directions,
+                                                 self._wall_counts[rows].tolist())):
             self._directions[ped.ped_id] = e
-            acc = sf_acceleration(snap.index[ped.ped_id], snap.pos, snap.vel,
-                                  self.desired_speeds[ped.ped_id], e,
-                                  self._wall_terms[ped.module_id], self.sf_params)
-            v_new = vel + acc * cfg.dt
-            ped._proposal, ped._velocity = pos + v_new * cfg.dt, v_new
-        for ped, idx in zip(moved, self._crossings(moved, self._walls)):
+            acc[i] = sf_acceleration(index[i], snap.pos, snap.vel,
+                                     self.desired_speeds[ped.ped_id], e,
+                                     points[i, :count], self.sf_params)
+        v_new = vel + acc * dt
+        for ped, p, v in zip(moved, pos + v_new * dt, v_new):
+            ped._proposal, ped._velocity = p, v
+        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
             if idx >= 0:
                 ped._proposal, ped._velocity = ped.positions[-1].copy(), np.zeros(2)
 

@@ -23,7 +23,10 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
   for bit;
 * `dilated_causal_conv`: `network._WeightNormConv.forward`, to 1e-12;
 * `samples_to_arrays`: `ingest.Windows`, whose batches equal its stacked
-  arrays at the same indices, bit for bit.
+  arrays at the same indices, bit for bit;
+* `DequeWindowSimulator` (each pedestrian's feature window in its own
+  deque, stacked for the predictor): `simulate.Simulator`'s window ring,
+  whose predictor inputs equal the stacked deques byte for byte.
 
 `active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
 `stack_window`, `snapshot_others` and the two velocity stubs are small
@@ -36,11 +39,13 @@ method `<name>` of that class (`snapshot_others` was `_Snapshot.others`).
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
-from crowdsim.features import TWO_PI, ExtractionParams, _ordered_exit, _sector_of
+from crowdsim.features import (TWO_PI, ExtractionParams, _ordered_exit, _sector_of,
+                               extract_batch)
 from crowdsim.geometry import (
     GEOM_EPS,
     Point2,
@@ -51,6 +56,7 @@ from crowdsim.geometry import (
     polygon_edges,
     rect_mask,
 )
+from crowdsim.simulate import Simulator
 from crowdsim.social_force import shrunk_exit
 
 
@@ -532,3 +538,35 @@ class ZeroVelocityOracle(ConstantVelocityOracle):
 
     def __init__(self):
         super().__init__((0.0, 0.0))
+
+
+class DequeWindowSimulator(Simulator):
+    """`Simulator` keeping each pedestrian's last w feature rows in its own
+    deque, appended once per step and stacked for the predictor; a step's
+    rewrites replace deque entries, window[-1] being the step's own row."""
+
+    def __init__(self, config, predictor):
+        super().__init__(config, predictor)
+        for ped in self._peds.values():
+            ped.window = deque(maxlen=config.params.window)
+
+    def _windows(self, active, moved, snap, t):
+        for ped, feats in zip(active, self._step_features(active, snap)):
+            ped.window.append(feats.copy())   # a view would keep the whole batch alive
+        if not moved:
+            return None
+        rows = np.stack([row for ped in moved for row in ped.window])
+        return rows.reshape(len(moved), -1, rows.shape[1])
+
+    def _flush_rewrites(self):
+        if not self._rewrites:
+            return
+        _, _, pos, vel, module_ids = zip(*self._rewrites)
+        rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
+                             [m for ids in module_ids for m in ids], self.config.scene,
+                             self.config.params,
+                             groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
+        t = self.step_index
+        for (ped, s, *_), row in zip(self._rewrites, rows):
+            ped.window[s - t - 1] = row.copy()
+        self._rewrites.clear()

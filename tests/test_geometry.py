@@ -17,10 +17,12 @@ from crowdsim.geometry import (
     closest_points_on_segments,
     first_wall_crossings,
     point_in_modules,
+    project_on_segments,
     ray_distances,
     save_scene,
     scene_from_dict,
     scene_to_dict,
+    segment_terms,
 )
 from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
 
@@ -327,11 +329,98 @@ def test_first_wall_crossings_equal_the_scalar_per_move(m, n, grid, seed) -> Non
     a, b = _tricky_moves(rng, walls, n)
     if grid:                    # a quarter-metre grid keeps the moves' relations to the walls
         a, b = np.round(a * 4.0) / 4.0, np.round(b * 4.0) / 4.0
-    got = first_wall_crossings(a, b, walls)
+    got = first_wall_crossings(a, b, walls[None], np.ones((1, len(walls)), dtype=bool),
+                               np.zeros(n, dtype=int))
     want = [first_wall_crossing(p, q, walls) for p, q in zip(a, b)]
     assert got.shape == (n,) and got.dtype.kind == "i"
     assert got.tolist() == [-1 if w is None else w for w in want]
     assert [crowdsim.geometry.first_wall_crossing(p, q, walls) for p, q in zip(a, b)] == want
+
+
+def _random_walls(rng, shape, grid: bool) -> np.ndarray:
+    """Walls (*shape, 2, 2): axis-aligned half-metre walls on a grid, which
+    share lines and vertices and are sometimes zero-length, or uniform."""
+    if not grid:
+        return rng.uniform(-2.0, 2.0, (*shape, 2, 2))
+    walls = rng.integers(-4, 5, (*shape, 2, 2)) * 0.5
+    axis = rng.integers(0, 2, (*shape, 1))              # the end shares the start's x or y
+    np.put_along_axis(walls[..., 1, :], axis, np.take_along_axis(walls[..., 0, :], axis, -1), -1)
+    return walls
+
+
+@settings(max_examples=300)
+@given(m=st.integers(0, 6), n=st.integers(0, 24), n_rows=st.integers(1, 4),
+       grid=st.booleans(), zero_padding=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(m=0, n=6, n_rows=2, grid=False, zero_padding=True, seed=0)   # rows without walls
+@example(m=3, n=0, n_rows=2, grid=True, zero_padding=True, seed=0)    # no moves
+def test_first_wall_crossings_table_rows_equal_the_scalar(m, n, n_rows, grid, zero_padding,
+                                                           seed) -> None:
+    # Each move reads its own row of a padded table.  The padding is zero
+    # walls at the origin, as in Scene.wall_table, which moves through,
+    # from or to the origin would touch if the mask let them count, or
+    # more walls like the valid ones.  The result is the column of the
+    # wall the scalar reference finds among the row's valid walls.
+    rng = np.random.default_rng(seed)
+    table = _random_walls(rng, (n_rows, m), grid)
+    valid = rng.random((n_rows, m)) < 0.7
+    if zero_padding:
+        table[~valid] = 0.0
+    rows = rng.integers(0, n_rows, n)
+    walls = table[valid]
+    a, b = _tricky_moves(rng, walls[np.any(walls[:, 0] != walls[:, 1], axis=1)], n)
+    kind = rng.integers(0, 5, n)[:, None]
+    d = b - a
+    a = np.where(kind == 0, -d, a)                                       # through the origin
+    b = np.where(kind == 0, 0.5 * d, b)
+    b = np.where(kind == 1, 0.0, b)                                      # ending at the origin
+    a = np.where(kind == 2, 0.0, a)                                      # from the origin
+    if grid:
+        a, b = np.round(a * 4.0) / 4.0, np.round(b * 4.0) / 4.0
+
+    def scalar(rows_of):
+        out = []
+        for p, q, r in zip(a, b, rows_of):
+            hit = first_wall_crossing(p, q, table[r, valid[r]])
+            out.append(-1 if hit is None else int(np.flatnonzero(valid[r])[hit]))
+        return out
+
+    got = first_wall_crossings(a, b, table, valid, rows)
+    assert got.shape == (n,) and got.dtype.kind == "i"
+    assert got.tolist() == scalar(rows)
+    # one shared row read by every move
+    shared = np.zeros(n, dtype=int)
+    assert first_wall_crossings(a, b, table[:1], valid[:1], shared).tolist() == scalar(shared)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(1, 8), m=st.integers(0, 6), n_rows=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=3, m=0, n_rows=2, seed=0)                   # rows without walls
+def test_one_projection_equals_each_subject_projection(k, m, n_rows, seed) -> None:
+    # The force law's wall points: one project_on_segments call over every
+    # subject's padded table row (the (k, 1, 2) form) equals, on the row's
+    # valid walls, the subject's own call on its walls, row for row.  Grid
+    # walls are sometimes zero-length, and subjects sit on a wall, at an
+    # endpoint, on a zero-length wall or at the padding's origin.
+    rng = np.random.default_rng(seed)
+    table = _random_walls(rng, (n_rows, m), grid=True)
+    valid = np.arange(m) < rng.integers(0, m + 1, (n_rows, 1))
+    table[~valid] = 0.0
+    rows = rng.integers(0, n_rows, k)
+    p = rng.integers(-8, 9, (k, 2)) * 0.25
+    if m:
+        on = table[rows, rng.integers(0, m, k)]
+        u = rng.choice([0.0, 0.5, 1.0, rng.uniform()], (k, 1))
+        kind = rng.integers(0, 3, (k, 1))
+        p = np.where(kind == 0, on[:, 0] + u * (on[:, 1] - on[:, 0]), p)
+        p = np.where(kind == 1, 0.0, p)
+    a, ab, len2 = segment_terms(table[:, :, 0], table[:, :, 1])
+    got = project_on_segments(p[:, None], a[rows], ab[rows], len2[rows])
+    assert got.shape == (k, m, 2)
+    for i, r in enumerate(rows):
+        walls = table[r, valid[r]]
+        want = project_on_segments(p[i], *segment_terms(walls[:, 0], walls[:, 1]))
+        assert got[i, valid[r]].tobytes() == want.tobytes()
 
 
 def test_point_in_polygon_boundary_inclusive() -> None:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import crowdsim.simulate
+import crowdsim.social_force
 from crowdsim.features import ExtractionParams
 from crowdsim.geometry import (
     ModuleRegion,
     Scene,
     active_walls,
+    project_on_segments,
+    segment_terms,
 )
 from crowdsim.ingest import Trajectory
 from crowdsim.network import NetworkConfig, VelocityPredictor
@@ -21,10 +24,11 @@ from crowdsim.simulate import (
     seeds_from_run,
     snap_to_module,
 )
-from crowdsim.social_force import SFParams, sf_run
+from crowdsim.social_force import SFParams, _SocialForceSimulator, draw_desired_speeds, sf_run
 
 from oracles import (
     ConstantVelocityOracle,
+    DequeWindowSimulator,
     ZeroVelocityOracle,
     active_exit,
     closest_point_on_segment,
@@ -335,7 +339,7 @@ def test_result_rows_format():
     assert all(r[6] == "corridor" for r in rows)
 
 
-class _ScalarFeatureSimulator(Simulator):
+class _ScalarFeatureSimulator(DequeWindowSimulator):
     """Extracts each pedestrian's features on its own with extract_step, in
     the step and in window rewrites."""
 
@@ -488,7 +492,7 @@ def test_path_clear_matches_the_scalar_loop():
         points = [start + offset * normal + j * step for j in range(int(rng.integers(1, 8)))]
         prev = points[0] - rng.choice([0.0, 0.05]) * rng.normal(size=2)
         want = _path_clear_loop(scene, prev, points, walls, violated)
-        assert sim._path_clear(prev, points, walls, violated) == want
+        assert sim._path_clear(prev, points, module.id, violated) == want
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -508,27 +512,37 @@ def _composite_crowd(n: int, seed: int) -> SimulationConfig:
 
 
 def test_predictor_input_is_the_stack_of_the_moved_windows():
-    # The (n, w, D) input is built in one call; row i must be the i-th moved
-    # pedestrian's own window (id order), as np.stack of its deque gives it.
-    sizes = []
+    # The (n, w, D) input is gathered from the window ring in one call; at
+    # every step it must be the reference's stack of the moved pedestrians'
+    # own deques (id order), byte for byte, through window rewrites too.
+    class Recorded(_DriftOracle):
+        def __init__(self):
+            super().__init__()
+            self.inputs = []
 
-    class Checked(_DriftOracle):
         def predict(self, x):
-            moved = [p for p in sim._active() if p._predicted]
-            want = np.stack([np.stack(p.window) for p in moved])
-            assert x.shape == want.shape and x.tobytes() == want.tobytes()
-            sizes.append(len(moved))
+            self.inputs.append(x.copy())
             return super().predict(x)
 
-    sim = Simulator(_composite_crowd(12, 3), Checked())
-    sim.run()
-    assert sizes and max(sizes) >= 2
+    config = _composite_crowd(12, 3)
+    ring, deques = Recorded(), Recorded()
+    result = Simulator(config, ring).run()
+    DequeWindowSimulator(config, deques).run()
+    assert sum(t.reset_flags.sum() for t in result.trajectories) > 0
+    assert len(ring.inputs) == len(deques.inputs) and max(map(len, ring.inputs)) >= 2
+    for got, want in zip(ring.inputs, deques.inputs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _scalar_crossings(p_from, p_to, walls):
-    hits = [first_wall_crossing(a, b, walls)
-            for a, b in zip(np.reshape(p_from, (-1, 2)), np.reshape(p_to, (-1, 2)))]
-    return np.array([-1 if i is None else i for i in hits], dtype=int)
+def _scalar_crossings(p_from, p_to, table, valid, rows):
+    """Move by move against the valid walls of its table row, as the wall's
+    index within the row: the scalar oracle of first_wall_crossings."""
+    rows = np.reshape(rows, -1)
+    out = []
+    for a, b, r in zip(np.reshape(p_from, (-1, 2)), np.reshape(p_to, (-1, 2)), rows):
+        hit = first_wall_crossing(a, b, table[r, valid[r]])
+        out.append(-1 if hit is None else int(np.flatnonzero(valid[r])[hit]))
+    return np.array(out, dtype=int)
 
 
 def _scalar_modules(scene, points):
@@ -567,3 +581,73 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", _scalar_crossings)
     monkeypatch.setattr(crowdsim.simulate, "point_in_modules", _scalar_modules)
     assert run().to_rows("r") == shipped.to_rows("r")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", ["tcn", "sf"])
+def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
+    """Over a dense composite crowd: a crossing stage (_crossings) with
+    pedestrians is one first_wall_crossings call and one without is none;
+    point_in_modules never sees an empty list (most steps have no
+    entrants); social force projects onto the walls at most once per
+    module group and step, and the force law gets each subject's own
+    projection onto its module's active walls."""
+    config = _composite_crowd(30, seed=5)
+    if model == "tcn":
+        sim = Simulator(config, ConstantVelocityOracle((1.5, 1.0)))
+    else:
+        sim = _SocialForceSimulator(config, SFParams(), draw_desired_speeds(
+            [s.ped_id for s in config.pedestrians], np.random.default_rng(5), SFParams()))
+    kernel, modules = crowdsim.simulate.first_wall_crossings, crowdsim.simulate.point_in_modules
+    crossings, propose = Simulator._crossings, type(sim)._propose
+    law = crowdsim.social_force.sf_acceleration
+    calls = {"kernel": 0, "stages": [], "projections": {}, "groups": {}, "laws": 0}
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def checked_modules(scene, points):
+        assert len(points) > 0
+        return modules(scene, points)
+
+    def counted_crossings(self, peds, *args):
+        before = calls["kernel"]
+        out = crossings(self, peds, *args)
+        calls["stages"].append((len(peds), calls["kernel"] - before))
+        return out
+
+    def grouped_propose(self, active, moved, snap, t):
+        calls["groups"][t] = len({p.module_id for p in moved})
+        return propose(self, active, moved, snap, t)
+
+    def counted_projection(*args):
+        calls["projections"][sim.step_index] = calls["projections"].get(sim.step_index, 0) + 1
+        return project_on_segments(*args)
+
+    def checked_law(index, pos, vel, speed, direction, wall_points, params):
+        module_id = sim._active()[index].module_id
+        walls = active_walls(config.scene, module_id)
+        want = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
+        assert wall_points.tobytes() == want.tobytes()
+        calls["laws"] += 1
+        return law(index, pos, vel, speed, direction, wall_points, params)
+
+    monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", counted_kernel)
+    monkeypatch.setattr(crowdsim.simulate, "point_in_modules", checked_modules)
+    monkeypatch.setattr(Simulator, "_crossings", counted_crossings)
+    monkeypatch.setattr(type(sim), "_propose", grouped_propose)
+    monkeypatch.setattr(crowdsim.social_force, "project_on_segments", counted_projection)
+    monkeypatch.setattr(crowdsim.social_force, "sf_acceleration", checked_law)
+    sim.run()
+
+    assert sim.step_index > len({s.entry_step for s in config.pedestrians})
+    assert all(kernels == (1 if peds else 0) for peds, kernels in calls["stages"])
+    assert any(peds == 0 for peds, _ in calls["stages"])     # empty stages were reached
+    assert any(peds >= 2 for peds, _ in calls["stages"])
+    for t, count in calls["projections"].items():
+        assert count <= calls["groups"][t]
+    if model == "sf":
+        assert calls["laws"] > 0 and calls["projections"]
+    else:
+        assert not (calls["laws"] or calls["projections"])

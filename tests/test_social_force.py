@@ -13,6 +13,7 @@ from crowdsim.geometry import (
     ModuleRegion,
     Scene,
     active_walls,
+    project_on_segments,
     segment_terms,
 )
 from crowdsim.scene_library import make_corner, make_corridor
@@ -38,12 +39,13 @@ NO_PEDS = np.zeros((0, 2))
 
 def _accel_in_crowd(position, velocity, desired_speed, direction, others_pos, others_vel,
                     walls, params, index=0):
-    """`sf_acceleration` of a subject put at row index of the crowd others."""
+    """`sf_acceleration` of a subject put at row index of the crowd others,
+    given its projections onto the walls."""
     pos = np.insert(np.asarray(others_pos, dtype=float).reshape(-1, 2), index, position, axis=0)
     vel = np.insert(np.asarray(others_vel, dtype=float).reshape(-1, 2), index, velocity, axis=0)
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
-    return sf_acceleration(index, pos, vel, desired_speed, direction,
-                           segment_terms(walls[:, 0], walls[:, 1]), params)
+    points = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
+    return sf_acceleration(index, pos, vel, desired_speed, direction, points, params)
 
 
 def _config(scene, seeds, dt=0.04, max_steps=400) -> SimulationConfig:
