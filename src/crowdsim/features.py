@@ -226,27 +226,27 @@ def _visual_batch(pos: np.ndarray, table: np.ndarray, valid: np.ndarray,
     return out
 
 
-def extract_batch(pos, vel, module_ids, scene, params: ExtractionParams,
+def extract_batch(pos, vel, rows, scene, params: ExtractionParams,
                   groups=None) -> np.ndarray:
     """Feature rows against one or more snapshots, shape (n, feature_dim).
 
-    groups gives each entry a snapshot id (None: one snapshot).  Each entry
-    with a module gets a row, in order, equal bit for bit to the reference
-    `extract_step` (tests/oracles.py) of that pedestrian with the other
-    entries of its group (in order) as its neighbours and the walls and exit
-    of its module.  An entry whose module id is None is a neighbour only and
-    gets no row.  Pairs are built only within groups, so memory grows with
-    subjects times group size.
+    rows gives each entry its module's `Scene.wall_table` row, or -1 for a
+    neighbour only; groups gives each entry a snapshot id (None: one
+    snapshot).  Each entry with a row gets a feature row, in order, equal
+    bit for bit to the reference `extract_step` (tests/oracles.py) of that
+    pedestrian with the other entries of its group (in order) as its
+    neighbours and the walls and exit of its module.  Pairs are built only
+    within groups, so memory grows with subjects times group size.
     """
     pos = np.asarray(pos, dtype=float).reshape(-1, 2)
     vel = np.asarray(vel, dtype=float).reshape(-1, 2)
+    rows = np.asarray(rows, dtype=int).reshape(-1)
     groups = np.zeros(len(pos), dtype=int) if groups is None else np.asarray(groups)
-    subjects = np.array([i for i, m in enumerate(module_ids) if m is not None], dtype=int)
+    subjects = np.flatnonzero(rows >= 0)
     n, ns, nr = subjects.size, params.n_sectors, params.n_rays
     best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, groups, params)
-    pos, vel = pos[subjects], vel[subjects]
-    table_rows, table, valid = scene.wall_table
-    row = np.array([table_rows[module_ids[i]] for i in subjects], dtype=int)
+    pos, vel, row = pos[subjects], vel[subjects], rows[subjects]
+    _, table, valid = scene.wall_table
 
     wd, wp = _wall_points_batch(pos, table, valid, row, params.radius, ns)
     wall_wins = wd < best_dist                  # pedestrians win exact ties

@@ -321,6 +321,7 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
     rows = np.empty((sum(m is not None for _, ids in runs for m in ids), params.feature_dim))
     first, targets, meta = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))], []
     offset = 0                          # rows of the runs before this one
+    table_rows = dataset.scene.wall_table[0]
     for run, module_ids in runs:
         tracks = run.trajectories
         starts = np.cumsum([0] + [len(traj) for traj in tracks[:-1]])
@@ -328,7 +329,8 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
         pos = np.concatenate([traj.positions for traj in tracks])
         vel = np.concatenate([traj.velocities for traj in tracks])
         vel[starts] = 0.0                   # a track's undefined first velocity reads as zero
-        is_row = np.array([m is not None for m in module_ids])
+        table_row = np.array([-1 if m is None else table_rows[m] for m in module_ids], dtype=int)
+        is_row = table_row >= 0
         row_of = offset + np.cumsum(is_row) - 1
         # Every entry in frame order, tracks in run order within a frame;
         # a frame joins the chunk in which its first row would fall.
@@ -340,8 +342,7 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             idx = order[lo:hi]
             rows[row_of[idx[is_row[idx]]]] = extract_batch(
-                pos[idx], vel[idx], [module_ids[i] for i in idx], dataset.scene, params,
-                groups=frame[idx])
+                pos[idx], vel[idx], table_row[idx], dataset.scene, params, groups=frame[idx])
         for start, traj in zip(starts, tracks):
             count = max(0, len(traj) - 1 - w)
             if count:                       # window of t starts at row step t - w + 1

@@ -6,24 +6,28 @@ computed from that snapshot, and all commits happen together at step end, so
 processing order cannot influence the outcome.
 
 Pedestrians enter at their configured entry step and replay their seeded
-window positions verbatim; prediction starts once the window is full.  A
-predicted move that would cross an active wall triggers a history reset:
-the most recent simulated steps (never the seeded prefix) are replaced by a
-guided constant-speed path 0.05 m clear of the violated wall, aimed along
-the wall toward the exit (or straight at the exit midpoint in bottleneck
-modules), and the window features for those steps are re-extracted against
-the recorded neighbor snapshots, all of a step's rewrites in one call at
-step end.  If the guided path itself would cross a wall the pedestrian holds
-position instead.
-
+window positions verbatim; prediction starts once the window is full.
 Pedestrians crossing the exit segment of a terminal module are deactivated;
 crossing an internal junction re-binds them to the module that contains the
 new position, with a small snap for numerical overshoot at shared borders.
 
-`Simulator` owns this run lifecycle for every model.  Only two methods
-depend on the model: `_propose` (the next positions of the pedestrians past
-their seeded prefix) and `_stranded` (a move out of every module with
-nothing to snap to); the social-force baseline overrides both.
+`Simulator` owns this run lifecycle for every model.  The model surface is
+two methods: `_propose` (the next positions of the pedestrians past their
+seeded prefix) and `_blocked` (where a blocked move goes instead).  The
+one wall guard, right after `_propose`, tests every moved pedestrian's
+move against its module's active walls and hands each crossing move to
+`_blocked` with the wall crossed; a move that leaves every module and
+snaps nowhere goes to `_blocked` with no wall.  The social-force baseline
+overrides both methods and holds every blocked move.
+
+The TCN's `_blocked` resets the history: the most recent simulated steps
+(never the seeded prefix) are replaced by a guided constant-speed path
+0.05 m clear of the wall (with no wall, its module's nearest), aimed along
+it toward the exit (or straight at the exit midpoint in bottleneck
+modules), and those steps' window features are re-extracted against the
+recorded neighbor snapshots, all of a step's rewrites in one call at step
+end.  If the guided path would cross a wall, or the pedestrian has reset
+already this step, it holds position.
 
 Each stage of a step is one kernel call for the whole crowd, and a stage
 with no rows calls none: the wall guard and the exit test are one
@@ -145,10 +149,10 @@ class SimulationResult:
 
 @dataclass
 class _PedRuntime:
+    """Pending until its first position is recorded, active until it exits."""
+
     seed: PedestrianSeed
-    slot: int                               # row of the Simulator's window ring
-    state: str = "pending"                  # pending | active | done
-    module_id: Optional[str] = None
+    slot: int                               # index in Simulator._peds and row of its window ring
     positions: list = field(default_factory=list)
     velocities: list = field(default_factory=list)
     modules: list = field(default_factory=list)
@@ -167,6 +171,10 @@ class _PedRuntime:
     @property
     def entry(self) -> int:
         return self.seed.entry_step
+
+    @property
+    def module_id(self) -> str:
+        return self.modules[-1]
 
 
 @dataclass(frozen=True)
@@ -201,10 +209,9 @@ class Simulator:
         self.step_index = 0
         params = config.params
         seeds = sorted(config.pedestrians, key=lambda s: s.ped_id)
-        self._peds = {s.ped_id: _PedRuntime(seed=s, slot=i) for i, s in enumerate(seeds)}
-        self._order = list(self._peds)
+        self._peds = [_PedRuntime(seed=s, slot=i) for i, s in enumerate(seeds)]
         # feature row of step s of the pedestrian in slot i at ring[i, s % w]
-        self._ring = np.zeros((len(self._order), params.window, params.feature_dim))
+        self._ring = np.zeros((len(self._peds), params.window, params.feature_dim))
         self._snapshots: deque = deque(maxlen=params.window)
         self._rewrites: list = []           # window rows re-extracted at step end
         scene = config.scene
@@ -217,10 +224,10 @@ class Simulator:
     # -- queries ----------------------------------------------------------
 
     def _active(self) -> list[_PedRuntime]:
-        return [self._peds[pid] for pid in self._order if self._peds[pid].state == "active"]
+        return [p for p in self._peds if p.positions and not p.exited]
 
     def _has_pending(self) -> bool:
-        return any(p.state == "pending" for p in self._peds.values())
+        return any(not p.positions for p in self._peds)
 
     # -- stepping ---------------------------------------------------------
 
@@ -229,14 +236,11 @@ class Simulator:
         t = self.step_index
         w = cfg.params.window
 
-        entering = [p for p in map(self._peds.get, self._order)
-                    if p.state == "pending" and p.entry == t]
+        entering = [p for p in self._peds if not p.positions and p.entry == t]
         if entering:
             starts = [ped.seed.positions[0] for ped in entering]
             for ped, start, module_id in zip(entering, starts,
                                              point_in_modules(cfg.scene, starts)):
-                ped.state = "active"
-                ped.module_id = module_id
                 self._append(ped, start, module_id, np.zeros(2))
 
         active = self._active()
@@ -258,6 +262,11 @@ class Simulator:
             else:
                 ped._proposal = ped.seed.positions[local + 1].copy()
         self._propose(active, moved, snap, t)
+        # the wall guard; the exit and module tests below read its results
+        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
+            if idx >= 0:
+                ped._proposal = self._blocked(ped, self._walls[ped.module_id][idx], t)[0]
+                ped._velocity = None
 
         # Commits touch only their own pedestrian, so the exit and module
         # tests of every proposal can run before the first commit.
@@ -272,11 +281,11 @@ class Simulator:
         self.step_index += 1
 
     def _propose(self, active: list, moved: list, snap: _Snapshot, t: int) -> None:
-        """Set _proposal for every pedestrian past its seeded prefix (moved).
+        """Set _proposal for every pedestrian past its seeded prefix (moved),
+        and _velocity where the model has one to record with it.
 
-        The TCN reads each active pedestrian's feature window, predicts one
-        velocity per moved pedestrian, and resets the history of any whose
-        predicted move crosses a wall.
+        The TCN reads each active pedestrian's feature window and predicts
+        one velocity per moved pedestrian.
         """
         cfg = self.config
         self._snapshots.append((t, snap))
@@ -293,9 +302,23 @@ class Simulator:
                              f"{ped.ped_id!r} at step {t}")
         for ped, v in zip(moved, v_hat):
             ped._proposal = ped.positions[-1] + v * cfg.dt
-        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
-            if idx >= 0:
-                self._reset(ped, self._walls[ped.module_id][idx], t)
+
+    def _blocked(self, ped: _PedRuntime, wall: Optional[np.ndarray], t: int):
+        """(next, module) for a move that crosses wall, or (wall None) leaves
+        every module and snaps nowhere.  A crossing move's next is tested as
+        its proposal, so only a stranded move's module is read (None: the
+        one containing next, else the current one).  The TCN resets against
+        the wall (with no wall, its module's nearest), or holds if it has
+        reset already this step.
+        """
+        if ped._reset_now:
+            return self._hold(ped)
+        if wall is None:
+            walls = self._walls[ped.module_id]
+            _, gaps = closest_points_on_segments(ped.positions[-1], walls[:, 0], walls[:, 1])
+            wall = walls[int(np.argmin(gaps))]
+        self._reset(ped, wall, t)
+        return np.asarray(ped._proposal, dtype=float), None
 
     def _windows(self, active: list, moved: list, snap: _Snapshot, t: int) -> np.ndarray:
         """Write the step's feature rows into the ring with one scatter and
@@ -325,7 +348,7 @@ class Simulator:
 
     def _step_features(self, active: list, snap: _Snapshot) -> np.ndarray:
         """Feature rows of the active pedestrians against the snapshot, (N, D)."""
-        return extract_batch(snap.pos, snap.vel, [p.module_id for p in active],
+        return extract_batch(snap.pos, snap.vel, [self._rows[p.module_id] for p in active],
                              self.config.scene, self.config.params)
 
     def run(self) -> SimulationResult:
@@ -339,12 +362,11 @@ class Simulator:
                 break
             self.step()
         trajectories = []
-        for pid in self._order:
-            ped = self._peds[pid]
+        for ped in self._peds:
             if not ped.positions:
                 continue
             trajectories.append(SimulatedTrajectory(
-                ped_id=pid, entry_step=ped.entry, dt=self.config.dt,
+                ped_id=ped.ped_id, entry_step=ped.entry, dt=self.config.dt,
                 positions=np.asarray(ped.positions, dtype=float),
                 module_ids=tuple(ped.modules),
                 reset_flags=np.asarray(ped.reset_flags, dtype=bool),
@@ -364,43 +386,19 @@ class Simulator:
 
         if exits:
             self._append(ped, nxt, ped.module_id, vel)
-            ped.state = "done"
             ped.exited = True
             return
         if found is None and ped._predicted:
             snapped = snap_to_module(self.config.scene, nxt)
-            if snapped is not None:
-                nxt, found = snapped
-            else:
-                nxt, found = self._stranded(ped, nxt, t)
+            nxt, found = snapped if snapped is not None else self._blocked(ped, None, t)
+            if found is None:
+                found = point_in_modules(self.config.scene, nxt)[0]
             vel = None
-        new_module = found if found is not None else ped.module_id
-        self._append(ped, nxt, new_module, vel)
-        ped.module_id = new_module
-
-    def _stranded(self, ped: _PedRuntime, nxt: np.ndarray, t: int):
-        """(next, module) for a move out of every module with no snap.
-
-        The TCN resets against the wall crossed (or the nearest one), or
-        holds when it has reset already this step.
-        """
-        if ped._reset_now:
-            return self._hold(ped)
-        pos = ped.positions[-1]
-        walls = self._walls[ped.module_id]
-        idx = int(self._module_crossings(ped.module_id, pos, nxt)[0])
-        if idx < 0:
-            idx = int(np.argmin(closest_points_on_segments(pos, walls[:, 0], walls[:, 1])[1]))
-        self._reset(ped, walls[idx], t)
-        nxt = np.asarray(ped._proposal, dtype=float)
-        return nxt, point_in_modules(self.config.scene, nxt)[0]
+        self._append(ped, nxt, found if found is not None else ped.module_id, vel)
 
     def _hold(self, ped: _PedRuntime):
-        """(next, module) of staying put.
-
-        A hold keeps the current module: on a shared border point_in_modules
-        would name the earlier module instead.
-        """
+        """(next, module) of staying put, in the current module: on a shared
+        border point_in_modules would name the earlier module instead."""
         return ped.positions[-1].copy(), ped.module_id
 
     def _append(self, ped: _PedRuntime, nxt: np.ndarray, module_id: str,
@@ -511,9 +509,9 @@ class Simulator:
             pos, vel = snap.pos.copy(), snap.vel.copy()
             pos[i] = ped.positions[s - ped.entry]
             vel[i] = ped.velocities[s - ped.entry]
-            module_ids = [None] * len(pos)
-            module_ids[i] = ped.module_id
-            self._rewrites.append((ped, s, pos, vel, module_ids))
+            rows = np.full(len(pos), -1)
+            rows[i] = self._rows[ped.module_id]
+            self._rewrites.append((ped, s, pos, vel, rows))
 
     def _flush_rewrites(self) -> None:
         """Extract every queued rewrite row in one call, one group per row,
@@ -523,11 +521,10 @@ class Simulator:
         commits gives the rows an immediate extraction would."""
         if not self._rewrites:
             return
-        peds, steps, pos, vel, module_ids = zip(*self._rewrites)
+        peds, steps, pos, vel, rows = zip(*self._rewrites)
         self._ring[[p.slot for p in peds], np.array(steps) % self.config.params.window] = \
-            extract_batch(np.concatenate(pos), np.concatenate(vel),
-                          [m for ids in module_ids for m in ids], self.config.scene,
-                          self.config.params,
+            extract_batch(np.concatenate(pos), np.concatenate(vel), np.concatenate(rows),
+                          self.config.scene, self.config.params,
                           groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
         self._rewrites.clear()
 

@@ -22,14 +22,16 @@ work: the wall terms (`segment_terms`) of the scene's padded wall table are
 built once per run, every moved pedestrian's closest points on its
 module's walls come from one `project_on_segments` call per step, and the
 law reads the step snapshot's full positions and velocities with the
-subject's index instead of a copy without the subject.  Integration is
-semi-implicit Euler (v then p) at the caller's dt, once per step over the
-whole crowd's accelerations, and a step that would cross a wall holds
-position.  The run itself (entry seeding, prefix
-replay, exit removal, module handoff, junction snap, truncation and the
-output format) is the data-driven `Simulator`'s: the model only proposes
-each step's positions, and holds where the TCN would reset.  Desired
-speeds are drawn per pedestrian from a clamped normal distribution.
+subject's index.  Integration is semi-implicit Euler (v then p) at the
+caller's dt, once per step over the whole crowd's accelerations.
+
+The run itself (entry seeding, prefix replay, the wall guard, exit
+removal, module handoff, junction snap, truncation and the output format)
+is the data-driven `Simulator`'s.  The model is its two methods:
+`_propose` gives each step's positions and velocities, and `_blocked`
+holds every blocked move where the TCN would reset.  Desired speeds, drawn
+from a clamped normal distribution unless given, and last directions are
+per-slot arrays.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ class _SocialForceSimulator(Simulator):
                  desired_speeds: dict[str, float]):
         super().__init__(config, predictor=None)
         self.sf_params = params
-        self.desired_speeds = desired_speeds
-        self._directions: dict[str, np.ndarray] = {}
+        # per slot: desired speed, and last desired direction (+x before the first)
+        self._speeds = np.array([desired_speeds[p.ped_id] for p in self._peds], dtype=float)
+        self._directions = np.tile((1.0, 0.0), (len(self._peds), 1))
         # per module, in Scene.wall_table's row order: shrunk exit, wall
         # terms (padded) and active wall count
         self._targets = np.stack([shrunk_exit(m.exit, params.radius)
@@ -180,35 +183,30 @@ class _SocialForceSimulator(Simulator):
         self._wall_counts = valid.sum(axis=1)
 
     def _propose(self, active, moved, snap, t) -> None:
-        """One force-law step per moved pedestrian; no features, no network.
-        A step that crosses a wall holds position instead."""
+        """One force-law step per moved pedestrian; no features, no network."""
         if not moved:
             return
         dt = self.config.dt
         index = np.array([snap.index[ped.ped_id] for ped in moved])
+        slots = np.array([ped.slot for ped in moved])
         rows = np.array([self._rows[ped.module_id] for ped in moved])
         pos, vel = snap.pos[index], snap.vel[index]
-        directions = desired_directions(
-            pos, self._targets[rows],
-            [self._directions.get(ped.ped_id, (1.0, 0.0)) for ped in moved])
+        directions = desired_directions(pos, self._targets[rows], self._directions[slots])
+        self._directions[slots] = directions
         # every subject's closest points on its module's padded walls (m, W, 2)
         a, ab, len2 = self._wall_terms
         points = project_on_segments(pos[:, None], a[rows], ab[rows], len2[rows])
         acc = np.empty((len(moved), 2))
-        for i, (ped, e, count) in enumerate(zip(moved, directions,
-                                                 self._wall_counts[rows].tolist())):
-            self._directions[ped.ped_id] = e
-            acc[i] = sf_acceleration(index[i], snap.pos, snap.vel,
-                                     self.desired_speeds[ped.ped_id], e,
+        for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
+                                                   self._wall_counts[rows].tolist())):
+            acc[i] = sf_acceleration(index[i], snap.pos, snap.vel, speed, e,
                                      points[i, :count], self.sf_params)
         v_new = vel + acc * dt
         for ped, p, v in zip(moved, pos + v_new * dt, v_new):
             ped._proposal, ped._velocity = p, v
-        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
-            if idx >= 0:
-                ped._proposal, ped._velocity = ped.positions[-1].copy(), np.zeros(2)
 
-    def _stranded(self, ped, nxt, t):
+    def _blocked(self, ped, wall, t):
+        """Social force holds every blocked move."""
         return self._hold(ped)
 
 
@@ -224,4 +222,7 @@ def sf_run(config: SimulationConfig, params: SFParams,
     for seed in config.pedestrians:
         if seed.ped_id not in desired_speeds:
             raise ValueError(f"no desired speed for pedestrian {seed.ped_id!r}")
+        if not 0.0 <= desired_speeds[seed.ped_id] < np.inf:
+            raise ValueError(f"desired speed of pedestrian {seed.ped_id!r} must be finite "
+                             f"and >= 0, got {desired_speeds[seed.ped_id]}")
     return _SocialForceSimulator(config, params, desired_speeds).run()

@@ -547,7 +547,7 @@ class DequeWindowSimulator(Simulator):
 
     def __init__(self, config, predictor):
         super().__init__(config, predictor)
-        for ped in self._peds.values():
+        for ped in self._peds:
             ped.window = deque(maxlen=config.params.window)
 
     def _windows(self, active, moved, snap, t):
@@ -561,10 +561,9 @@ class DequeWindowSimulator(Simulator):
     def _flush_rewrites(self):
         if not self._rewrites:
             return
-        _, _, pos, vel, module_ids = zip(*self._rewrites)
+        _, _, pos, vel, table_rows = zip(*self._rewrites)
         rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
-                             [m for ids in module_ids for m in ids], self.config.scene,
-                             self.config.params,
+                             np.concatenate(table_rows), self.config.scene, self.config.params,
                              groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
         t = self.step_index
         for (ped, s, *_), row in zip(self._rewrites, rows):

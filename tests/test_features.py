@@ -369,9 +369,10 @@ def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, para
     scene = BATCH_SCENES[scene_name]
     rng = np.random.default_rng(seed)
     pos, vel, module_ids = _random_crowd(scene, rng, n, grid)
+    table_rows = np.array([scene.wall_table[0][m] for m in module_ids])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rows = extract_batch(pos, vel, module_ids, scene, params)
+        rows = extract_batch(pos, vel, table_rows, scene, params)
         assert rows.shape == (n, params.feature_dim)
         for i in range(n):
             want = extract_step(pos[i], vel[i], np.delete(pos, i, axis=0),
@@ -384,7 +385,7 @@ def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, para
         groups = rng.integers(-2, 3, size=n) * 7
         if n > 8:
             groups[7], groups[8] = groups[0] + 1, groups[0]
-        grouped = extract_batch(pos, vel, module_ids, scene, params, groups=groups)
+        grouped = extract_batch(pos, vel, table_rows, scene, params, groups=groups)
         for i in range(n):
             mates = np.flatnonzero(groups == groups[i])
             mates = mates[mates != i]
@@ -395,13 +396,11 @@ def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, para
     # Two interleaved copies of the crowd in two groups: every entry's exact
     # twin, at distance 0, is in the other group.
     twins = extract_batch(np.repeat(pos, 2, axis=0), np.repeat(vel, 2, axis=0),
-                          [m for m in module_ids for _ in range(2)], scene, params,
-                          groups=np.tile([1, 0], n))
+                          np.repeat(table_rows, 2), scene, params, groups=np.tile([1, 0], n))
     assert twins[0::2].tobytes() == twins[1::2].tobytes() == rows.tobytes()
     # Entries without a module are neighbours only: the others' rows stay the same.
     keep = rng.random(n) < 0.5
-    partial = extract_batch(pos, vel, [m if k else None for m, k in zip(module_ids, keep)],
-                            scene, params)
+    partial = extract_batch(pos, vel, np.where(keep, table_rows, -1), scene, params)
     assert partial.tobytes() == rows[keep].tobytes()
 
 

@@ -1,5 +1,7 @@
 """Synchronous stepping, resets, transitions, and exit handling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -372,21 +374,31 @@ def _random_seeds(scene, rng, n, prefix, start_lo, start_hi, velocity, max_entry
     return seeds
 
 
+def _corridor_walkback_crowd() -> SimulationConfig:
+    """Eight pedestrians in module a of the two-corridor scene walking back
+    toward its open entry edge, where their moves leave every module."""
+    scene = _two_corridor_scene()
+    return _config(scene, _random_seeds(scene, np.random.default_rng(7), 8, "q", (0.6, 0.3),
+                                        (1.5, 1.7), lambda rng: (-1.0, rng.normal(scale=0.3)),
+                                        4), max_steps=40)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_features_give_the_scalar_trajectories_bitwise():
     """Two crowds under a small random TCN whose head bias walks them out:
-    in composite into walls (resets from _propose), and in module a of the
-    two-corridor scene back through its open entry edge (resets from
-    _commit's _stranded, which the step-end flush must also pick up)."""
+    in composite into walls (resets from the wall guard), and in module a
+    of the two-corridor scene back through its open entry edge (resets from
+    stranded moves, _blocked with no wall, which the step-end flush must
+    also pick up)."""
     composite = make_composite()
-    corridors = _two_corridor_scene()
+    walkback = _corridor_walkback_crowd()
+    corridors = walkback.scene
     lo = np.min([m.boundary.min(axis=0) for m in composite.modules], axis=0)
     hi = np.max([m.boundary.max(axis=0) for m in composite.modules], axis=0)
     cases = [
         (_random_seeds(composite, np.random.default_rng(5), 16, "p", lo, hi,
                        lambda rng: rng.normal(scale=0.8, size=2), 6), composite, (1.5, -0.5)),
-        (_random_seeds(corridors, np.random.default_rng(7), 8, "q", (0.6, 0.3), (1.5, 1.7),
-                       lambda rng: (-1.0, rng.normal(scale=0.3)), 4), corridors, (-2.0, 0.0)),
+        (walkback.pedestrians, corridors, (-2.0, 0.0)),
     ]
     for seeds, scene, bias in cases:
         net = VelocityPredictor(NetworkConfig(input_dim=PARAMS.feature_dim, window=8,
@@ -395,13 +407,14 @@ def test_batched_features_give_the_scalar_trajectories_bitwise():
         net.head.b[:] = bias
         config = _config(scene, seeds, max_steps=40)
         rewritten = []                  # pedestrians whose rows each flush rewrites
-        stranded_rows = []              # rows queued by each _stranded call
+        stranded_rows = []              # rows queued by each stranded _blocked call
 
         class Recording(Simulator):
-            def _stranded(self, ped, nxt, t):
+            def _blocked(self, ped, wall, t):
                 queued = len(self._rewrites)
-                out = super()._stranded(ped, nxt, t)
-                stranded_rows.append(len(self._rewrites) - queued)
+                out = super()._blocked(ped, wall, t)
+                if wall is None:
+                    stranded_rows.append(len(self._rewrites) - queued)
                 return out
 
             def _flush_rewrites(self):
@@ -584,24 +597,43 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_social_force_holds_record_a_standstill(monkeypatch):
+    """A blocked social-force move, crossing or stranded, commits the last
+    position with a velocity of exactly zero, not the force law's."""
+    append, holds = Simulator._append, []
+
+    def checked_append(self, ped, nxt, module_id, vel):
+        append(self, ped, nxt, module_id, vel)
+        if len(ped.positions) > PARAMS.window and \
+                ped.positions[-1].tobytes() == ped.positions[-2].tobytes():
+            holds.append(ped.velocities[-1].tobytes() == np.zeros(2).tobytes())
+
+    monkeypatch.setattr(Simulator, "_append", checked_append)
+    sf_run(_composite_crowd(30, seed=5), SFParams(), rng=np.random.default_rng(5))
+    assert holds and all(holds)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model", ["tcn", "sf"])
 def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
-    """Over a dense composite crowd: a crossing stage (_crossings) with
-    pedestrians is one first_wall_crossings call and one without is none;
+    """Over a dense composite crowd and a two-corridor crowd walking out
+    through an open edge: a crossing stage (_crossings) with pedestrians is
+    one first_wall_crossings call and one without is none, and the wall
+    guard is one such stage per step with moved pedestrians, all of them;
     point_in_modules never sees an empty list (most steps have no
     entrants); social force projects onto the walls at most once per
     module group and step, and the force law gets each subject's own
-    projection onto its module's active walls."""
-    config = _composite_crowd(30, seed=5)
-    if model == "tcn":
-        sim = Simulator(config, ConstantVelocityOracle((1.5, 1.0)))
-    else:
-        sim = _SocialForceSimulator(config, SFParams(), draw_desired_speeds(
-            [s.ped_id for s in config.pedestrians], np.random.default_rng(5), SFParams()))
+    projection onto its module's active walls.  _blocked is called once
+    per crossing move, with the wall the scalar reference says it crosses,
+    and with no wall only for a move that ends outside every module,
+    crosses none of its module's walls and snaps nowhere; the reset of
+    such a stranded move runs no crossing test before _reset."""
     kernel, modules = crowdsim.simulate.first_wall_crossings, crowdsim.simulate.point_in_modules
-    crossings, propose = Simulator._crossings, type(sim)._propose
+    model_class = Simulator if model == "tcn" else _SocialForceSimulator
+    crossings, propose = Simulator._crossings, model_class._propose
+    blocked, reset = model_class._blocked, Simulator._reset
     law = crowdsim.social_force.sf_acceleration
-    calls = {"kernel": 0, "stages": [], "projections": {}, "groups": {}, "laws": 0}
+    sim = calls = None
 
     def counted_kernel(*args):
         calls["kernel"] += 1
@@ -611,15 +643,47 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         assert len(points) > 0
         return modules(scene, points)
 
-    def counted_crossings(self, peds, *args):
+    def counted_crossings(self, peds, table, valid):
         before = calls["kernel"]
-        out = crossings(self, peds, *args)
+        out = crossings(self, peds, table, valid)
         calls["stages"].append((len(peds), calls["kernel"] - before))
+        if table is self._wall_table[0]:                 # the wall guard
+            t = self.step_index
+            calls["guards"][t] = calls["guards"].get(t, 0) + 1
+            assert [p.ped_id for p in peds] == calls["moved"][t]
+            for ped in peds:
+                walls = active_walls(self.config.scene, ped.module_id)
+                hit = first_wall_crossing(ped.positions[-1], ped._proposal, walls)
+                if hit is not None:
+                    calls["crossing"].append((t, ped.ped_id, walls[hit].tobytes()))
         return out
 
     def grouped_propose(self, active, moved, snap, t):
         calls["groups"][t] = len({p.module_id for p in moved})
+        calls["moved"][t] = [p.ped_id for p in moved]
         return propose(self, active, moved, snap, t)
+
+    def recorded_blocked(self, ped, wall, t):
+        if wall is not None:
+            calls["blocked"].append((t, ped.ped_id, wall.tobytes()))
+            return blocked(self, ped, wall, t)
+        scene = self.config.scene
+        assert point_in_module(scene, ped._proposal) is None
+        assert first_wall_crossing(ped.positions[-1], ped._proposal,
+                                   active_walls(scene, ped.module_id)) is None
+        assert snap_to_module(scene, ped._proposal) is None
+        calls["stranded"] += 1
+        calls["stranded_at"] = calls["kernel"]
+        try:
+            return blocked(self, ped, wall, t)
+        finally:
+            calls["stranded_at"] = None
+
+    def checked_reset(self, ped, wall, t):
+        if calls["stranded_at"] is not None:
+            assert calls["kernel"] == calls["stranded_at"]
+            calls["stranded_resets"] += 1
+        return reset(self, ped, wall, t)
 
     def counted_projection(*args):
         calls["projections"][sim.step_index] = calls["projections"].get(sim.step_index, 0) + 1
@@ -627,7 +691,7 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
 
     def checked_law(index, pos, vel, speed, direction, wall_points, params):
         module_id = sim._active()[index].module_id
-        walls = active_walls(config.scene, module_id)
+        walls = active_walls(sim.config.scene, module_id)
         want = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
         assert wall_points.tobytes() == want.tobytes()
         calls["laws"] += 1
@@ -636,18 +700,82 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", counted_kernel)
     monkeypatch.setattr(crowdsim.simulate, "point_in_modules", checked_modules)
     monkeypatch.setattr(Simulator, "_crossings", counted_crossings)
-    monkeypatch.setattr(type(sim), "_propose", grouped_propose)
+    monkeypatch.setattr(model_class, "_propose", grouped_propose)
+    monkeypatch.setattr(model_class, "_blocked", recorded_blocked)
+    monkeypatch.setattr(Simulator, "_reset", checked_reset)
     monkeypatch.setattr(crowdsim.social_force, "project_on_segments", counted_projection)
     monkeypatch.setattr(crowdsim.social_force, "sf_acceleration", checked_law)
-    sim.run()
 
-    assert sim.step_index > len({s.entry_step for s in config.pedestrians})
-    assert all(kernels == (1 if peds else 0) for peds, kernels in calls["stages"])
-    assert any(peds == 0 for peds, _ in calls["stages"])     # empty stages were reached
-    assert any(peds >= 2 for peds, _ in calls["stages"])
-    for t, count in calls["projections"].items():
-        assert count <= calls["groups"][t]
-    if model == "sf":
-        assert calls["laws"] > 0 and calls["projections"]
-    else:
-        assert not (calls["laws"] or calls["projections"])
+    stranded_resets = {}
+    for name, config in (("composite", _composite_crowd(30, seed=5)),
+                         ("corridors", _corridor_walkback_crowd())):
+        if model == "tcn":
+            velocity = (1.5, 1.0) if name == "composite" else (-2.0, 0.0)
+            sim = Simulator(config, ConstantVelocityOracle(velocity))
+        else:
+            sim = _SocialForceSimulator(config, SFParams(), draw_desired_speeds(
+                [s.ped_id for s in config.pedestrians], np.random.default_rng(5), SFParams()))
+        calls = {"kernel": 0, "stages": [], "projections": {}, "groups": {}, "laws": 0,
+                 "moved": {}, "guards": {}, "crossing": [], "blocked": [], "stranded": 0,
+                 "stranded_at": None, "stranded_resets": 0}
+        sim.run()
+
+        assert sim.step_index > len({s.entry_step for s in config.pedestrians})
+        assert all(kernels == (1 if peds else 0) for peds, kernels in calls["stages"])
+        assert any(peds == 0 for peds, _ in calls["stages"])     # empty stages were reached
+        assert any(peds >= 2 for peds, _ in calls["stages"])
+        assert calls["guards"] == {t: 1 for t in calls["moved"]}
+        assert calls["blocked"] == calls["crossing"]
+        for t, count in calls["projections"].items():
+            assert count <= calls["groups"][t]
+        if model == "sf":
+            assert calls["laws"] > 0 and calls["projections"]
+        else:
+            assert not (calls["laws"] or calls["projections"])
+            assert calls["stranded_resets"] <= calls["stranded"]
+        stranded_resets[name] = calls["stranded_resets"]
+        if name == "composite":
+            assert calls["crossing"]
+    if model == "tcn":
+        assert stranded_resets["corridors"] > 0
+
+
+def test_model_surface_and_one_record_per_pedestrian():
+    # The social-force model is the two model methods; the rest of its run
+    # is the lifecycle's.
+    assert {name for name, value in vars(_SocialForceSimulator).items()
+            if callable(value) and not name.startswith("__")} == {"_propose", "_blocked"}
+    # A pedestrian's lifecycle state and module are read off its record.
+    assert not {"state", "module_id"} & {f.name for f in fields(crowdsim.simulate._PedRuntime)}
+    log, pending = [], []           # after each step: (step, id, module_id, active); pending
+
+    class Logged(Simulator):
+        def step(self):
+            super().step()
+            active = {p.ped_id for p in self._active()}
+            log.extend((self.step_index - 1, p.ped_id, p.module_id if p.positions else None,
+                        p.ped_id in active) for p in self._peds)
+            pending.append(self._has_pending())
+
+    scene = _two_corridor_scene()
+    seeds = [_moving_seed("fast", (3.0, 1.0), (1.5, 0.0), 0.04),
+             _moving_seed("late", (0.5, 0.5), (1.5, 0.0), 0.04, entry=5)]
+    sim = Logged(_config(scene, seeds, max_steps=100), ConstantVelocityOracle((1.5, 0.0)))
+    result = sim.run()
+    assert not hasattr(sim, "_order")
+    by_id = {t.ped_id: t for t in result.trajectories}
+    fast, late = by_id["fast"], by_id["late"]
+    assert fast.exited and not fast.truncated and late.truncated and result.truncated
+    assert fast.module_ids[0] == "a" and fast.module_ids[-1] == "b"     # a junction hand-off
+    assert pending == [t < late.entry_step for t in range(len(pending))]
+    for traj in (fast, late):
+        last = traj.entry_step + len(traj.positions) - 1
+        entries = [e for e in log if e[1] == traj.ped_id]
+        assert len(entries) == sim.step_index
+        for step, _, module_id, active in entries:
+            if step < traj.entry_step:
+                assert module_id is None and not active
+            else:   # step t recorded the position of step t + 1, the last one at an exit
+                assert module_id == traj.module_ids[min(step + 1, last) - traj.entry_step]
+                assert active == (step + 1 < last or not traj.exited)
+    assert [p.module_id for p in sim._peds] == [fast.module_ids[-1], late.module_ids[-1]]

@@ -296,6 +296,17 @@ def test_zero_desired_speed_stays_put():
     assert np.max(drift) < 1e-3
 
 
+@pytest.mark.parametrize("speed", [math.nan, math.inf, -1.0])
+def test_invalid_explicit_desired_speed_is_a_named_error(speed):
+    # A NaN or infinite speed would hold the pedestrian on every predicted
+    # step, a negative one walk it backwards; 0.0 stays valid (above).
+    scene = make_corridor()
+    seeds = [_stationary_seed("1", (3.0, 1.5)), _stationary_seed("2", (4.0, 1.5))]
+    with pytest.raises(ValueError, match="desired speed of pedestrian '2' must be finite"):
+        sf_run(_config(scene, seeds, max_steps=30), SFParams(),
+               desired_speeds={"1": 1.4, "2": speed})
+
+
 def test_desired_speed_draws_clamped_and_deterministic():
     params = SFParams(desired_speed_std=5.0)
     ids = [str(i) for i in range(400)]
