@@ -274,7 +274,7 @@ def cmd_simulate(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         for flag, (field, _, _) in EXTRACTION_FLAGS.items():
             given, stored = getattr(args, flag), getattr(ckpt.extraction, field)
-            if given is not None and abs(given - stored) > 1e-9:
+            if given is not None and not abs(given - stored) <= 1e-9:   # NaN mismatches
                 raise ValueError(f"{field} mismatch: --{flag} {given} but the "
                                  f"checkpoint was trained with {stored}")
         params = ckpt.extraction

@@ -45,14 +45,13 @@ class ExtractionParams:
     window: int = 8            # time steps per input window (w)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.vision_range <= 0:
-            raise ValueError("vision_range must be positive")
+        for name in ("radius", "sector_deg", "ray_deg", "vision_range"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.window < 1:
             raise ValueError("window must be at least 1")
         for name, deg in (("sector_deg", self.sector_deg), ("ray_deg", self.ray_deg)):
-            if deg <= 0 or abs(360.0 / deg - round(360.0 / deg)) > 1e-9:
+            if abs(360.0 / deg - round(360.0 / deg)) > 1e-9:
                 raise ValueError(f"{name} must divide 360 evenly, got {deg}")
 
     @property

@@ -1,8 +1,8 @@
 """Closed-loop crowd simulation driven by a next-step velocity model.
 
 Each step is synchronous: features for every active pedestrian are extracted
-against the frozen step-t snapshot, proposals p[t+1] = p[t] + v_hat*dt are
-computed from that snapshot, and all commits happen together at step end, so
+against the frozen step-t states, proposals p[t+1] = p[t] + v_hat*dt are
+computed from those states, and all commits happen together at step end, so
 processing order cannot influence the outcome.
 
 Pedestrians enter at their configured entry step and replay their seeded
@@ -25,9 +25,9 @@ The TCN's `_blocked` resets the history: the most recent simulated steps
 0.05 m clear of the wall (with no wall, its module's nearest), aimed along
 it toward the exit (or straight at the exit midpoint in bottleneck
 modules), and those steps' window features are re-extracted against the
-recorded neighbor snapshots, all of a step's rewrites in one call at step
-end.  If the guided path would cross a wall, or the pedestrian has reset
-already this step, it holds position.
+neighbours' states as recorded at each step, all of a step's rewrites in
+one call at step end.  If the guided path would cross a wall, or the
+pedestrian has reset already this step, it holds position.
 
 Each stage of a step is one kernel call for the whole crowd, and a stage
 with no rows calls none: the wall guard and the exit test are one
@@ -36,11 +36,16 @@ per-module exit table with one row per pedestrian's module.  Feature
 windows live in one (P, w, D) ring over every pedestrian: a step writes
 its rows at t % w with one scatter, the predictor's input is one gather
 over steps t-w+1 .. t, and window rewrites are written into the ring.
+The step states live in a ring of the same layout: (P, w, 2, 2) positions
+and velocities as recorded at step s, at [slot, s % w], with a (P, w)
+mask of who was active then.  A step writes both with one scatter, and
+the rewrite rows of a step are one gather of the recorded states of
+their steps, the subject's rewritten state scattered over its own entry;
+rewrites never write back into the state ring.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -152,7 +157,7 @@ class _PedRuntime:
     """Pending until its first position is recorded, active until it exits."""
 
     seed: PedestrianSeed
-    slot: int                               # index in Simulator._peds and row of its window ring
+    slot: int                               # index in Simulator._peds, row of its rings
     positions: list = field(default_factory=list)
     velocities: list = field(default_factory=list)
     modules: list = field(default_factory=list)
@@ -175,15 +180,6 @@ class _PedRuntime:
     @property
     def module_id(self) -> str:
         return self.modules[-1]
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    """Positions and velocities of the active pedestrians at one step, in id order."""
-
-    index: dict[str, int]
-    pos: np.ndarray             # (N, 2)
-    vel: np.ndarray             # (N, 2)
 
 
 def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP):
@@ -212,12 +208,13 @@ class Simulator:
         self._peds = [_PedRuntime(seed=s, slot=i) for i, s in enumerate(seeds)]
         # feature row of step s of the pedestrian in slot i at ring[i, s % w]
         self._ring = np.zeros((len(self._peds), params.window, params.feature_dim))
-        self._snapshots: deque = deque(maxlen=params.window)
-        self._rewrites: list = []           # window rows re-extracted at step end
+        # position and velocity recorded at step s, and whether active then
+        self._states = np.zeros((len(self._peds), params.window, 2, 2))
+        self._recorded = np.zeros((len(self._peds), params.window), dtype=bool)
+        self._rewrites: list = []           # (slot, s, table row, pos, vel), extracted at step end
         scene = config.scene
         self._rows, table, valid = scene.wall_table
         self._wall_table = table, valid
-        self._walls = {mid: table[row, valid[row]] for mid, row in self._rows.items()}
         self._exit_table = (np.stack([m.exit for m in scene.modules])[:, None],
                             np.ones((len(scene.modules), 1), dtype=bool))
 
@@ -248,9 +245,12 @@ class Simulator:
             self.step_index += 1
             return
 
-        snap = _Snapshot(index={p.ped_id: i for i, p in enumerate(active)},
-                         pos=np.array([p.positions[-1] for p in active]),
-                         vel=np.array([p.velocities[-1] for p in active]))
+        pos = np.array([p.positions[-1] for p in active])
+        vel = np.array([p.velocities[-1] for p in active])
+        slots = np.array([p.slot for p in active])
+        self._recorded[:, t % w] = False
+        self._recorded[slots, t % w] = True
+        self._states[slots, t % w] = np.stack((pos, vel), axis=1)
         moved: list[_PedRuntime] = []
         for ped in active:
             ped._reset_now = False
@@ -261,11 +261,12 @@ class Simulator:
                 moved.append(ped)
             else:
                 ped._proposal = ped.seed.positions[local + 1].copy()
-        self._propose(active, moved, snap, t)
+        self._propose(active, moved, pos, vel, t)
         # the wall guard; the exit and module tests below read its results
+        table = self._wall_table[0]
         for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
             if idx >= 0:
-                ped._proposal = self._blocked(ped, self._walls[ped.module_id][idx], t)[0]
+                ped._proposal = self._blocked(ped, table[self._rows[ped.module_id], idx], t)[0]
                 ped._velocity = None
 
         # Commits touch only their own pedestrian, so the exit and module
@@ -280,16 +281,17 @@ class Simulator:
 
         self.step_index += 1
 
-    def _propose(self, active: list, moved: list, snap: _Snapshot, t: int) -> None:
+    def _propose(self, active: list, moved: list, pos: np.ndarray, vel: np.ndarray,
+                 t: int) -> None:
         """Set _proposal for every pedestrian past its seeded prefix (moved),
-        and _velocity where the model has one to record with it.
+        and _velocity where the model has one to record with it; pos and vel
+        (N, 2) are the active pedestrians' states at step t.
 
         The TCN reads each active pedestrian's feature window and predicts
         one velocity per moved pedestrian.
         """
         cfg = self.config
-        self._snapshots.append((t, snap))
-        x = self._windows(active, moved, snap, t)
+        x = self._windows(active, moved, pos, vel, t)
         if not moved:
             return
         v_hat = np.asarray(self.predictor.predict(x), dtype=float)
@@ -314,18 +316,21 @@ class Simulator:
         if ped._reset_now:
             return self._hold(ped)
         if wall is None:
-            walls = self._walls[ped.module_id]
+            table, valid = self._wall_table
+            row = self._rows[ped.module_id]
+            walls = table[row, valid[row]]
             _, gaps = closest_points_on_segments(ped.positions[-1], walls[:, 0], walls[:, 1])
             wall = walls[int(np.argmin(gaps))]
         self._reset(ped, wall, t)
         return np.asarray(ped._proposal, dtype=float), None
 
-    def _windows(self, active: list, moved: list, snap: _Snapshot, t: int) -> np.ndarray:
+    def _windows(self, active: list, moved: list, pos: np.ndarray, vel: np.ndarray,
+                 t: int) -> np.ndarray:
         """Write the step's feature rows into the ring with one scatter and
         gather the moved pedestrians' windows (n, w, D) with one gather:
         steps t-w+1 .. t, oldest first."""
         w = self.config.params.window
-        self._ring[[p.slot for p in active], t % w] = self._step_features(active, snap)
+        self._ring[[p.slot for p in active], t % w] = self._step_features(active, pos, vel)
         return self._ring[np.array([p.slot for p in moved], dtype=int)[:, None],
                           np.arange(t + 1, t + w + 1) % w]
 
@@ -346,9 +351,9 @@ class Simulator:
         return first_wall_crossings(p_from, p_to, *self._wall_table,
                                     np.full(len(p_from), self._rows[module_id]))
 
-    def _step_features(self, active: list, snap: _Snapshot) -> np.ndarray:
-        """Feature rows of the active pedestrians against the snapshot, (N, D)."""
-        return extract_batch(snap.pos, snap.vel, [self._rows[p.module_id] for p in active],
+    def _step_features(self, active: list, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+        """Feature rows of the active pedestrians at states pos, vel, (N, D)."""
+        return extract_batch(pos, vel, [self._rows[p.module_id] for p in active],
                              self.config.scene, self.config.params)
 
     def run(self) -> SimulationResult:
@@ -486,46 +491,39 @@ class Simulator:
             ped._proposal = pos_t.copy()
             return
 
+        row = self._rows[ped.module_id]
         for j, s in enumerate(steps):
             i = s - ped.entry
             ped.positions[i] = guided[j].copy()
             ped.velocities[i] = ((guided[0] - prev) / dt if j == 0 else step_vel.copy())
             ped.reset_flags[i] = True
-        self._rewrite_window(ped, steps, t)
+            self._rewrites.append((ped.slot, s, row, ped.positions[i], ped.velocities[i]))
 
         nxt = p_hat + direction * speed * dt
         if speed > 0.0 and self._module_crossings(ped.module_id, p_hat, nxt)[0] >= 0:
             nxt = p_hat.copy()
         ped._proposal = nxt
 
-    def _rewrite_window(self, ped: _PedRuntime, steps: list, t: int) -> None:
-        """Queue the rows of the rewritten steps for `_flush_rewrites`, each
-        as its recorded snapshot with the subject's rewritten state and
-        current module."""
-        by_step = dict(self._snapshots)
-        for s in steps:
-            snap = by_step[s]
-            i = snap.index[ped.ped_id]
-            pos, vel = snap.pos.copy(), snap.vel.copy()
-            pos[i] = ped.positions[s - ped.entry]
-            vel[i] = ped.velocities[s - ped.entry]
-            rows = np.full(len(pos), -1)
-            rows[i] = self._rows[ped.module_id]
-            self._rewrites.append((ped, s, pos, vel, rows))
-
     def _flush_rewrites(self) -> None:
-        """Extract every queued rewrite row in one call, one group per row,
-        and write them into the ring with one scatter.
+        """Extract every queued rewrite row in one call and write them into
+        the ring with one scatter.
 
-        Windows are read only in _propose, so a flush after the step's
-        commits gives the rows an immediate extraction would."""
+        Row k is step s_k's recorded states of everyone active then (one
+        gather from the state ring), with the subject's rewritten state and
+        current module; the rows are extract_batch's groups.  Windows are
+        read only in _propose, so a flush after the step's commits gives
+        the rows an immediate extraction would."""
         if not self._rewrites:
             return
-        peds, steps, pos, vel, rows = zip(*self._rewrites)
-        self._ring[[p.slot for p in peds], np.array(steps) % self.config.params.window] = \
-            extract_batch(np.concatenate(pos), np.concatenate(vel), np.concatenate(rows),
-                          self.config.scene, self.config.params,
-                          groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
+        slots, steps, rows, pos, vel = map(np.array, zip(*self._rewrites))
+        cols = steps % self.config.params.window
+        group, entry = np.nonzero(self._recorded[:, cols].T)
+        states = self._states[entry, cols[group]]
+        subject = entry == slots[group]
+        states[subject] = np.stack((pos, vel), axis=1)
+        self._ring[slots, cols] = extract_batch(
+            states[:, 0], states[:, 1], np.where(subject, rows[group], -1),
+            self.config.scene, self.config.params, groups=group)
         self._rewrites.clear()
 
 

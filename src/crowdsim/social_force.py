@@ -21,9 +21,10 @@ the force law runs once per moved pedestrian.  Its inputs cost no per-call
 work: the wall terms (`segment_terms`) of the scene's padded wall table are
 built once per run, every moved pedestrian's closest points on its
 module's walls come from one `project_on_segments` call per step, and the
-law reads the step snapshot's full positions and velocities with the
-subject's index.  Integration is semi-implicit Euler (v then p) at the
-caller's dt, once per step over the whole crowd's accelerations.
+law reads the step's full positions and velocities (the states `Simulator`
+records) with the subject's index.  Integration is semi-implicit Euler (v
+then p) at the caller's dt, once per step over the whole crowd's
+accelerations.
 
 The run itself (entry seeding, prefix replay, the wall guard, exit
 removal, module handoff, junction snap, truncation and the output format)
@@ -182,28 +183,28 @@ class _SocialForceSimulator(Simulator):
         self._wall_terms = segment_terms(table[:, :, 0], table[:, :, 1])
         self._wall_counts = valid.sum(axis=1)
 
-    def _propose(self, active, moved, snap, t) -> None:
+    def _propose(self, active, moved, pos, vel, t) -> None:
         """One force-law step per moved pedestrian; no features, no network."""
         if not moved:
             return
         dt = self.config.dt
-        index = np.array([snap.index[ped.ped_id] for ped in moved])
+        index = np.flatnonzero([ped._predicted for ped in active])
         slots = np.array([ped.slot for ped in moved])
         rows = np.array([self._rows[ped.module_id] for ped in moved])
-        pos, vel = snap.pos[index], snap.vel[index]
-        directions = desired_directions(pos, self._targets[rows], self._directions[slots])
+        p, v = pos[index], vel[index]
+        directions = desired_directions(p, self._targets[rows], self._directions[slots])
         self._directions[slots] = directions
         # every subject's closest points on its module's padded walls (m, W, 2)
         a, ab, len2 = self._wall_terms
-        points = project_on_segments(pos[:, None], a[rows], ab[rows], len2[rows])
+        points = project_on_segments(p[:, None], a[rows], ab[rows], len2[rows])
         acc = np.empty((len(moved), 2))
         for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
                                                    self._wall_counts[rows].tolist())):
-            acc[i] = sf_acceleration(index[i], snap.pos, snap.vel, speed, e,
+            acc[i] = sf_acceleration(index[i], pos, vel, speed, e,
                                      points[i, :count], self.sf_params)
-        v_new = vel + acc * dt
-        for ped, p, v in zip(moved, pos + v_new * dt, v_new):
-            ped._proposal, ped._velocity = p, v
+        v_new = v + acc * dt
+        for ped, nxt, v_next in zip(moved, p + v_new * dt, v_new):
+            ped._proposal, ped._velocity = nxt, v_next
 
     def _blocked(self, ped, wall, t):
         """Social force holds every blocked move."""

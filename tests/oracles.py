@@ -25,8 +25,11 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
 * `samples_to_arrays`: `ingest.Windows`, whose batches equal its stacked
   arrays at the same indices, bit for bit;
 * `DequeWindowSimulator` (each pedestrian's feature window in its own
-  deque, stacked for the predictor): `simulate.Simulator`'s window ring,
-  whose predictor inputs equal the stacked deques byte for byte.
+  deque, stacked for the predictor, and its own deque of step snapshots,
+  `_Snapshot`s with one id dict each; every rewrite row is extracted
+  against a copy of its step's snapshot): `simulate.Simulator`'s window
+  ring and state ring, whose predictor inputs equal the stacked deques
+  byte for byte.
 
 `active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
 `stack_window`, `snapshot_others` and the two velocity stubs are small
@@ -34,12 +37,14 @@ helpers that tests build their cases with.  The module is not collected by pytes
 does not start with "test_"); tests import it as a sibling module, and
 `test_oracles.py` keeps these names out of the package, its classes
 included; a helper named `<class>_<name>` is also kept from returning as
-method `<name>` of that class (`snapshot_others` was `_Snapshot.others`).
+method `<name>` of that class (`snapshot_others` was `_Snapshot.others`,
+from when `_Snapshot` was the package's).
 """
 from __future__ import annotations
 
 import warnings
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -231,7 +236,7 @@ def scalar_point_in_module(scene: Scene, p: Point2) -> Optional[str]:
 
 
 def snapshot_others(snap, ped_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities of every pedestrian of a `simulate._Snapshot`
+    """Positions and velocities of every pedestrian of a `_Snapshot`
     but ped_id, in id order: one subject's neighbours for `extract_step`."""
     i = snap.index[ped_id]
     return (np.concatenate((snap.pos[:i], snap.pos[i + 1:])),
@@ -540,32 +545,64 @@ class ZeroVelocityOracle(ConstantVelocityOracle):
         super().__init__((0.0, 0.0))
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """Positions and velocities of the active pedestrians at one step, in id order."""
+
+    index: dict[str, int]
+    pos: np.ndarray             # (N, 2)
+    vel: np.ndarray             # (N, 2)
+
+
 class DequeWindowSimulator(Simulator):
     """`Simulator` keeping each pedestrian's last w feature rows in its own
     deque, appended once per step and stacked for the predictor; a step's
-    rewrites replace deque entries, window[-1] being the step's own row."""
+    rewrites replace deque entries, window[-1] being the step's own row.
+
+    It records its own snapshot of every step (positions and velocities as
+    recorded then, with an id dict) and extracts each queued rewrite row
+    against a copy of its step's snapshot with the subject's rewritten
+    state, so it never reads the state ring it checks."""
 
     def __init__(self, config, predictor):
         super().__init__(config, predictor)
         for ped in self._peds:
             ped.window = deque(maxlen=config.params.window)
+        self._snapshots = deque(maxlen=config.params.window)
 
-    def _windows(self, active, moved, snap, t):
-        for ped, feats in zip(active, self._step_features(active, snap)):
+    def _windows(self, active, moved, pos, vel, t):
+        snap = _Snapshot(index={p.ped_id: i for i, p in enumerate(active)},
+                         pos=np.array([p.positions[-1] for p in active]),
+                         vel=np.array([p.velocities[-1] for p in active]))
+        self._snapshots.append((t, snap))
+        for ped, feats in zip(active, self._step_features(active, snap.pos, snap.vel)):
             ped.window.append(feats.copy())   # a view would keep the whole batch alive
         if not moved:
             return None
         rows = np.stack([row for ped in moved for row in ped.window])
         return rows.reshape(len(moved), -1, rows.shape[1])
 
+    def _rewrite_window(self, ped, s, t):
+        """Step s's snapshot, copied, with the subject's rewritten state and
+        the wall-table row of its module at step t, when it reset."""
+        snap = dict(self._snapshots)[s]
+        i = snap.index[ped.ped_id]
+        pos, vel = snap.pos.copy(), snap.vel.copy()
+        pos[i] = ped.positions[s - ped.entry]
+        vel[i] = ped.velocities[s - ped.entry]
+        rows = np.full(len(pos), -1)
+        rows[i] = self._rows[ped.modules[t - ped.entry]]
+        return pos, vel, rows
+
     def _flush_rewrites(self):
         if not self._rewrites:
             return
-        _, _, pos, vel, table_rows = zip(*self._rewrites)
+        t = self.step_index
+        queued = [(self._peds[slot], s) for slot, s, *_ in self._rewrites]
+        pos, vel, table_rows = zip(*(self._rewrite_window(ped, s, t) for ped, s in queued))
         rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
                              np.concatenate(table_rows), self.config.scene, self.config.params,
                              groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
-        t = self.step_index
-        for (ped, s, *_), row in zip(self._rewrites, rows):
+        for (ped, s), row in zip(queued, rows):
             ped.window[s - t - 1] = row.copy()
         self._rewrites.clear()

@@ -315,6 +315,20 @@ def test_simulate_param_mismatch_errors(pipeline, tmp_path, capsys):
         assert "mismatch" in capsys.readouterr().err
 
 
+def test_simulate_nan_flag_mismatches_the_checkpoint(pipeline, tmp_path, capsys):
+    # abs(nan - stored) > 1e-9 is False: the NaN once passed and the run
+    # went on with the checkpoint's value
+    out = tmp_path / "x"
+    code = main(["simulate", "--scene", "corridor",
+                 "--data", str(pipeline["ingest"] / "dataset.json"),
+                 "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
+                 "--de", "nan", "--out", str(out)])
+    assert code == 1
+    assert "vision_range mismatch: --de nan but the checkpoint was trained with" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_run_errors(pipeline, tmp_path, capsys):
     code = main(["simulate", "--scene", "corridor",
                  "--data", str(pipeline["ingest"] / "dataset.json"),

@@ -42,6 +42,15 @@ def test_params_validation() -> None:
         ExtractionParams(window=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["radius", "vision_range", "sector_deg", "ray_deg"])
+def test_params_must_be_finite(name, value) -> None:
+    # NaN or inf once gave non-finite features, or a ZeroDivisionError in
+    # extract_batch, instead of an error naming the field
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+        ExtractionParams(**{name: value})
+
+
 def test_feature_dimension_table() -> None:
     # 20 sectors at 18 degrees; ray spacing sweeps the advertised sizes.
     assert ExtractionParams(ray_deg=5.0).feature_dim == 230

@@ -345,22 +345,26 @@ class _ScalarFeatureSimulator(DequeWindowSimulator):
     """Extracts each pedestrian's features on its own with extract_step, in
     the step and in window rewrites."""
 
-    def _step_features(self, active, snap):
+    def _step_features(self, active, pos, vel):
         cfg = self.config
+        snap = self._snapshots[-1][1]               # the reference's own record of pos, vel
         return np.array([
-            extract_step(pos, vel, *snapshot_others(snap, ped.ped_id),
+            extract_step(p, v, *snapshot_others(snap, ped.ped_id),
                          active_walls(cfg.scene, ped.module_id),
                          active_exit(cfg.scene, ped.module_id), cfg.params)
-            for ped, pos, vel in zip(active, snap.pos, snap.vel)])
+            for ped, p, v in zip(active, pos, vel)])
 
-    def _rewrite_window(self, ped, steps, t):
-        cfg = self.config
+    def _flush_rewrites(self):
+        cfg, t = self.config, self.step_index
         by_step = dict(self._snapshots)
-        for s in steps:
+        for slot, s, *_ in self._rewrites:
+            ped = self._peds[slot]
+            module_id = ped.modules[t - ped.entry]       # when it reset
             ped.window[s - t - 1] = extract_step(
                 ped.positions[s - ped.entry], ped.velocities[s - ped.entry],
-                *snapshot_others(by_step[s], ped.ped_id), active_walls(cfg.scene, ped.module_id),
-                active_exit(cfg.scene, ped.module_id), cfg.params)
+                *snapshot_others(by_step[s], ped.ped_id), active_walls(cfg.scene, module_id),
+                active_exit(cfg.scene, module_id), cfg.params)
+        self._rewrites.clear()
 
 
 def _random_seeds(scene, rng, n, prefix, start_lo, start_hi, velocity, max_entry):
@@ -418,7 +422,7 @@ def test_batched_features_give_the_scalar_trajectories_bitwise():
                 return out
 
             def _flush_rewrites(self):
-                rewritten.append(len({ped.ped_id for ped, *_ in self._rewrites}))
+                rewritten.append(len({slot for slot, *_ in self._rewrites}))
                 super()._flush_rewrites()
 
         batched = Recording(config, net).run()
@@ -547,6 +551,48 @@ def test_predictor_input_is_the_stack_of_the_moved_windows():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lag", [0, 1], ids=["same_step", "next_step"])
+def test_rewrite_rows_read_the_states_recorded_at_their_step(lag):
+    # Two pedestrians 0.6 m apart, within each other's perception radius,
+    # walk into the corridor's lower wall and reset every other step,
+    # together (lag 0) or in turn (lag 1: the second starts one step's
+    # drop higher).  A
+    # rewrite row of step s must see its neighbour as recorded at s, not
+    # the neighbour's rewritten history: every predictor input equals the
+    # reference's, which extracts against its own copies of each step.
+    class Recorded(ConstantVelocityOracle):
+        def __init__(self):
+            super().__init__((0.5, -1.0))
+            self.inputs = []
+
+        def predict(self, x):
+            self.inputs.append(x.copy())
+            return super().predict(x)
+
+    flushed = []                    # the slots of each flush with rewrites
+
+    class Flushes(Simulator):
+        def _flush_rewrites(self):
+            if self._rewrites:
+                flushed.append({slot for slot, *_ in self._rewrites})
+            super()._flush_rewrites()
+
+    config = _config(make_corridor(), [
+        _moving_seed("p", (1.0, 0.9), (0.5, -1.0), 0.04),
+        _moving_seed("q", (1.6, 0.9 + 0.04 * lag), (0.5, -1.0), 0.04)], max_steps=40)
+    ring, deques = Recorded(), Recorded()
+    Flushes(config, ring).run()
+    DequeWindowSimulator(config, deques).run()
+    assert len(flushed) >= 8
+    if lag:
+        assert all(len(f) == 1 for f in flushed) and flushed[0] != flushed[1]
+    else:
+        assert all(f == {0, 1} for f in flushed)
+    assert len(ring.inputs) == len(deques.inputs)
+    for got, want in zip(ring.inputs, deques.inputs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _scalar_crossings(p_from, p_to, table, valid, rows):
     """Move by move against the valid walls of its table row, as the wall's
     index within the row: the scalar oracle of first_wall_crossings."""
@@ -658,10 +704,10 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
                     calls["crossing"].append((t, ped.ped_id, walls[hit].tobytes()))
         return out
 
-    def grouped_propose(self, active, moved, snap, t):
+    def grouped_propose(self, active, moved, pos, vel, t):
         calls["groups"][t] = len({p.module_id for p in moved})
         calls["moved"][t] = [p.ped_id for p in moved]
-        return propose(self, active, moved, snap, t)
+        return propose(self, active, moved, pos, vel, t)
 
     def recorded_blocked(self, ped, wall, t):
         if wall is not None:
