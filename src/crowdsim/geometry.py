@@ -9,10 +9,11 @@ Each predicate has one implementation, a kernel over many rays, moves or
 points.  The wall kernels (`ray_distances`, `first_wall_crossings`) take a
 padded wall table, such as the scene's `Scene.wall_table`, and one table
 row per ray origin or move, so a crowd spread over several modules is one
-call; one shared wall set is a one-row table.  `first_wall_crossing` and
-`point_in_module` are the one-move and one-point views; the scalar
-references the kernels are tested against live in the test suite, not
-here.
+call; one shared wall set is a one-row table.  `containing_rows` gives
+each point's module as its table row, and `point_in_modules` as its id.
+`first_wall_crossing` and `point_in_module` are the one-move and
+one-point views; the scalar references the kernels are tested against
+live in the test suite, not here.
 """
 from __future__ import annotations
 
@@ -369,13 +370,19 @@ class Scene:
                 cur = self.successor[cur]
 
 
+def containing_rows(scene: Scene, points) -> np.ndarray:
+    """Index, in traversal order (the module's `Scene.wall_table` row), of
+    the first module whose boundary polygon contains each point (k, 2),
+    else -1: an (k,) int array."""
+    inside = _points_in_polygons(points, *scene.edges)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
 def point_in_modules(scene: Scene, points) -> list[Optional[str]]:
     """Id of the first module, in traversal order, whose boundary polygon
     contains each point (k, 2), else None: one entry per point."""
-    inside = _points_in_polygons(points, *scene.edges)
-    first = np.where(inside.any(axis=1), inside.argmax(axis=1), len(scene.modules))
     ids = [m.id for m in scene.modules] + [None]
-    return [ids[i] for i in first.tolist()]
+    return [ids[i] for i in containing_rows(scene, points).tolist()]
 
 
 def point_in_module(scene: Scene, p: Point2) -> Optional[str]:

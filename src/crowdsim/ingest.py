@@ -91,15 +91,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One training sample: a feature window and the next-step velocity."""
-
-    X: np.ndarray               # (w, feature_dim)
-    target: np.ndarray          # (2,)
-    meta: tuple[str, str, int]  # (run name, ped_id, local step t)
-
-
-@dataclass(frozen=True)
 class Windows:
     """Sample windows over shared feature rows, each row stored once.
 
@@ -133,8 +124,7 @@ class SampleSet:
     """Training samples in one order: windows over shared feature rows,
     (n, 2) next-step velocity targets and (run, ped_id, t) metadata.
 
-    A sequence of `Sample`s to iterate or index; `split` hands training the
-    windows themselves.
+    `split` hands training the windows themselves.
     """
 
     windows: Windows
@@ -143,12 +133,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(X=self.windows[i], target=self.targets[i], meta=self.meta[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def split(self, ratio: int = 4, seed: int = 0):
         """The `split_train_val` split as (x_train, y_train, x_val, y_val),

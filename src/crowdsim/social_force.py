@@ -28,11 +28,12 @@ accelerations.
 
 The run itself (entry seeding, prefix replay, the wall guard, exit
 removal, module handoff, junction snap, truncation and the output format)
-is the data-driven `Simulator`'s.  The model is its two methods:
-`_propose` gives each step's positions and velocities, and `_blocked`
-holds every blocked move where the TCN would reset.  Desired speeds, drawn
-from a clamped normal distribution unless given, and last directions are
-per-slot arrays.
+is the data-driven `Simulator`'s, on its per-slot arrays.  The model is
+its two methods, on arrays: `_propose` gives the moved slots' positions
+and velocities, and `_blocked` holds the step's blocked moves where the
+TCN would reset, all of them with one gather of their current positions.
+Desired speeds, drawn from a clamped normal distribution unless given,
+and last directions are per-slot arrays.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ class _SocialForceSimulator(Simulator):
         super().__init__(config, predictor=None)
         self.sf_params = params
         # per slot: desired speed, and last desired direction (+x before the first)
-        self._speeds = np.array([desired_speeds[p.ped_id] for p in self._peds], dtype=float)
-        self._directions = np.tile((1.0, 0.0), (len(self._peds), 1))
+        self._speeds = np.array([desired_speeds[pid] for pid in self._ids], dtype=float)
+        self._directions = np.tile((1.0, 0.0), (len(self._ids), 1))
         # per module, in Scene.wall_table's row order: shrunk exit, wall
         # terms (padded) and active wall count
         self._targets = np.stack([shrunk_exit(m.exit, params.radius)
@@ -183,32 +184,31 @@ class _SocialForceSimulator(Simulator):
         self._wall_terms = segment_terms(table[:, :, 0], table[:, :, 1])
         self._wall_counts = valid.sum(axis=1)
 
-    def _propose(self, active, moved, pos, vel, t) -> None:
+    def _propose(self, active, moved, pos, vel, t):
         """One force-law step per moved pedestrian; no features, no network."""
-        if not moved:
-            return
+        if not moved.any():
+            return np.empty((0, 2)), np.empty((0, 2))
         dt = self.config.dt
-        index = np.flatnonzero([ped._predicted for ped in active])
-        slots = np.array([ped.slot for ped in moved])
-        rows = np.array([self._rows[ped.module_id] for ped in moved])
+        index = np.flatnonzero(moved)
+        slots = active[index]
+        rows = self._row[slots, t]
         p, v = pos[index], vel[index]
         directions = desired_directions(p, self._targets[rows], self._directions[slots])
         self._directions[slots] = directions
         # every subject's closest points on its module's padded walls (m, W, 2)
         a, ab, len2 = self._wall_terms
         points = project_on_segments(p[:, None], a[rows], ab[rows], len2[rows])
-        acc = np.empty((len(moved), 2))
+        acc = np.empty((len(index), 2))
         for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
                                                    self._wall_counts[rows].tolist())):
             acc[i] = sf_acceleration(index[i], pos, vel, speed, e,
                                      points[i, :count], self.sf_params)
         v_new = v + acc * dt
-        for ped, nxt, v_next in zip(moved, p + v_new * dt, v_new):
-            ped._proposal, ped._velocity = nxt, v_next
+        return p + v_new * dt, v_new
 
-    def _blocked(self, ped, wall, t):
+    def _blocked(self, slots, walls, t):
         """Social force holds every blocked move."""
-        return self._hold(ped)
+        return self._pos[slots, t], np.ones(len(slots), dtype=bool)
 
 
 def sf_run(config: SimulationConfig, params: SFParams,

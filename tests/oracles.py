@@ -24,27 +24,38 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
 * `dilated_causal_conv`: `network._WeightNormConv.forward`, to 1e-12;
 * `samples_to_arrays`: `ingest.Windows`, whose batches equal its stacked
   arrays at the same indices, bit for bit;
+* `snap_to_module` (one point against every boundary edge):
+  `simulate.snap_to_modules`, bit for bit, ties to the earlier module
+  included;
 * `DequeWindowSimulator` (each pedestrian's feature window in its own
   deque, stacked for the predictor, and its own deque of step snapshots,
   `_Snapshot`s with one id dict each; every rewrite row is extracted
   against a copy of its step's snapshot): `simulate.Simulator`'s window
   ring and state ring, whose predictor inputs equal the stacked deques
-  byte for byte.
+  byte for byte;
+* `ListSimulator` and `ListSocialForceSimulator` (the per-pedestrian
+  bookkeeping `Simulator` had before its slot arrays: one `_PedRuntime`
+  record of lists per pedestrian, commits, snaps and appends one
+  pedestrian at a time): `simulate.Simulator` and
+  `social_force._SocialForceSimulator`, whose runs equal theirs byte for
+  byte.
 
 `active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
-`stack_window`, `snapshot_others` and the two velocity stubs are small
-helpers that tests build their cases with.  The module is not collected by pytest (its name
-does not start with "test_"); tests import it as a sibling module, and
-`test_oracles.py` keeps these names out of the package, its classes
-included; a helper named `<class>_<name>` is also kept from returning as
-method `<name>` of that class (`snapshot_others` was `_Snapshot.others`,
-from when `_Snapshot` was the package's).
+`stack_window`, `snapshot_others`, `Sample` with `sampleset_getitem` and
+`sampleset_iter` (a `SampleSet` as `Sample`s) and the two velocity stubs
+are small helpers that tests build their cases with.  The module is not
+collected by pytest (its name does not start with "test_"); tests import
+it as a sibling module, and `test_oracles.py` keeps these names out of
+the package, its classes included; a helper named `<class>_<name>` is
+also kept from returning as method `<name>` or `__<name>__` of that class
+(`snapshot_others` was `_Snapshot.others`, from when `_Snapshot` was the
+package's, and `sampleset_iter` was `SampleSet.__iter__`).
 """
 from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,11 +69,23 @@ from crowdsim.geometry import (
     _as_walls,
     _points_in_polygons,
     closest_points_on_segments,
+    first_wall_crossings,
+    point_in_modules,
     polygon_edges,
+    project_on_segments,
     rect_mask,
+    segment_terms,
 )
-from crowdsim.simulate import Simulator
-from crowdsim.social_force import shrunk_exit
+from crowdsim.simulate import (
+    JUNCTION_SNAP,
+    MIN_GUIDED_SPEED,
+    WALL_CLEARANCE,
+    PedestrianSeed,
+    SimulatedTrajectory,
+    SimulationResult,
+    Simulator,
+)
+from crowdsim.social_force import desired_directions, sf_acceleration, shrunk_exit
 
 
 def reference_ray_distances(origins, d: np.ndarray, seg: np.ndarray,
@@ -475,6 +498,25 @@ def stack_window(steps) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class Sample:
+    """One training sample: a feature window and the next-step velocity."""
+
+    X: np.ndarray               # (w, feature_dim)
+    target: np.ndarray          # (2,)
+    meta: tuple[str, str, int]  # (run name, ped_id, local step t)
+
+
+def sampleset_getitem(samples, i: int) -> Sample:
+    """Sample i of an `ingest.SampleSet`."""
+    return Sample(X=samples.windows[i], target=samples.targets[i], meta=samples.meta[i])
+
+
+def sampleset_iter(samples):
+    """The `Sample`s of an `ingest.SampleSet`, in order."""
+    return (sampleset_getitem(samples, i) for i in range(len(samples)))
+
+
 def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     """Stack samples into (n, w, d) inputs and (n, 2) targets."""
     if not samples:
@@ -566,43 +608,441 @@ class DequeWindowSimulator(Simulator):
 
     def __init__(self, config, predictor):
         super().__init__(config, predictor)
-        for ped in self._peds:
-            ped.window = deque(maxlen=config.params.window)
+        self._deques = [deque(maxlen=config.params.window) for _ in self._ids]
         self._snapshots = deque(maxlen=config.params.window)
 
     def _windows(self, active, moved, pos, vel, t):
-        snap = _Snapshot(index={p.ped_id: i for i, p in enumerate(active)},
-                         pos=np.array([p.positions[-1] for p in active]),
-                         vel=np.array([p.velocities[-1] for p in active]))
+        snap = _Snapshot(index={self._ids[slot]: i for i, slot in enumerate(active)},
+                         pos=self._pos[active, t], vel=self._vel[active, t])
         self._snapshots.append((t, snap))
-        for ped, feats in zip(active, self._step_features(active, snap.pos, snap.vel)):
-            ped.window.append(feats.copy())   # a view would keep the whole batch alive
-        if not moved:
+        for slot, feats in zip(active, self._step_features(active, snap.pos, snap.vel)):
+            self._deques[slot].append(feats.copy())   # a view would keep the whole batch alive
+        if not moved.any():
             return None
-        rows = np.stack([row for ped in moved for row in ped.window])
-        return rows.reshape(len(moved), -1, rows.shape[1])
+        rows = np.stack([row for slot in active[moved] for row in self._deques[slot]])
+        return rows.reshape(int(moved.sum()), -1, rows.shape[1])
 
-    def _rewrite_window(self, ped, s, t):
+    def _rewrite_window(self, slot, s, t):
         """Step s's snapshot, copied, with the subject's rewritten state and
         the wall-table row of its module at step t, when it reset."""
         snap = dict(self._snapshots)[s]
-        i = snap.index[ped.ped_id]
+        i = snap.index[self._ids[slot]]
         pos, vel = snap.pos.copy(), snap.vel.copy()
-        pos[i] = ped.positions[s - ped.entry]
-        vel[i] = ped.velocities[s - ped.entry]
+        pos[i] = self._pos[slot, s]
+        vel[i] = self._vel[slot, s]
         rows = np.full(len(pos), -1)
-        rows[i] = self._rows[ped.modules[t - ped.entry]]
+        rows[i] = self._row[slot, t]
         return pos, vel, rows
 
     def _flush_rewrites(self):
         if not self._rewrites:
             return
         t = self.step_index
-        queued = [(self._peds[slot], s) for slot, s, *_ in self._rewrites]
-        pos, vel, table_rows = zip(*(self._rewrite_window(ped, s, t) for ped, s in queued))
+        queued = [(slot, s) for slot, s, *_ in self._rewrites]
+        pos, vel, table_rows = zip(*(self._rewrite_window(slot, s, t) for slot, s in queued))
         rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
                              np.concatenate(table_rows), self.config.scene, self.config.params,
                              groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
-        for (ped, s), row in zip(queued, rows):
-            ped.window[s - t - 1] = row.copy()
+        for (slot, s), row in zip(queued, rows):
+            self._deques[slot][s - t - 1] = row.copy()
         self._rewrites.clear()
+
+
+@dataclass
+class _PedRuntime:
+    """Pending until its first position is recorded, active until it exits."""
+
+    seed: PedestrianSeed
+    slot: int                               # index in ListSimulator._peds, row of its rings
+    positions: list = field(default_factory=list)
+    velocities: list = field(default_factory=list)
+    modules: list = field(default_factory=list)
+    reset_flags: list = field(default_factory=list)
+    exited: bool = False
+    truncated: bool = False
+    _proposal: Optional[np.ndarray] = None
+    _velocity: Optional[np.ndarray] = None   # model velocity, kept if _proposal commits as is
+    _predicted: bool = False
+    _reset_now: bool = False
+
+    @property
+    def ped_id(self) -> str:
+        return self.seed.ped_id
+
+    @property
+    def entry(self) -> int:
+        return self.seed.entry_step
+
+    @property
+    def module_id(self) -> str:
+        return self.modules[-1]
+
+
+def snap_to_module(scene: Scene, p: np.ndarray, tolerance: float = JUNCTION_SNAP):
+    """Snap a point just outside all modules onto the nearest boundary.
+
+    Returns (snapped point, module id), or None when the point is farther
+    than ``tolerance`` from every module.
+    """
+    start, end, first = scene.edges
+    c, d = closest_points_on_segments(p, start, end)
+    best = int(np.argmin(d))            # the first edge, in module order, at the minimum
+    if not d[best] <= tolerance:
+        return None
+    return c[best], scene.modules[int(np.searchsorted(first, best, side="right")) - 1].id
+
+class ListSimulator(Simulator):
+    """`Simulator` with the per-pedestrian bookkeeping it had before its
+    slot arrays, kept verbatim: one `_PedRuntime` per pedestrian with list
+    histories, the active and moved sets as lists, one commit, snap and
+    append per pedestrian in Python, and `snap_to_module` per unfound
+    proposal.  Only `__init__` differs: the package's sets up the rings
+    and the tables these methods read, and this one adds the records.  The
+    package's slot arrays stay as `__init__` made them."""
+
+    def __init__(self, config, predictor):
+        super().__init__(config, predictor)
+        self._peds = [_PedRuntime(seed=s, slot=i) for i, s in
+                      enumerate(sorted(config.pedestrians, key=lambda s: s.ped_id))]
+        self._rows = config.scene.wall_table[0]
+
+    def _active(self) -> list[_PedRuntime]:
+        return [p for p in self._peds if p.positions and not p.exited]
+
+    def _has_pending(self) -> bool:
+        return any(not p.positions for p in self._peds)
+
+    # -- stepping ---------------------------------------------------------
+
+    def step(self) -> None:
+        cfg = self.config
+        t = self.step_index
+        w = cfg.params.window
+
+        entering = [p for p in self._peds if not p.positions and p.entry == t]
+        if entering:
+            starts = [ped.seed.positions[0] for ped in entering]
+            for ped, start, module_id in zip(entering, starts,
+                                             point_in_modules(cfg.scene, starts)):
+                self._append(ped, start, module_id, np.zeros(2))
+
+        active = self._active()
+        if not active:
+            self.step_index += 1
+            return
+
+        pos = np.array([p.positions[-1] for p in active])
+        vel = np.array([p.velocities[-1] for p in active])
+        slots = np.array([p.slot for p in active])
+        self._recorded[:, t % w] = False
+        self._recorded[slots, t % w] = True
+        self._states[slots, t % w] = np.stack((pos, vel), axis=1)
+        moved: list[_PedRuntime] = []
+        for ped in active:
+            ped._reset_now = False
+            ped._velocity = None
+            local = t - ped.entry
+            ped._predicted = local >= w - 1
+            if ped._predicted:
+                moved.append(ped)
+            else:
+                ped._proposal = ped.seed.positions[local + 1].copy()
+        self._propose(active, moved, pos, vel, t)
+        # the wall guard; the exit and module tests below read its results
+        table = self._wall_table[0]
+        for ped, idx in zip(moved, self._crossings(moved, *self._wall_table)):
+            if idx >= 0:
+                ped._proposal = self._blocked(ped, table[self._rows[ped.module_id], idx], t)[0]
+                ped._velocity = None
+
+        # Commits touch only their own pedestrian, so the exit and module
+        # tests of every proposal can run before the first commit.
+        terminal = [p for p in moved if cfg.scene.successor[p.module_id] is None]
+        exits = {p.ped_id for p, i in zip(terminal, self._crossings(terminal, *self._exit_table))
+                 if i >= 0}
+        found = point_in_modules(cfg.scene, [p._proposal for p in active])
+        for ped, module_id in zip(active, found):
+            self._commit(ped, t, ped.ped_id in exits, module_id)
+        self._flush_rewrites()
+
+        self.step_index += 1
+
+    def _propose(self, active: list, moved: list, pos: np.ndarray, vel: np.ndarray,
+                 t: int) -> None:
+        """Set _proposal for every pedestrian past its seeded prefix (moved),
+        and _velocity where the model has one to record with it; pos and vel
+        (N, 2) are the active pedestrians' states at step t.
+
+        The TCN reads each active pedestrian's feature window and predicts
+        one velocity per moved pedestrian.
+        """
+        cfg = self.config
+        x = self._windows(active, moved, pos, vel, t)
+        if not moved:
+            return
+        v_hat = np.asarray(self.predictor.predict(x), dtype=float)
+        if v_hat.shape != (len(moved), 2):
+            raise ValueError(f"predictor returned shape {v_hat.shape}")
+        bad = ~np.all(np.isfinite(v_hat), axis=1)
+        if np.any(bad):
+            ped = moved[int(np.argmax(bad))]
+            raise ValueError(f"predictor returned a non-finite velocity for pedestrian "
+                             f"{ped.ped_id!r} at step {t}")
+        for ped, v in zip(moved, v_hat):
+            ped._proposal = ped.positions[-1] + v * cfg.dt
+
+    def _blocked(self, ped: _PedRuntime, wall: Optional[np.ndarray], t: int):
+        """(next, module) for a move that crosses wall, or (wall None) leaves
+        every module and snaps nowhere.  A crossing move's next is tested as
+        its proposal, so only a stranded move's module is read (None: the
+        one containing next, else the current one).  The TCN resets against
+        the wall (with no wall, its module's nearest), or holds if it has
+        reset already this step.
+        """
+        if ped._reset_now:
+            return self._hold(ped)
+        if wall is None:
+            table, valid = self._wall_table
+            row = self._rows[ped.module_id]
+            walls = table[row, valid[row]]
+            _, gaps = closest_points_on_segments(ped.positions[-1], walls[:, 0], walls[:, 1])
+            wall = walls[int(np.argmin(gaps))]
+        self._reset(ped, wall, t)
+        return np.asarray(ped._proposal, dtype=float), None
+
+    def _windows(self, active: list, moved: list, pos: np.ndarray, vel: np.ndarray,
+                 t: int) -> np.ndarray:
+        """Write the step's feature rows into the ring with one scatter and
+        gather the moved pedestrians' windows (n, w, D) with one gather:
+        steps t-w+1 .. t, oldest first."""
+        w = self.config.params.window
+        self._ring[[p.slot for p in active], t % w] = self._step_features(active, pos, vel)
+        return self._ring[np.array([p.slot for p in moved], dtype=int)[:, None],
+                          np.arange(t + 1, t + w + 1) % w]
+
+    def _crossings(self, peds: list, table: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Index of the first segment that each pedestrian's step
+        (positions[-1] to _proposal) crosses among its module's row of
+        table (rows in `Scene.wall_table` order), or -1: one kernel call,
+        none for no pedestrians."""
+        if not peds:
+            return np.full(0, -1)
+        return first_wall_crossings([p.positions[-1] for p in peds], [p._proposal for p in peds],
+                                    table, valid, [self._rows[p.module_id] for p in peds])
+
+    def _module_crossings(self, module_id: str, p_from, p_to) -> np.ndarray:
+        """`first_wall_crossings` of moves p_from -> p_to against one
+        module's active walls."""
+        p_from = np.reshape(p_from, (-1, 2))
+        return first_wall_crossings(p_from, p_to, *self._wall_table,
+                                    np.full(len(p_from), self._rows[module_id]))
+
+    def _step_features(self, active: list, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+        """Feature rows of the active pedestrians at states pos, vel, (N, D)."""
+        return extract_batch(pos, vel, [self._rows[p.module_id] for p in active],
+                             self.config.scene, self.config.params)
+
+    def run(self) -> SimulationResult:
+        while True:
+            active = self._active()
+            if not active and not self._has_pending():
+                break
+            if self.step_index >= self.config.max_steps:
+                for ped in active:
+                    ped.truncated = True
+                break
+            self.step()
+        trajectories = []
+        for ped in self._peds:
+            if not ped.positions:
+                continue
+            trajectories.append(SimulatedTrajectory(
+                ped_id=ped.ped_id, entry_step=ped.entry, dt=self.config.dt,
+                positions=np.asarray(ped.positions, dtype=float),
+                module_ids=tuple(ped.modules),
+                reset_flags=np.asarray(ped.reset_flags, dtype=bool),
+                exited=ped.exited, truncated=ped.truncated,
+            ))
+        truncated = any(t.truncated for t in trajectories) or self._has_pending()
+        return SimulationResult(scene=self.config.scene, dt=self.config.dt,
+                                trajectories=tuple(trajectories), truncated=truncated)
+
+    # -- helpers ----------------------------------------------------------
+
+    def _commit(self, ped: _PedRuntime, t: int, exits: bool, found: Optional[str]) -> None:
+        """Commit the proposal; exits (a predicted step across a terminal exit)
+        and found (the module containing the proposal) come from step()."""
+        nxt = np.asarray(ped._proposal, dtype=float)
+        vel = ped._velocity
+
+        if exits:
+            self._append(ped, nxt, ped.module_id, vel)
+            ped.exited = True
+            return
+        if found is None and ped._predicted:
+            snapped = snap_to_module(self.config.scene, nxt)
+            nxt, found = snapped if snapped is not None else self._blocked(ped, None, t)
+            if found is None:
+                found = point_in_modules(self.config.scene, nxt)[0]
+            vel = None
+        self._append(ped, nxt, found if found is not None else ped.module_id, vel)
+
+    def _hold(self, ped: _PedRuntime):
+        """(next, module) of staying put, in the current module: on a shared
+        border point_in_modules would name the earlier module instead."""
+        return ped.positions[-1].copy(), ped.module_id
+
+    def _append(self, ped: _PedRuntime, nxt: np.ndarray, module_id: str,
+                vel: Optional[np.ndarray]) -> None:
+        """Record nxt; vel None records the displacement from the last position over dt."""
+        if vel is None:
+            vel = (nxt - ped.positions[-1]) / self.config.dt
+        ped.positions.append(nxt.copy())
+        ped.velocities.append(vel)
+        ped.modules.append(module_id)
+        ped.reset_flags.append(ped._reset_now)
+
+    def _path_clear(self, prev: np.ndarray, points: list, module_id: str,
+                    violated: np.ndarray) -> bool:
+        chain = np.array([prev] + points)
+        a, b = chain[:-1], chain[1:]
+        moves = np.hypot(*(b - a).T) > 1e-12
+        gaps = closest_points_on_segments(b[:, None], violated[:1], violated[1:])[1]
+        return not (np.any(self._module_crossings(module_id, a[moves], b[moves]) >= 0)
+                    or np.any(gaps < WALL_CLEARANCE - 1e-9)
+                    or None in point_in_modules(self.config.scene, b))
+
+    def _reset(self, ped: _PedRuntime, wall: np.ndarray, t: int) -> None:
+        """Replace recent simulated history with a guided wall-clear path."""
+        cfg = self.config
+        w = cfg.params.window
+        dt = cfg.dt
+        ped._reset_now = True
+        pos_t = ped.positions[-1]
+        module = cfg.scene.module(ped.module_id)
+        exit_mid = module.exit.mean(axis=0)
+
+        if module.kind == "bottleneck":
+            vec = exit_mid - pos_t
+            nrm = float(np.hypot(*vec))
+            if nrm < 1e-9:
+                ped._proposal = pos_t.copy()
+                return
+            direction = vec / nrm
+        else:
+            d = wall[1] - wall[0]
+            d = d / float(np.hypot(*d))
+            direction = d if float(d @ (exit_mid - pos_t)) >= 0.0 else -d
+
+        p_hat = self._clear_point(pos_t, wall, exit_mid)
+        first_predicted = ped.entry + w
+        r0 = max(t - w + 1, first_predicted)
+        steps = list(range(r0, t + 1))
+
+        if not steps:
+            # first predicted step: the whole window is the seeded prefix,
+            # which is never rewritten; just sidestep clear of the wall
+            if (np.hypot(*(p_hat - pos_t)) < 1e-12
+                    or self._module_crossings(ped.module_id, pos_t, p_hat)[0] < 0):
+                ped._proposal = p_hat
+            else:
+                ped._proposal = pos_t.copy()
+            return
+
+        m = len(steps)
+        speeds = [float(np.hypot(*ped.velocities[s - ped.entry])) for s in steps]
+        speed = max(float(np.mean(speeds)), MIN_GUIDED_SPEED)
+        prev = ped.positions[r0 - 1 - ped.entry]
+
+        # the guided path at speed, else standing at p_hat; zeros, not
+        # direction * 0.0, keep the standing velocities and offsets +0.0
+        for speed, step_vel in ((speed, direction * speed), (0.0, np.zeros(2))):
+            guided = [p_hat - step_vel * dt * (m - 1 - j) for j in range(m)]
+            if self._path_clear(prev, guided, ped.module_id, wall):
+                break
+        else:
+            ped._proposal = pos_t.copy()
+            return
+
+        row = self._rows[ped.module_id]
+        for j, s in enumerate(steps):
+            i = s - ped.entry
+            ped.positions[i] = guided[j].copy()
+            ped.velocities[i] = ((guided[0] - prev) / dt if j == 0 else step_vel.copy())
+            ped.reset_flags[i] = True
+            self._rewrites.append((ped.slot, s, row, ped.positions[i], ped.velocities[i]))
+
+        nxt = p_hat + direction * speed * dt
+        if speed > 0.0 and self._module_crossings(ped.module_id, p_hat, nxt)[0] >= 0:
+            nxt = p_hat.copy()
+        ped._proposal = nxt
+
+    def _flush_rewrites(self) -> None:
+        """Extract every queued rewrite row in one call and write them into
+        the ring with one scatter.
+
+        Row k is step s_k's recorded states of everyone active then (one
+        gather from the state ring), with the subject's rewritten state and
+        current module; the rows are extract_batch's groups.  Windows are
+        read only in _propose, so a flush after the step's commits gives
+        the rows an immediate extraction would."""
+        if not self._rewrites:
+            return
+        slots, steps, rows, pos, vel = map(np.array, zip(*self._rewrites))
+        cols = steps % self.config.params.window
+        group, entry = np.nonzero(self._recorded[:, cols].T)
+        states = self._states[entry, cols[group]]
+        subject = entry == slots[group]
+        states[subject] = np.stack((pos, vel), axis=1)
+        self._ring[slots, cols] = extract_batch(
+            states[:, 0], states[:, 1], np.where(subject, rows[group], -1),
+            self.config.scene, self.config.params, groups=group)
+        self._rewrites.clear()
+
+
+class ListSocialForceSimulator(ListSimulator):
+    """`social_force._SocialForceSimulator` as it was before the slot
+    arrays, verbatim, on `ListSimulator`'s bookkeeping: one `_proposal`
+    and `_velocity` per moved pedestrian, and one `_hold` per blocked
+    move."""
+
+    def __init__(self, config, params, desired_speeds):
+        super().__init__(config, predictor=None)
+        self.sf_params = params
+        # per slot: desired speed, and last desired direction (+x before the first)
+        self._speeds = np.array([desired_speeds[p.ped_id] for p in self._peds], dtype=float)
+        self._directions = np.tile((1.0, 0.0), (len(self._peds), 1))
+        # per module, in Scene.wall_table's row order: shrunk exit, wall
+        # terms (padded) and active wall count
+        self._targets = np.stack([shrunk_exit(m.exit, params.radius)
+                                  for m in config.scene.modules])
+        table, valid = self._wall_table
+        self._wall_terms = segment_terms(table[:, :, 0], table[:, :, 1])
+        self._wall_counts = valid.sum(axis=1)
+
+    def _propose(self, active, moved, pos, vel, t) -> None:
+        """One force-law step per moved pedestrian; no features, no network."""
+        if not moved:
+            return
+        dt = self.config.dt
+        index = np.flatnonzero([ped._predicted for ped in active])
+        slots = np.array([ped.slot for ped in moved])
+        rows = np.array([self._rows[ped.module_id] for ped in moved])
+        p, v = pos[index], vel[index]
+        directions = desired_directions(p, self._targets[rows], self._directions[slots])
+        self._directions[slots] = directions
+        # every subject's closest points on its module's padded walls (m, W, 2)
+        a, ab, len2 = self._wall_terms
+        points = project_on_segments(p[:, None], a[rows], ab[rows], len2[rows])
+        acc = np.empty((len(moved), 2))
+        for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
+                                                   self._wall_counts[rows].tolist())):
+            acc[i] = sf_acceleration(index[i], pos, vel, speed, e,
+                                     points[i, :count], self.sf_params)
+        v_new = v + acc * dt
+        for ped, nxt, v_next in zip(moved, p + v_new * dt, v_new):
+            ped._proposal, ped._velocity = nxt, v_next
+
+    def _blocked(self, ped, wall, t):
+        """Social force holds every blocked move."""
+        return self._hold(ped)

@@ -21,7 +21,8 @@ from crowdsim.ingest import (
 )
 from crowdsim.scene_library import make_composite, make_corridor
 
-from oracles import active_exit, extract_step, samples_to_arrays, stack_window, velocity_at
+from oracles import (active_exit, extract_step, sampleset_iter, samples_to_arrays, stack_window,
+                     velocity_at)
 from oracles import scalar_point_in_module as point_in_module
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
@@ -201,7 +202,7 @@ def test_build_samples_standing_still_targets_zero():
                  role="train_val", dt=0.04)
     samples = build_samples(ds, PARAMS)
     assert len(samples) == 3
-    for s in samples:
+    for s in sampleset_iter(samples):
         assert np.array_equal(s.target, [0.0, 0.0])
         assert s.X.shape == (8, PARAMS.feature_dim)
 
@@ -211,8 +212,9 @@ def test_build_samples_metadata_and_targets():
     run = _straight_run("E050", 12, speed=0.3)
     ds = Dataset(scene=scene, runs=(run,), role="train_val", dt=0.04)
     samples = build_samples(ds, PARAMS)
-    assert [s.meta for s in samples] == [("E050", "1", 8), ("E050", "1", 9), ("E050", "1", 10)]
-    for s in samples:
+    assert [s.meta for s in sampleset_iter(samples)] == [("E050", "1", 8), ("E050", "1", 9),
+                                                         ("E050", "1", 10)]
+    for s in sampleset_iter(samples):
         assert np.allclose(s.target, [0.3, 0.0])
         # the velocity slot of the last window row is the subject's current velocity
         assert np.allclose(s.X[-1, :2], [0.3, 0.0])
@@ -228,7 +230,7 @@ def test_build_samples_sees_other_pedestrian():
     with_b = build_samples(ds, PARAMS)
     ds_solo = Dataset(scene=scene, runs=(Run("r", (a,)),), role="train_val", dt=0.04)
     solo = build_samples(ds_solo, PARAMS)
-    assert any(not np.array_equal(x.X, y.X) for x, y in zip(with_b, solo))
+    assert any(not np.array_equal(x.X, y.X) for x, y in zip(sampleset_iter(with_b), sampleset_iter(solo)))
 
 
 def _step_features_oracle(subject, step, others, scene, params):
@@ -314,7 +316,7 @@ def test_build_samples_equal_the_scalar_loop_bitwise(monkeypatch):
             got = build_samples(dataset, params)
             want = _build_samples_oracle(dataset, params)
             assert len(got) == len(want) > 0
-            for sample, (x, target, meta) in zip(got, want):
+            for sample, (x, target, meta) in zip(sampleset_iter(got), want):
                 assert sample.meta == meta
                 assert sample.X.tobytes() == x.tobytes()
                 assert sample.target.tobytes() == target.tobytes()
@@ -432,7 +434,7 @@ def test_dataset_archive_round_trip():
 def test_samples_to_arrays_shapes():
     scene = make_corridor()
     ds = Dataset(scene=scene, runs=(_straight_run("r", 12),), role="train_val", dt=0.04)
-    x, y = samples_to_arrays(build_samples(ds, PARAMS))
+    x, y = samples_to_arrays(list(sampleset_iter(build_samples(ds, PARAMS))))
     assert x.shape == (3, 8, PARAMS.feature_dim)
     assert y.shape == (3, 2)
     assert x.dtype == np.float64

@@ -1,6 +1,6 @@
 """Synchronous stepping, resets, transitions, and exit handling."""
 
-from dataclasses import fields
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,18 +24,21 @@ from crowdsim.simulate import (
     Simulator,
     run_simulation,
     seeds_from_run,
-    snap_to_module,
+    snap_to_modules,
 )
 from crowdsim.social_force import SFParams, _SocialForceSimulator, draw_desired_speeds, sf_run
 
 from oracles import (
     ConstantVelocityOracle,
     DequeWindowSimulator,
+    ListSimulator,
+    ListSocialForceSimulator,
     ZeroVelocityOracle,
     active_exit,
     closest_point_on_segment,
     extract_step,
     point_segment_distance,
+    snap_to_module,
     snapshot_others,
 )
 from oracles import scalar_first_wall_crossing as first_wall_crossing
@@ -341,28 +344,32 @@ def test_result_rows_format():
     assert all(r[6] == "corridor" for r in rows)
 
 
+def _module_id(sim, slot, step) -> str:
+    """Id of the module a simulator recorded for a slot at a step."""
+    return sim.config.scene.modules[sim._row[slot, step]].id
+
+
 class _ScalarFeatureSimulator(DequeWindowSimulator):
     """Extracts each pedestrian's features on its own with extract_step, in
     the step and in window rewrites."""
 
     def _step_features(self, active, pos, vel):
-        cfg = self.config
+        cfg, t = self.config, self.step_index
         snap = self._snapshots[-1][1]               # the reference's own record of pos, vel
         return np.array([
-            extract_step(p, v, *snapshot_others(snap, ped.ped_id),
-                         active_walls(cfg.scene, ped.module_id),
-                         active_exit(cfg.scene, ped.module_id), cfg.params)
-            for ped, p, v in zip(active, pos, vel)])
+            extract_step(p, v, *snapshot_others(snap, self._ids[slot]),
+                         active_walls(cfg.scene, _module_id(self, slot, t)),
+                         active_exit(cfg.scene, _module_id(self, slot, t)), cfg.params)
+            for slot, p, v in zip(active, pos, vel)])
 
     def _flush_rewrites(self):
         cfg, t = self.config, self.step_index
         by_step = dict(self._snapshots)
         for slot, s, *_ in self._rewrites:
-            ped = self._peds[slot]
-            module_id = ped.modules[t - ped.entry]       # when it reset
-            ped.window[s - t - 1] = extract_step(
-                ped.positions[s - ped.entry], ped.velocities[s - ped.entry],
-                *snapshot_others(by_step[s], ped.ped_id), active_walls(cfg.scene, module_id),
+            module_id = _module_id(self, slot, t)        # when it reset
+            self._deques[slot][s - t - 1] = extract_step(
+                self._pos[slot, s], self._vel[slot, s],
+                *snapshot_others(by_step[s], self._ids[slot]), active_walls(cfg.scene, module_id),
                 active_exit(cfg.scene, module_id), cfg.params)
         self._rewrites.clear()
 
@@ -414,10 +421,10 @@ def test_batched_features_give_the_scalar_trajectories_bitwise():
         stranded_rows = []              # rows queued by each stranded _blocked call
 
         class Recording(Simulator):
-            def _blocked(self, ped, wall, t):
+            def _blocked(self, slots, walls, t):
                 queued = len(self._rewrites)
-                out = super()._blocked(ped, wall, t)
-                if wall is None:
+                out = super()._blocked(slots, walls, t)
+                if walls is None:
                     stranded_rows.append(len(self._rewrites) - queued)
                 return out
 
@@ -509,7 +516,7 @@ def test_path_clear_matches_the_scalar_loop():
         points = [start + offset * normal + j * step for j in range(int(rng.integers(1, 8)))]
         prev = points[0] - rng.choice([0.0, 0.05]) * rng.normal(size=2)
         want = _path_clear_loop(scene, prev, points, walls, violated)
-        assert sim._path_clear(prev, points, module.id, violated) == want
+        assert sim._path_clear(prev, points, scene.wall_table[0][module.id], violated) == want
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -604,8 +611,12 @@ def _scalar_crossings(p_from, p_to, table, valid, rows):
     return np.array(out, dtype=int)
 
 
-def _scalar_modules(scene, points):
-    return [point_in_module(scene, p) for p in np.reshape(points, (-1, 2))]
+def _scalar_rows(scene, points):
+    """Point by point, as the module's row, or -1: the scalar oracle of
+    containing_rows."""
+    ids = [m.id for m in scene.modules]
+    found = [point_in_module(scene, p) for p in np.reshape(points, (-1, 2))]
+    return np.array([-1 if m is None else ids.index(m) for m in found], dtype=int)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -618,9 +629,9 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
     config = _composite_crowd(30, seed=5)
     snaps = []
 
-    def counted_snap(scene, p, *args):
-        snapped = snap_to_module(scene, p, *args)
-        snaps.append(snapped is not None)
+    def counted_snap(scene, points, *args):
+        snapped = snap_to_modules(scene, points, *args)
+        snaps.extend((snapped[1] >= 0).tolist())
         return snapped
 
     def run():
@@ -628,7 +639,7 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
             return Simulator(config, ConstantVelocityOracle((1.5, 1.0))).run()
         return sf_run(config, SFParams(), rng=np.random.default_rng(5))
 
-    monkeypatch.setattr(crowdsim.simulate, "snap_to_module", counted_snap)
+    monkeypatch.setattr(crowdsim.simulate, "snap_to_modules", counted_snap)
     shipped = run()
     assert sum(snaps) > 0                                    # junction snaps
     assert sum(t.exited for t in shipped.trajectories) > 0
@@ -638,7 +649,7 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
         assert any(np.any(np.all(np.diff(t.positions[7:], axis=0) == 0.0, axis=1))
                    for t in shipped.trajectories)
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", _scalar_crossings)
-    monkeypatch.setattr(crowdsim.simulate, "point_in_modules", _scalar_modules)
+    monkeypatch.setattr(crowdsim.simulate, "containing_rows", _scalar_rows)
     assert run().to_rows("r") == shipped.to_rows("r")
 
 
@@ -646,15 +657,18 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
 def test_social_force_holds_record_a_standstill(monkeypatch):
     """A blocked social-force move, crossing or stranded, commits the last
     position with a velocity of exactly zero, not the force law's."""
-    append, holds = Simulator._append, []
+    step, holds = Simulator.step, []
 
-    def checked_append(self, ped, nxt, module_id, vel):
-        append(self, ped, nxt, module_id, vel)
-        if len(ped.positions) > PARAMS.window and \
-                ped.positions[-1].tobytes() == ped.positions[-2].tobytes():
-            holds.append(ped.velocities[-1].tobytes() == np.zeros(2).tobytes())
+    def checked_step(self):
+        t = self.step_index
+        committed = self._active()
+        step(self)
+        for slot in committed:          # each commits step t + 1
+            if self._entry[slot] + PARAMS.window - 1 <= t and \
+                    self._pos[slot, t + 1].tobytes() == self._pos[slot, t].tobytes():
+                holds.append(self._vel[slot, t + 1].tobytes() == np.zeros(2).tobytes())
 
-    monkeypatch.setattr(Simulator, "_append", checked_append)
+    monkeypatch.setattr(Simulator, "step", checked_step)
     sf_run(_composite_crowd(30, seed=5), SFParams(), rng=np.random.default_rng(5))
     assert holds and all(holds)
 
@@ -666,15 +680,16 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
     through an open edge: a crossing stage (_crossings) with pedestrians is
     one first_wall_crossings call and one without is none, and the wall
     guard is one such stage per step with moved pedestrians, all of them;
-    point_in_modules never sees an empty list (most steps have no
+    containing_rows never sees an empty list (most steps have no
     entrants); social force projects onto the walls at most once per
     module group and step, and the force law gets each subject's own
-    projection onto its module's active walls.  _blocked is called once
-    per crossing move, with the wall the scalar reference says it crosses,
-    and with no wall only for a move that ends outside every module,
-    crosses none of its module's walls and snaps nowhere; the reset of
-    such a stranded move runs no crossing test before _reset."""
-    kernel, modules = crowdsim.simulate.first_wall_crossings, crowdsim.simulate.point_in_modules
+    projection onto its module's active walls.  _blocked gets each
+    crossing move once, with the wall the scalar reference says it
+    crosses, and with no wall only the moves that end outside every
+    module, cross none of their module's walls and snap nowhere; the reset
+    of such a stranded move runs no crossing test before _reset."""
+    kernel, modules = crowdsim.simulate.first_wall_crossings, crowdsim.simulate.containing_rows
+    snap = crowdsim.simulate.snap_to_modules
     model_class = Simulator if model == "tcn" else _SocialForceSimulator
     crossings, propose = Simulator._crossings, model_class._propose
     blocked, reset = model_class._blocked, Simulator._reset
@@ -689,54 +704,67 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         assert len(points) > 0
         return modules(scene, points)
 
-    def counted_crossings(self, peds, table, valid):
+    def recorded_snap(scene, points, *args):
+        out = snap(scene, points, *args)
+        calls["unsnapped"] = np.reshape(points, (-1, 2))[out[1] < 0]
+        return out
+
+    def counted_crossings(self, p_from, p_to, table, valid, rows):
         before = calls["kernel"]
-        out = crossings(self, peds, table, valid)
-        calls["stages"].append((len(peds), calls["kernel"] - before))
+        out = crossings(self, p_from, p_to, table, valid, rows)
+        calls["stages"].append((len(rows), calls["kernel"] - before))
         if table is self._wall_table[0]:                 # the wall guard
             t = self.step_index
             calls["guards"][t] = calls["guards"].get(t, 0) + 1
-            assert [p.ped_id for p in peds] == calls["moved"][t]
-            for ped in peds:
-                walls = active_walls(self.config.scene, ped.module_id)
-                hit = first_wall_crossing(ped.positions[-1], ped._proposal, walls)
+            slots = calls["moved"][t]
+            assert p_from.tobytes() == self._pos[slots, t].tobytes()
+            for slot, a, b in zip(slots.tolist(), p_from, p_to):
+                walls = active_walls(self.config.scene, _module_id(self, slot, t))
+                hit = first_wall_crossing(a, b, walls)
                 if hit is not None:
-                    calls["crossing"].append((t, ped.ped_id, walls[hit].tobytes()))
+                    calls["crossing"].append((t, slot, walls[hit].tobytes()))
         return out
 
     def grouped_propose(self, active, moved, pos, vel, t):
-        calls["groups"][t] = len({p.module_id for p in moved})
-        calls["moved"][t] = [p.ped_id for p in moved]
+        calls["groups"][t] = len(set(self._row[active[moved], t].tolist()))
+        calls["moved"][t] = active[moved]
         return propose(self, active, moved, pos, vel, t)
 
-    def recorded_blocked(self, ped, wall, t):
-        if wall is not None:
-            calls["blocked"].append((t, ped.ped_id, wall.tobytes()))
-            return blocked(self, ped, wall, t)
+    def recorded_blocked(self, slots, walls, t):
+        if walls is not None:
+            calls["blocked"] += [(t, slot, wall.tobytes())
+                                 for slot, wall in zip(slots.tolist(), walls)]
+            return blocked(self, slots, walls, t)
         scene = self.config.scene
-        assert point_in_module(scene, ped._proposal) is None
-        assert first_wall_crossing(ped.positions[-1], ped._proposal,
-                                   active_walls(scene, ped.module_id)) is None
-        assert snap_to_module(scene, ped._proposal) is None
-        calls["stranded"] += 1
+        assert len(calls["unsnapped"]) == len(slots)
+        for slot, proposal in zip(slots, calls["unsnapped"]):
+            assert point_in_module(scene, proposal) is None
+            assert first_wall_crossing(self._pos[slot, t], proposal,
+                                       active_walls(scene, _module_id(self, slot, t))) is None
+            assert snap_to_module(scene, proposal) is None
+        calls["stranded"] += len(slots)
         calls["stranded_at"] = calls["kernel"]
         try:
-            return blocked(self, ped, wall, t)
+            return blocked(self, slots, walls, t)
         finally:
             calls["stranded_at"] = None
 
-    def checked_reset(self, ped, wall, t):
-        if calls["stranded_at"] is not None:
-            assert calls["kernel"] == calls["stranded_at"]
-            calls["stranded_resets"] += 1
-        return reset(self, ped, wall, t)
+    def checked_reset(self, slot, wall, t):
+        if calls["stranded_at"] is None:
+            return reset(self, slot, wall, t)
+        assert calls["kernel"] == calls["stranded_at"]
+        calls["stranded_resets"] += 1
+        try:
+            return reset(self, slot, wall, t)
+        finally:                # the next stranded reset counts from here
+            calls["stranded_at"] = calls["kernel"]
 
     def counted_projection(*args):
         calls["projections"][sim.step_index] = calls["projections"].get(sim.step_index, 0) + 1
         return project_on_segments(*args)
 
     def checked_law(index, pos, vel, speed, direction, wall_points, params):
-        module_id = sim._active()[index].module_id
+        module_id = _module_id(sim, sim._active()[index], sim.step_index)
         walls = active_walls(sim.config.scene, module_id)
         want = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
         assert wall_points.tobytes() == want.tobytes()
@@ -744,7 +772,8 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         return law(index, pos, vel, speed, direction, wall_points, params)
 
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", counted_kernel)
-    monkeypatch.setattr(crowdsim.simulate, "point_in_modules", checked_modules)
+    monkeypatch.setattr(crowdsim.simulate, "containing_rows", checked_modules)
+    monkeypatch.setattr(crowdsim.simulate, "snap_to_modules", recorded_snap)
     monkeypatch.setattr(Simulator, "_crossings", counted_crossings)
     monkeypatch.setattr(model_class, "_propose", grouped_propose)
     monkeypatch.setattr(model_class, "_blocked", recorded_blocked)
@@ -763,7 +792,7 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
                 [s.ped_id for s in config.pedestrians], np.random.default_rng(5), SFParams()))
         calls = {"kernel": 0, "stages": [], "projections": {}, "groups": {}, "laws": 0,
                  "moved": {}, "guards": {}, "crossing": [], "blocked": [], "stranded": 0,
-                 "stranded_at": None, "stranded_resets": 0}
+                 "stranded_at": None, "stranded_resets": 0, "unsnapped": None}
         sim.run()
 
         assert sim.step_index > len({s.entry_step for s in config.pedestrians})
@@ -792,15 +821,19 @@ def test_model_surface_and_one_record_per_pedestrian():
     assert {name for name, value in vars(_SocialForceSimulator).items()
             if callable(value) and not name.startswith("__")} == {"_propose", "_blocked"}
     # A pedestrian's lifecycle state and module are read off its record.
-    assert not {"state", "module_id"} & {f.name for f in fields(crowdsim.simulate._PedRuntime)}
+    assert not {"_state", "_module_id"} & set(vars(Simulator(_config(make_corridor(), []),
+                                                             ZeroVelocityOracle())))
     log, pending = [], []           # after each step: (step, id, module_id, active); pending
+
+    def module_of(sim, slot):       # the module of its last recorded position
+        return _module_id(sim, slot, sim._entry[slot] + sim._length[slot] - 1)
 
     class Logged(Simulator):
         def step(self):
             super().step()
-            active = {p.ped_id for p in self._active()}
-            log.extend((self.step_index - 1, p.ped_id, p.module_id if p.positions else None,
-                        p.ped_id in active) for p in self._peds)
+            active = set(self._active().tolist())
+            log.extend((self.step_index - 1, pid, module_of(self, slot) if self._length[slot]
+                        else None, slot in active) for slot, pid in enumerate(self._ids))
             pending.append(self._has_pending())
 
     scene = _two_corridor_scene()
@@ -824,4 +857,100 @@ def test_model_surface_and_one_record_per_pedestrian():
             else:   # step t recorded the position of step t + 1, the last one at an exit
                 assert module_id == traj.module_ids[min(step + 1, last) - traj.entry_step]
                 assert active == (step + 1 < last or not traj.exited)
-    assert [p.module_id for p in sim._peds] == [fast.module_ids[-1], late.module_ids[-1]]
+    assert [module_of(sim, slot) for slot in range(2)] == [fast.module_ids[-1],
+                                                           late.module_ids[-1]]
+
+
+def test_stranded_move_in_a_module_without_walls_holds():
+    # A one-module corridor with no walls at all: a move that leaves it
+    # crosses nothing and snaps nowhere, and with no wall to reset against
+    # the TCN holds, as social force does.
+    bare = ModuleRegion(id="bare", kind="corridor",
+                        boundary=np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 3.0], [0.0, 3.0]]),
+                        walls=np.zeros((0, 2, 2)), exit=np.array([[6.0, 0.0], [6.0, 3.0]]))
+    scene = Scene(modules=(bare,), successor={"bare": None})
+    scene.validate()
+    params = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=2)
+    config = SimulationConfig(scene=scene, dt=0.04, params=params, max_steps=12,
+                              pedestrians=(_stationary_seed("a", (2.0, 1.5), w=2),))
+    traj = Simulator(config, ConstantVelocityOracle((0.0, 100.0))).run().trajectories[0]
+    assert traj.truncated and not traj.exited and len(traj.positions) == 13
+    assert np.array_equal(traj.positions, np.tile((2.0, 1.5), (13, 1)))
+    assert not traj.reset_flags.any() and set(traj.module_ids) == {"bare"}
+
+
+def test_junction_snap_ties_go_to_the_earlier_module():
+    # (4, -0.01) lies 0.01 m from the bottom and inner edges of both
+    # corridors of the two-corridor scene; it snaps to the corner of
+    # whichever module comes first, exactly as the scalar snap does.
+    a, b = _two_corridor_scene().modules
+    p = np.array([4.0, -0.01])
+    for modules in ((a, b), (b, a)):
+        scene = Scene(modules=modules, successor={"a": "b", "b": None})
+        want = snap_to_module(scene, p)
+        got, rows = snap_to_modules(scene, p[None])
+        assert want[1] == modules[0].id and scene.modules[rows[0]].id == want[1]
+        assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_snap_to_modules_equals_the_scalar_snap():
+    scene = make_composite()
+    rng = np.random.default_rng(3)
+    verts = np.concatenate([m.boundary for m in scene.modules])
+    points = np.concatenate([verts + rng.uniform(-0.03, 0.03, (len(verts), 2)),
+                             verts + (0.02, 0.0), verts - (0.0, 0.02),
+                             rng.uniform((-4.5, -2.5), (8.0, 7.5), (400, 2))])
+    got, rows = snap_to_modules(scene, points)
+    ids = [m.id for m in scene.modules]
+    for p, c, row in zip(points, got, rows.tolist()):
+        want = snap_to_module(scene, p)
+        assert (row < 0) == (want is None), tuple(p)
+        if want is not None:
+            assert c.tobytes() == want[0].tobytes() and ids[row] == want[1]
+    assert (rows >= 0).sum() > len(verts)
+
+
+def _assert_same_runs(got, want):
+    assert got.truncated == want.truncated
+    assert [t.ped_id for t in got.trajectories] == [t.ped_id for t in want.trajectories]
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert a.entry_step == b.entry_step
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.module_ids == b.module_ids
+        assert a.reset_flags.tobytes() == b.reset_flags.tobytes()
+        assert (a.exited, a.truncated) == (b.exited, b.truncated)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_slot_arrays_give_the_list_reference_trajectories(monkeypatch):
+    """The walk-back crowd and dense composite crowds under both models,
+    some TCN runs with stub predictors at very large speeds: every run
+    equals the list bookkeeping's byte for byte, and together they snap,
+    strand moves (reset or held) and exit."""
+    snap, counts = crowdsim.simulate.snap_to_modules, {"snapped": 0, "stranded": 0}
+
+    def counted_snap(scene, points, *args):
+        out = snap(scene, points, *args)
+        counts["snapped"] += int((out[1] >= 0).sum())
+        counts["stranded"] += int((out[1] < 0).sum())
+        return out
+
+    monkeypatch.setattr(crowdsim.simulate, "snap_to_modules", counted_snap)
+    walkback, dense = _corridor_walkback_crowd(), _composite_crowd(30, seed=5)
+    fast = replace(dense, max_steps=20)
+    exited = 0
+    for config, velocity in ((walkback, (-2.0, 0.0)), (dense, (1.5, 1.0)),
+                             (fast, (60.0, 60.0)), (fast, (100.0, 0.0)), (fast, (1e6, -1e6))):
+        stub = ConstantVelocityOracle(velocity)
+        sim = Simulator(config, stub)
+        got = sim.run()
+        _assert_same_runs(got, ListSimulator(config, stub).run())
+        exited += sum(t.exited for t in got.trajectories)
+        assert sim._pos.shape[1] < 2 * (sim.step_index + 2)     # grown by doubling
+    for config in (walkback, dense):
+        speeds = draw_desired_speeds([s.ped_id for s in config.pedestrians],
+                                     np.random.default_rng(5), SFParams())
+        got = _SocialForceSimulator(config, SFParams(), speeds).run()
+        _assert_same_runs(got, ListSocialForceSimulator(config, SFParams(), speeds).run())
+        exited += sum(t.exited for t in got.trajectories)
+    assert counts["snapped"] > 0 and counts["stranded"] > 0 and exited > 0

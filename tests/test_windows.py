@@ -10,7 +10,7 @@ from crowdsim.ingest import Dataset, Run, SampleSet, Trajectory, build_samples
 from crowdsim.network import NetworkConfig, TrainingConfig, VelocityPredictor, batch_loss, train
 from crowdsim.scene_library import make_corridor
 
-from oracles import samples_to_arrays
+from oracles import sampleset_getitem, sampleset_iter, samples_to_arrays
 
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 
@@ -59,7 +59,7 @@ def _assert_batch_equals(batch: np.ndarray, want: np.ndarray) -> None:
 
 def test_window_batches_equal_the_stacked_arrays_bitwise():
     samples = build_samples(_dataset(), PARAMS)
-    x, y = samples_to_arrays(samples)
+    x, y = samples_to_arrays(list(sampleset_iter(samples)))
     windows = samples.windows
     assert windows.shape == x.shape and len(windows) == len(x) > 100
     assert samples.targets.tobytes() == y.tobytes()
@@ -71,7 +71,7 @@ def test_window_batches_equal_the_stacked_arrays_bitwise():
     for part in (slice(0, 32), slice(0, len(x)), slice(64, 64 + 2048), slice(len(x) - 3, None)):
         _assert_batch_equals(windows[part], x[part])
     for i in (0, len(x) - 1):
-        assert windows[i].tobytes() == x[i].tobytes() == samples[i].X.tobytes()
+        assert windows[i].tobytes() == x[i].tobytes() == sampleset_getitem(samples, i).X.tobytes()
     x_tr, y_tr, x_va, y_va = samples.split(ratio=4, seed=3)
     tr, va = crowdsim.ingest.split_train_val(range(len(x)), ratio=4, seed=3)
     for got, targets, idx in ((x_tr, y_tr, tr), (x_va, y_va, va)):
@@ -83,7 +83,7 @@ def test_window_batches_equal_the_stacked_arrays_bitwise():
 def test_concatenated_sets_equal_the_stacked_arrays_bitwise(monkeypatch):
     sets, _ = _counted_rows(monkeypatch, PARAMS)
     joined = SampleSet.concatenate(sets)
-    x, y = samples_to_arrays([s for part in sets for s in part])
+    x, y = samples_to_arrays([s for part in sets for s in sampleset_iter(part)])
     assert len(joined) == len(x)
     _assert_batch_equals(joined.windows[:], x)
     assert joined.targets.tobytes() == y.tobytes()
