@@ -170,7 +170,7 @@ class SimulationResult:
         return rows
 
 
-def snap_to_modules(scene: Scene, points, tolerance: float = JUNCTION_SNAP):
+def snap_to_modules(scene: Scene, points):
     """Snap points just outside all modules onto the nearest boundary, with
     one `closest_points_on_segments` call over every point and
     `Scene.edges`.
@@ -178,14 +178,14 @@ def snap_to_modules(scene: Scene, points, tolerance: float = JUNCTION_SNAP):
     Returns the snapped points (k, 2) and each one's module, as its row in
     `Scene.wall_table`: the module of the first edge, in module order, at
     the minimum distance, or -1 (the point is not snapped) where that
-    distance exceeds ``tolerance``.
+    distance exceeds JUNCTION_SNAP.
     """
     start, end, first = scene.edges
     c, d = closest_points_on_segments(np.reshape(points, (-1, 1, 2)), start, end)
     best = np.argmin(d, axis=1)         # the first edge, in module order, at the minimum
     k = np.arange(len(best))
     rows = np.searchsorted(first, best, side="right") - 1
-    return c[k, best], np.where(d[k, best] <= tolerance, rows, -1)
+    return c[k, best], np.where(d[k, best] <= JUNCTION_SNAP, rows, -1)
 
 
 class Simulator:

@@ -629,8 +629,8 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
     config = _composite_crowd(30, seed=5)
     snaps = []
 
-    def counted_snap(scene, points, *args):
-        snapped = snap_to_modules(scene, points, *args)
+    def counted_snap(scene, points):
+        snapped = snap_to_modules(scene, points)
         snaps.extend((snapped[1] >= 0).tolist())
         return snapped
 
@@ -704,8 +704,8 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         assert len(points) > 0
         return modules(scene, points)
 
-    def recorded_snap(scene, points, *args):
-        out = snap(scene, points, *args)
+    def recorded_snap(scene, points):
+        out = snap(scene, points)
         calls["unsnapped"] = np.reshape(points, (-1, 2))[out[1] < 0]
         return out
 
@@ -929,8 +929,8 @@ def test_slot_arrays_give_the_list_reference_trajectories(monkeypatch):
     strand moves (reset or held) and exit."""
     snap, counts = crowdsim.simulate.snap_to_modules, {"snapped": 0, "stranded": 0}
 
-    def counted_snap(scene, points, *args):
-        out = snap(scene, points, *args)
+    def counted_snap(scene, points):
+        out = snap(scene, points)
         counts["snapped"] += int((out[1] >= 0).sum())
         counts["stranded"] += int((out[1] < 0).sum())
         return out
