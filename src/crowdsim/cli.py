@@ -260,7 +260,7 @@ def _simulate_stage(scene, dt: float, run: Run, params: ExtractionParams, max_st
                               params=params, max_steps=max_steps)
     if net is None:
         return sf_run(config, SFParams(), rng=substream(seed, "sf-speeds"))
-    return run_simulation(config, net)
+    return run_simulation(config, net.freeze())
 
 
 def cmd_simulate(args) -> int:

@@ -21,11 +21,13 @@ index arrays where not, taps in increasing u so every output row sums in
 the same order under either plan.  Dropout masks are drawn over the whole
 (B, C, window) either way, so the rng stream does not depend on the plan.
 The scalar reference of each conv, `dilated_causal_conv` (the defining sum),
-lives with the tests in `tests/oracles.py`.  Each conv keeps its
-weight-normed, re-laid-out weight for as long as v and g keep their bits,
-so inference with frozen parameters builds it once.  During training Adam
-moves v and g before every forward, so the cache misses each time and holds
-one extra (v, g, weight) per conv beside the parameters.
+lives with the tests in `tests/oracles.py`.  A conv lays out its
+weight-normed weight as (q, C_in, C_out) on each forward and keeps no copy
+of v or g, since Adam moves them between forwards.  `freeze` turns a
+trained predictor into a fixed one, in place: every parameter becomes
+read-only, so any later write raises ValueError, and each conv lays out its
+weight once, which its forwards then read.  Simulation runs a frozen
+predictor.
 
 An activation lives from the forward that caches it until the backward that
 reads it: each conv's and block's backward releases its cache, and the
@@ -89,8 +91,14 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and non-negative, "
+                             f"got {self.learning_rate!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.batch_size < 1 or self.val_every < 1:
@@ -207,31 +215,22 @@ class _WeightNormConv:
         self.grad_g = np.zeros_like(self.g)
         self.grad_b = np.zeros_like(self.b)
         self._cache: Optional[tuple] = None
-        self._weight: Optional[tuple] = None     # (v copy, g copy, laid-out weight)
+        self.frozen_weight: Optional[np.ndarray] = None     # set by freeze()
 
     def effective_weight(self) -> np.ndarray:
         return weight_norm_effective(self.v, self.g)
 
-    def _laid_out_weight(self) -> np.ndarray:
-        """The effective weight as (q, C_in, C_out), rebuilt only when v or
-        g differ in any bit from the copies it was built from: parameters
-        are written in place (Adam, load_state_dict, tests), so the copies,
-        not a version count, tell whether it is stale."""
-        if self._weight is not None:
-            v, g, w = self._weight
-            if (np.array_equal(v.view(np.int64), self.v.view(np.int64))
-                    and np.array_equal(g.view(np.int64), self.g.view(np.int64))):
-                return w
-        w = self.effective_weight().transpose(2, 1, 0).copy()
-        self._weight = (self.v.copy(), self.g.copy(), w)
-        return w
+    def tap_weights(self) -> np.ndarray:
+        """The effective weight laid out as (q, C_in, C_out): one GEMM
+        operand per tap."""
+        return self.effective_weight().transpose(2, 1, 0).copy()
 
     def forward(self, z: np.ndarray, taps: Optional[list] = None) -> np.ndarray:
         """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
         table; by default every step, n_out = n_in."""
         _, batch, c_in = z.shape
         taps = _tap_table(range(len(z)), range(len(z)), self.q, self.h) if taps is None else taps
-        w = self._laid_out_weight()
+        w = self.tap_weights() if self.frozen_weight is None else self.frozen_weight
         (_, _, src), *shifted = taps
         out = _gemm(z[src].reshape(-1, c_in), w[0]).reshape(-1, batch, w.shape[2])
         for u, dst, src in shifted:
@@ -452,6 +451,23 @@ class VelocityPredictor:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, train=False, head_only=True)
 
+    def freeze(self) -> "VelocityPredictor":
+        """Make every parameter read-only and lay out each conv's weight
+        once, in place; returns self.
+
+        Forwards then read the laid-out weights, and any write to a
+        parameter (an Adam step, load_state_dict, an in-place edit) raises
+        ValueError, so the weights cannot go stale.  Freezing again keeps
+        the weights laid out the first time.
+        """
+        for _, p in self.parameters():
+            p.flags.writeable = False
+        for conv in (c for blk in self.blocks for c in (blk.conv1, blk.conv2)):
+            if conv.frozen_weight is None:
+                conv.frozen_weight = conv.tap_weights()
+                conv.frozen_weight.flags.writeable = False
+        return self
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for i, blk in enumerate(self.blocks):
@@ -470,12 +486,22 @@ class VelocityPredictor:
         return {name: arr.copy() for name, arr in self.parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, arr in self.parameters():
+        """Copy each parameter from state, in place.  Raises ValueError, with
+        nothing written, unless state holds exactly this network's parameter
+        names, each at its shape."""
+        params = self.parameters()
+        unknown = sorted(set(state) - {name for name, _ in params})
+        if unknown:
+            raise ValueError(f"state dict names no parameter of this network: {unknown}")
+        srcs = []
+        for name, arr in params:
             if name not in state:
                 raise ValueError(f"missing parameter {name!r} in state dict")
             src = np.asarray(state[name], dtype=float)
             if src.shape != arr.shape:
                 raise ValueError(f"parameter {name!r}: shape {src.shape} != {arr.shape}")
+            srcs.append(src)
+        for (_, arr), src in zip(params, srcs):
             arr[...] = src
 
 
@@ -548,7 +574,8 @@ def train(net: VelocityPredictor, x_train, y_train: np.ndarray, x_val, y_val: np
     `ingest.Windows`, which gathers each batch from shared feature rows.
     Loss history rows are (iteration, train_loss, val_loss) with losses
     normalised per sample; the returned state is the parameter set with
-    the best recorded validation loss.  Raises RuntimeError on NaN loss.
+    the best recorded validation loss.  Raises RuntimeError when a train
+    loss or a recorded validation loss is not finite.
     """
     if x_train.shape[0] == 0:
         raise ValueError("training set is empty")
@@ -564,8 +591,11 @@ def train(net: VelocityPredictor, x_train, y_train: np.ndarray, x_val, y_val: np
 
     def _record(iteration: int, train_loss: float) -> None:
         vl = _val_loss()
+        if x_val.shape[0] and not np.isfinite(vl):
+            raise RuntimeError(f"training diverged at iteration {iteration} "
+                               f"(validation loss={vl})")
         result.history.append((iteration, train_loss, vl))
-        if np.isfinite(vl) and vl < result.best_val_loss:
+        if vl < result.best_val_loss:          # False for an empty set's NaN
             result.best_val_loss = vl
             result.best_iteration = iteration
             result.state = net.state_dict()

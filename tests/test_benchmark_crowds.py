@@ -42,7 +42,7 @@ def _net():
     ckpt = load_checkpoint(CHECKPOINT)
     net = VelocityPredictor(ckpt.network)
     net.load_state_dict(ckpt.state)
-    return ckpt.extraction, net
+    return ckpt.extraction, net.freeze()      # as `simulate` runs it
 
 
 def _crowd_archive(tmp_path, seed: int, steps: int) -> Path:

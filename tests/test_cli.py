@@ -177,13 +177,25 @@ def test_train_seed_changes_checkpoint(pipeline, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_nonzero(pipeline, tmp_path, capsys):
+    # With one iteration, only the validation loss after it sees the divergence.
+    for iters in ("10", "1"):
+        code = main(["train", "--scene", "corridor",
+                     "--data", str(pipeline["ingest"] / "dataset.json"),
+                     "--beta", "45", "--alpha", "90", "--iters", iters, "--batch", "16",
+                     "--channels", "4,4", "--dropout", "0.0", "--lr", "1e200",
+                     "--out", str(tmp_path / f"div{iters}")])
+        assert code == 1, iters
+        assert "diverg" in capsys.readouterr().err, iters
+
+
+def test_train_rejects_a_non_finite_learning_rate(pipeline, tmp_path, capsys):
     code = main(["train", "--scene", "corridor",
                  "--data", str(pipeline["ingest"] / "dataset.json"),
-                 "--beta", "45", "--alpha", "90", "--iters", "10", "--batch", "16",
-                 "--channels", "4,4", "--dropout", "0.0", "--lr", "1e200",
-                 "--out", str(tmp_path / "div")])
+                 "--beta", "45", "--alpha", "90", "--iters", "1", "--batch", "16",
+                 "--channels", "4,4", "--lr", "nan", "--out", str(tmp_path / "nan")])
     assert code == 1
-    assert "diverg" in capsys.readouterr().err
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
 
 
 def test_simulate_output_format(pipeline):

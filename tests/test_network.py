@@ -461,14 +461,30 @@ def test_network_config_validation() -> None:
         NetworkConfig(input_dim=6, dropout_rate=1.0)
 
 
+def test_training_config_rejects_invalid_optimiser_settings() -> None:
+    # Each bad value raises a ValueError that names its field, instead of a
+    # run that returns the untrained weights.
+    for field_name, values in (("learning_rate", (-1e-3, np.nan, np.inf)),
+                               ("beta1", (-0.1, 1.0, np.nan)),
+                               ("beta2", (-0.1, 1.0, 2.0, np.nan)),
+                               ("epsilon", (0.0, -1e-8, np.nan, np.inf))):
+        for value in values:
+            with pytest.raises(ValueError, match=field_name):
+                TrainingConfig(**{field_name: value})
+    TrainingConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
+
+
 def test_predict_never_serves_a_stale_weight() -> None:
-    # Convs reuse their laid-out weight while v and g are unchanged; after
-    # in-place writes, Adam steps and a load_state_dict, predict must equal
-    # a net built fresh with the same parameters, byte for byte.
+    # An unfrozen conv lays out its weight on every forward: after in-place
+    # writes, Adam steps and a load_state_dict, predict must equal a net
+    # built fresh with the same parameters, byte for byte.  freeze() keeps
+    # predict's bytes and lays each weight out once; every write then
+    # raises ValueError and leaves predict as it was.
     net = VelocityPredictor(TINY, np.random.default_rng(31))
     rng = np.random.default_rng(32)
     x = rng.normal(size=(5, 8, 6))
     conv1, conv2 = net.blocks[1].conv1, net.blocks[2].conv2
+    convs = [c for blk in net.blocks for c in (blk.conv1, blk.conv2)]
     opt = Adam(net.parameters(), lr=1e-3)
     other = VelocityPredictor(TINY, np.random.default_rng(33))
 
@@ -492,11 +508,8 @@ def test_predict_never_serves_a_stale_weight() -> None:
     def load():
         net.load_state_dict(other.state_dict())
 
-    net.predict(x)
-    kept = conv1._weight[2]
-    net.predict(x)
-    assert conv1._weight[2] is kept                     # reused while unchanged
-    for write in (rescale, nudge, flip, one_ulp, adam_step, adam_step, load):
+    writes = (rescale, nudge, flip, one_ulp, adam_step, adam_step, load)
+    for write in writes:
         before = net.predict(x)
         write()
         got = net.predict(x)
@@ -505,6 +518,26 @@ def test_predict_never_serves_a_stale_weight() -> None:
         assert got.tobytes() == fresh.predict(x).tobytes(), write.__name__
         assert got.tobytes() != before.tobytes(), write.__name__
     assert net.predict(x).tobytes() == other.predict(x).tobytes()
+    assert all(c.frozen_weight is None for c in convs)  # training keeps no layout
+
+    want = net.predict(x)
+    assert net.freeze() is net
+    kept = [c.frozen_weight for c in convs]
+    assert net.predict(x).tobytes() == want.tobytes()
+    for write in writes:
+        with pytest.raises(ValueError):
+            write()
+        assert net.predict(x).tobytes() == want.tobytes(), write.__name__
+    assert all(not p.flags.writeable for _, p in net.parameters())
+    net.freeze()
+    net.predict(x)
+    assert all(c.frozen_weight is w and c._cache[1] is w for c, w in zip(convs, kept))
+    # Forwards read the weight laid out at freeze, not v and g: a write that
+    # goes round the read-only flag is not seen.
+    conv2.g.flags.writeable = True
+    conv2.g[1] = -conv2.g[1]
+    conv2.g.flags.writeable = False
+    assert net.predict(x).tobytes() == want.tobytes()
 
 
 def test_state_dict_round_trip() -> None:
@@ -518,3 +551,13 @@ def test_state_dict_round_trip() -> None:
         bad = dict(state)
         bad.popitem()
         VelocityPredictor(TINY, np.random.default_rng(1)).load_state_dict(bad)
+    # A key that names no parameter (a stray tensor, or another
+    # architecture's) is named in the error.  Nothing is loaded from a
+    # rejected state, even when only its last tensor is wrong.
+    fresh = VelocityPredictor(TINY, np.random.default_rng(1))
+    kept = fresh.state_dict()
+    with pytest.raises(ValueError, match="block9.conv1.v"):
+        fresh.load_state_dict({**state, "block9.conv1.v": state["block0.conv1.v"]})
+    with pytest.raises(ValueError, match="head.b"):
+        fresh.load_state_dict({**state, "head.b": np.zeros(3)})
+    assert all(np.array_equal(p, kept[n]) for n, p in fresh.parameters())
