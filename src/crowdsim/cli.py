@@ -10,9 +10,10 @@ re-raises a failing command's exception instead of printing "error: ...".
 Flag defaults are read from the config dataclasses: the extraction flags of
 EXTRACTION_FLAGS from ExtractionParams, the training flags from
 NetworkConfig and TrainingConfig.  `sensitivity` trains with its own
-smaller protocol.  `train` and `sensitivity` share one training stage,
-`simulate` and `sensitivity` one simulation stage.  A run's steps count
-from its earliest track, for seeds and recorded tracks alike.
+smaller protocol.  Of the extraction flags `simulate` has only `--window`,
+for social force: a TCN run reads them all from its checkpoint.  `train`
+and `sensitivity` share one training stage, `simulate` and `sensitivity`
+one simulation stage.  A run's steps count from its earliest track.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ def _out_and_manifest(args, data, **fields) -> tuple[Path, RunManifest]:
 
 
 def _extraction(args, **values) -> ExtractionParams:
-    """Params from the extraction flags, with ``values`` (by flag) taking
-    precedence; a flag left unset keeps its field's default."""
+    """Params from the extraction flags, with ``values`` (by flag) taking precedence."""
     values = {flag: getattr(args, flag) for flag in EXTRACTION_FLAGS} | values
-    return ExtractionParams(**{EXTRACTION_FLAGS[flag][0]: v
-                               for flag, v in values.items() if v is not None})
+    return ExtractionParams(**{EXTRACTION_FLAGS[flag][0]: v for flag, v in values.items()})
 
 
 def _train_configs(args, params: ExtractionParams, val_every: int,
@@ -88,27 +87,32 @@ def _train_configs(args, params: ExtractionParams, val_every: int,
     return net_cfg, train_cfg
 
 
-def _load_archive(path) -> dict:
+def _load_archive(path, parse):
+    """parse(doc) of the archive at path; a missing key or a wrong type names the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path}: not a {DATASET_FORMAT} archive")
-    return doc
+    try:
+        return parse(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed archive ({exc})") from exc
 
 
 def _load_run(path, run_name) -> tuple[Run, float]:
     """One run of an archive, and the archive's dt."""
-    doc = _load_archive(path)
-    runs = {r["name"]: r for r in doc["runs"]}
-    if run_name is None:
-        if len(runs) != 1:
-            raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
-        run_name = next(iter(runs))
-    if run_name not in runs:
-        raise ValueError(f"{path}: no run named {run_name!r} "
-                         f"(available: {sorted(runs)})")
-    trajs = tuple(trajectory_from_dict(t) for t in runs[run_name]["trajectories"])
-    return Run(name=run_name, trajectories=trajs), float(doc["dt"])
+    def pick(doc):
+        runs = {r["name"]: r for r in doc["runs"]}
+        name = run_name
+        if name is None:
+            if len(runs) != 1:
+                raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
+            name = next(iter(runs))
+        if name not in runs:
+            raise ValueError(f"{path}: no run named {name!r} (available: {sorted(runs)})")
+        trajs = tuple(trajectory_from_dict(t) for t in runs[name]["trajectories"])
+        return Run(name=name, trajectories=trajs), float(doc["dt"])
+    return _load_archive(path, pick)
 
 
 def _tracks_from_run(run: Run, dt: float) -> list[Track]:
@@ -236,7 +240,7 @@ def cmd_train(args) -> int:
                                       training=train_cfg.to_dict())
     scene = resolve_scene(args.scene)
     mhash = manifest.hash()
-    datasets = [dataset_from_dict(_load_archive(path), scene) for path in args.data]
+    datasets = [_load_archive(p, lambda doc: dataset_from_dict(doc, scene)) for p in args.data]
     _, result, n_train = _train_stage(datasets, params, net_cfg, train_cfg, args.seed)
     save_checkpoint(out / "checkpoint.json", result.state, net_cfg, params,
                     mhash, training=train_cfg)
@@ -271,19 +275,17 @@ def cmd_simulate(args) -> int:
     if args.model == "tcn":
         if args.checkpoint is None:
             raise ValueError("model tcn needs --checkpoint")
+        if args.window is not None:
+            raise ValueError("--window applies to --model sf only; "
+                             "model tcn reads it from the checkpoint")
         ckpt = load_checkpoint(args.checkpoint)
-        for flag, (field, _, _) in EXTRACTION_FLAGS.items():
-            given, stored = getattr(args, flag), getattr(ckpt.extraction, field)
-            if given is not None and not abs(given - stored) <= 1e-9:   # NaN mismatches
-                raise ValueError(f"{field} mismatch: --{flag} {given} but the "
-                                 f"checkpoint was trained with {stored}")
         params = ckpt.extraction
         net = VelocityPredictor(ckpt.network)
         net.load_state_dict(ckpt.state)
     elif args.checkpoint is not None:
         raise ValueError("--checkpoint applies to --model tcn only")
     else:
-        params = _extraction(args)
+        params = ExtractionParams() if args.window is None else ExtractionParams(window=args.window)
 
     out, manifest = _out_and_manifest(args, [args.data], model=args.model,
                                       extraction=params.to_dict(),
@@ -415,7 +417,7 @@ def cmd_sensitivity(args) -> int:
                  "channels": args.channels, "dropout": args.dropout,
                  "max_steps": args.max_steps})
     mhash = manifest.hash()
-    datasets = [dataset_from_dict(_load_archive(path), scene) for path in args.data]
+    datasets = [_load_archive(p, lambda doc: dataset_from_dict(doc, scene)) for p in args.data]
     reports = []
     for combo in combos:
         values = dict(zip(grids, combo))
@@ -459,15 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or .)")
 
-    def extraction(p, flags=tuple(EXTRACTION_FLAGS), unset=False, grids=False):
+    def extraction(p, flags=tuple(EXTRACTION_FLAGS), grids=False):
         for flag in flags:
             field, text, grid = EXTRACTION_FLAGS[flag]
             default = getattr(ExtractionParams, field)
             if grids and grid is not None:
                 p.add_argument(f"--{flag}", default=grid, help=f"comma list: {text}")
             else:
-                p.add_argument(f"--{flag}", type=type(default),
-                               default=None if unset else default, help=text)
+                p.add_argument(f"--{flag}", type=type(default), default=default, help=text)
 
     def training(p, iters=TrainingConfig.iterations, batch=TrainingConfig.batch_size,
                  channels=NetworkConfig.tcn_channels, dropout=NetworkConfig.dropout_rate):
@@ -506,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="trained checkpoint (model tcn)")
     p.add_argument("--run", default=None, help="run name inside the archive")
     p.add_argument("--max-steps", type=int, default=2000, dest="max_steps")
-    extraction(p, unset=True)
+    p.add_argument("--window", type=int, default=None, help="seed length, steps (model sf "
+                   f"only; default {ExtractionParams.window}, tcn reads the checkpoint's)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="ADE/FDE/TTE of simulated vs experimental")

@@ -245,7 +245,7 @@ def extract_batch(pos, vel, rows, scene, params: ExtractionParams,
     n, ns, nr = subjects.size, params.n_sectors, params.n_rays
     best_dist, best_pos, best_vel = _nearest_pedestrians(pos, vel, subjects, groups, params)
     pos, vel, row = pos[subjects], vel[subjects], rows[subjects]
-    _, table, valid = scene.wall_table
+    table, valid = scene.wall_table
 
     wd, wp = _wall_points_batch(pos, table, valid, row, params.radius, ns)
     wall_wins = wd < best_dist                  # pedestrians win exact ties

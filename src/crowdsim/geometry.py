@@ -10,10 +10,10 @@ points.  The wall kernels (`ray_distances`, `first_wall_crossings`) take a
 padded wall table, such as the scene's `Scene.wall_table`, and one table
 row per ray origin or move, so a crowd spread over several modules is one
 call; one shared wall set is a one-row table.  `containing_rows` gives
-each point's module as its table row, and `point_in_modules` as its id.
-`first_wall_crossing` and `point_in_module` are the one-move and
-one-point views; the scalar references the kernels are tested against
-live in the test suite, not here.
+each point's module as its table row (-1: none), the one form in which the
+package holds a module.  `first_wall_crossing` and `point_in_module` are
+one-move and one-point views that only the benchmark calls; the scalar
+references the kernels are tested against live in the test suite.
 """
 from __future__ import annotations
 
@@ -326,18 +326,18 @@ class Scene:
                 np.cumsum([0] + [len(m.boundary) for m in self.modules[:-1]]))
 
     @cached_property
-    def wall_table(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-        """Every module's `active_walls`, padded to the largest count and
-        built on first use: the row of each module id, the walls
-        (M, W, 2, 2), zero past a module's own, and valid (M, W), True on
-        a module's own walls."""
+    def wall_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every module's `active_walls`, one row per module in traversal
+        order, padded to the largest count and built on first use: the
+        walls (M, W, 2, 2), zero past a module's own, and valid (M, W),
+        True on a module's own walls."""
         walls = [active_walls(self, m.id) for m in self.modules]
         table = np.zeros((len(walls), max(len(w) for w in walls), 2, 2))
         valid = np.zeros(table.shape[:2], dtype=bool)
         for row, w in enumerate(walls):
             table[row, :len(w)] = w
             valid[row, :len(w)] = True
-        return {m.id: row for row, m in enumerate(self.modules)}, table, valid
+        return table, valid
 
     def module(self, module_id: str) -> ModuleRegion:
         for m in self.modules:
@@ -378,16 +378,10 @@ def containing_rows(scene: Scene, points) -> np.ndarray:
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def point_in_modules(scene: Scene, points) -> list[Optional[str]]:
-    """Id of the first module, in traversal order, whose boundary polygon
-    contains each point (k, 2), else None: one entry per point."""
-    ids = [m.id for m in scene.modules] + [None]
-    return [ids[i] for i in containing_rows(scene, points).tolist()]
-
-
 def point_in_module(scene: Scene, p: Point2) -> Optional[str]:
-    """`point_in_modules` of one point."""
-    return point_in_modules(scene, [p])[0]
+    """Id of the `containing_rows` module of one point, else None."""
+    row = int(containing_rows(scene, [p])[0])
+    return scene.modules[row].id if row >= 0 else None
 
 
 def active_walls(scene: Scene, module_id: str) -> np.ndarray:

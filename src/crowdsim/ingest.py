@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .features import ExtractionParams, extract_batch
-from .geometry import Scene, point_in_modules, rect_mask
+from .geometry import Scene, containing_rows, rect_mask
 
 DATASET_FORMAT = "crowdsim-dataset-v1"
 
@@ -258,8 +258,9 @@ def clip_to_focus(trajs, area, window: int = 8) -> list[Trajectory]:
     return out
 
 
-def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
-    """Module of each local step that forms a sample row (1 … n-2), else None.
+def _row_modules(subject: Trajectory, scene: Scene, window: int) -> np.ndarray:
+    """Module, as its `Scene.wall_table` row, of each local step that forms
+    a sample row (1 … n-2), else -1: an (n,) int array.
 
     A row step outside every module, or a non-finite velocity at any step
     1 … n-1 (a row's, a target, or a neighbour's on a track too short for
@@ -267,13 +268,14 @@ def _row_modules(subject: Trajectory, scene: Scene, window: int) -> list:
     counting at the row step before it.
     """
     n = len(subject)
-    modules: list = [None] * n
+    modules = np.full(n, -1)
     bad = np.flatnonzero(~np.isfinite(subject.velocities[1:]).all(axis=1))
     nonfinite = 1 + int(bad[0]) if bad.size else n
     outside = n
     if n - 1 > window:          # else no sample, so no row steps
-        modules[1:-1] = found = point_in_modules(scene, subject.positions[1:-1])
-        outside = 1 + found.index(None) if None in found else n
+        modules[1:-1] = containing_rows(scene, subject.positions[1:-1])
+        out = np.flatnonzero(modules[1:-1] < 0)
+        outside = 1 + int(out[0]) if out.size else n
     if outside < nonfinite:
         raise ValueError(f"pedestrian {subject.ped_id} at "
                          f"{tuple(subject.positions[outside].tolist())} lies outside every module")
@@ -299,21 +301,20 @@ def build_samples(dataset: Dataset, params: ExtractionParams) -> SampleSet:
     hundreds of MiB on a long recording.
     """
     w = params.window
-    runs = [(run, [m for traj in run.trajectories
-                   for m in _row_modules(traj, dataset.scene, w)])
+    runs = [(run, np.concatenate([_row_modules(traj, dataset.scene, w)
+                                  for traj in run.trajectories]))
             for run in dataset.runs if run.trajectories]
-    rows = np.empty((sum(m is not None for _, ids in runs for m in ids), params.feature_dim))
+    rows = np.empty((sum(int(np.count_nonzero(table_row >= 0)) for _, table_row in runs),
+                     params.feature_dim))
     first, targets, meta = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))], []
     offset = 0                          # rows of the runs before this one
-    table_rows = dataset.scene.wall_table[0]
-    for run, module_ids in runs:
+    for run, table_row in runs:
         tracks = run.trajectories
         starts = np.cumsum([0] + [len(traj) for traj in tracks[:-1]])
         frame = np.concatenate([traj.t0 + np.arange(len(traj)) for traj in tracks])
         pos = np.concatenate([traj.positions for traj in tracks])
         vel = np.concatenate([traj.velocities for traj in tracks])
         vel[starts] = 0.0                   # a track's undefined first velocity reads as zero
-        table_row = np.array([-1 if m is None else table_rows[m] for m in module_ids], dtype=int)
         is_row = table_row >= 0
         row_of = offset + np.cumsum(is_row) - 1
         # Every entry in frame order, tracks in run order within a frame;

@@ -73,10 +73,12 @@ def _encode_tensor(arr: np.ndarray) -> dict:
             "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode_tensor(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape([int(s) for s in doc["shape"]])
+def _decode_tensor(path, name: str, doc: dict) -> np.ndarray:
+    try:
+        arr = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8").astype(np.float64)
+        return arr.reshape([int(s) for s in doc["shape"]])
+    except ValueError as exc:           # binascii.Error is one
+        raise ValueError(f"{path}: malformed tensor {name!r} ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -109,20 +111,26 @@ def _section(path, doc: dict, name: str, cls):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path; a malformed or inconsistent one is a ValueError naming it."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    network = _section(path, doc, "network", NetworkConfig)
-    extraction = _section(path, doc, "extraction", ExtractionParams)
-    if network.input_dim != extraction.feature_dim:
-        raise ValueError(f"{path}: network input_dim {network.input_dim} does not "
-                         f"match the stored extraction feature_dim {extraction.feature_dim}")
-    training = (_section(path, doc, "training", TrainingConfig)
-                if doc.get("training") is not None else None)
-    state = {name: _decode_tensor(t) for name, t in doc["tensors"].items()}
-    return Checkpoint(network=network, extraction=extraction, training=training,
-                      state=state, manifest_hash=str(doc["manifest_hash"]))
+    try:
+        network = _section(path, doc, "network", NetworkConfig)
+        extraction = _section(path, doc, "extraction", ExtractionParams)
+        for net_field, ext_field in (("input_dim", "feature_dim"), ("window", "window")):
+            got, stored = getattr(network, net_field), getattr(extraction, ext_field)
+            if got != stored:
+                raise ValueError(f"{path}: network {net_field} {got} does not match "
+                                 f"the stored extraction {ext_field} {stored}")
+        training = (_section(path, doc, "training", TrainingConfig)
+                    if doc.get("training") is not None else None)
+        state = {name: _decode_tensor(path, name, t) for name, t in doc["tensors"].items()}
+        return Checkpoint(network=network, extraction=extraction, training=training,
+                          state=state, manifest_hash=str(doc["manifest_hash"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint ({exc})") from exc
 
 
 # Cell types whose str() is their CSV text: str(float) is the shortest

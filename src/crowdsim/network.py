@@ -540,6 +540,8 @@ class Adam:
         self.t = 0
 
     def step(self, grads: list[tuple[str, np.ndarray]]) -> None:
+        if not all(p.flags.writeable for _, p in self.params):
+            raise ValueError("Adam.step: the predictor is frozen; its parameters are read-only")
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t

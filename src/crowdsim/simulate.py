@@ -15,10 +15,11 @@ new position, with a small snap for numerical overshoot at shared borders.
 slots, one per pedestrian in id order, and their state in per-slot arrays:
 positions and velocities (P, T+1, 2) and the module, as its
 `Scene.wall_table` row, and reset flag (P, T+1) at each global step, plus
-each slot's entry step, recorded length, and exited and truncated flags.
-A slot is pending while its length is 0 and active until it exits.  T
-starts small and doubles as the run goes on.  Module ids become strings
-only in `SimulationResult`.
+each slot's entry step, recorded length and exited flag.  A slot is
+pending while its length is 0, active until it exits, and truncated if
+still active when the run stops; during step t, reset flag t + 1 marks
+who has reset already.  T starts small and doubles as the run goes on.
+Module ids become strings only in `SimulationResult`.
 
 A step works on masks and index arrays over the slots, with no Python
 per pedestrian outside the model: entrants are one scatter, seeded
@@ -74,7 +75,6 @@ from .geometry import (
     closest_points_on_segments,
     containing_rows,
     first_wall_crossings,
-    point_in_modules,
 )
 
 WALL_CLEARANCE = 0.05
@@ -114,8 +114,8 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        modules = iter(point_in_modules(
-            self.scene, [p for seed in self.pedestrians for p in seed.positions]))
+        outside = iter(containing_rows(
+            self.scene, [p for seed in self.pedestrians for p in seed.positions]) < 0)
         seen = set()
         for seed in self.pedestrians:
             if seed.ped_id in seen:
@@ -126,9 +126,9 @@ class SimulationConfig:
                     f"pedestrian {seed.ped_id}: expected {self.params.window} seed "
                     f"positions, got {seed.positions.shape[0]}"
                 )
-            # zip draws one module per seed position, then stops
-            for p, module_id in zip(seed.positions, modules):
-                if module_id is None:
+            # zip draws one test per seed position, then stops
+            for p, out in zip(seed.positions, outside):
+                if out:
                     raise ValueError(
                         f"pedestrian {seed.ped_id}: seed position {tuple(p.tolist())} "
                         "lies outside every module"
@@ -205,13 +205,11 @@ class Simulator:
         self._entry = np.array([s.entry_step for s in seeds], dtype=int)
         self._length = np.zeros(n, dtype=int)
         self._exited = np.zeros(n, dtype=bool)
-        self._truncated = np.zeros(n, dtype=bool)
-        self._resetting = np.zeros(n, dtype=bool)       # reset already this step
         # state at global step s at [slot, s]; columns grow by doubling
         self._pos = np.zeros((n, 16, 2))
         self._vel = np.zeros((n, 16, 2))
         self._row = np.zeros((n, 16), dtype=int)        # Scene.wall_table row of the module
-        self._flag = np.zeros((n, 16), dtype=bool)      # reset flags
+        self._flag = np.zeros((n, 16), dtype=bool)      # reset flags; step t's resets set t + 1
         # feature row of step s of the pedestrian in slot i at ring[i, s % w]
         self._ring = np.zeros((n, params.window, params.feature_dim))
         # position and velocity recorded at step s, and whether active then
@@ -219,8 +217,7 @@ class Simulator:
         self._recorded = np.zeros((n, params.window), dtype=bool)
         self._rewrites: list = []           # (slot, s), extracted at step end
         scene = config.scene
-        _, table, valid = scene.wall_table
-        self._wall_table = table, valid
+        self._wall_table = scene.wall_table     # (table, valid)
         self._exit_table = (np.stack([m.exit for m in scene.modules])[:, None],
                             np.ones((len(scene.modules), 1), dtype=bool))
         self._terminal = np.array([scene.successor[m.id] is None for m in scene.modules])
@@ -271,7 +268,6 @@ class Simulator:
         self._recorded[:, t % w] = False
         self._recorded[active, t % w] = True
         self._states[active, t % w] = np.stack((pos, vel), axis=1)
-        self._resetting[active] = False
         local = t - self._entry[active]
         moved = local >= w - 1
         nxt = np.empty_like(pos)
@@ -319,7 +315,6 @@ class Simulator:
         self._pos[active, t + 1] = nxt
         self._vel[active, t + 1] = recorded
         self._row[active, t + 1] = next_rows
-        self._flag[active, t + 1] = self._resetting[active]
         self._length[active] += 1
         self._exited[active[exits]] = True
         self._flush_rewrites()
@@ -364,7 +359,7 @@ class Simulator:
         """
         table, valid = self._wall_table
         nxt = self._pos[slots, t]
-        held = self._resetting[slots].copy()
+        held = self._flag[slots, t + 1]
         for i, slot in enumerate(slots.tolist()):
             if held[i]:
                 continue
@@ -413,14 +408,10 @@ class Simulator:
                              self.config.scene, self.config.params)
 
     def run(self) -> SimulationResult:
-        while True:
-            active = self._active()
-            if not active.size and not self._has_pending():
-                break
-            if self.step_index >= self.config.max_steps:
-                self._truncated[active] = True
-                break
+        while self.step_index < self.config.max_steps and (
+                self._active().size or self._has_pending()):
             self.step()
+        truncated = (self._length > 0) & ~self._exited       # active when the run stopped
         ids = [m.id for m in self.config.scene.modules]
         trajectories = []
         for slot in np.flatnonzero(self._length).tolist():
@@ -430,11 +421,11 @@ class Simulator:
                 positions=self._pos[slot, steps].copy(),
                 module_ids=tuple(ids[r] for r in self._row[slot, steps].tolist()),
                 reset_flags=self._flag[slot, steps].copy(),
-                exited=bool(self._exited[slot]), truncated=bool(self._truncated[slot]),
+                exited=bool(self._exited[slot]), truncated=bool(truncated[slot]),
             ))
-        truncated = bool(self._truncated.any()) or self._has_pending()
         return SimulationResult(scene=self.config.scene, dt=self.config.dt,
-                                trajectories=tuple(trajectories), truncated=truncated)
+                                trajectories=tuple(trajectories),
+                                truncated=bool(truncated.any()) or self._has_pending())
 
     # -- the TCN's reset --------------------------------------------------
 
@@ -467,7 +458,7 @@ class Simulator:
         cfg = self.config
         w = cfg.params.window
         dt = cfg.dt
-        self._resetting[slot] = True
+        self._flag[slot, t + 1] = True
         pos_t = self._pos[slot, t].copy()
         row = int(self._row[slot, t])
         module = cfg.scene.modules[row]

@@ -14,8 +14,9 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
   for bit;
 * `point_in_polygon` and `scalar_point_in_module`: `points_in_polygon`
   (a one-polygon view of `geometry._points_in_polygons`) and
-  `geometry.point_in_modules` (`geometry.point_in_module` is the latter's
-  one-point view);
+  `point_in_modules` (`geometry.containing_rows` as module ids, which
+  `ListSimulator` reads; `geometry.point_in_module` is its one-point
+  view);
 * `desired_direction`: `social_force.desired_directions`, bit for bit;
 * `wall_points_in_disk`, `extract_social`, `extract_visual`,
   `extract_exit`, `assemble_step` and `extract_step`:
@@ -69,8 +70,8 @@ from crowdsim.geometry import (
     _as_walls,
     _points_in_polygons,
     closest_points_on_segments,
+    containing_rows,
     first_wall_crossings,
-    point_in_modules,
     polygon_edges,
     project_on_segments,
     rect_mask,
@@ -256,6 +257,13 @@ def scalar_point_in_module(scene: Scene, p: Point2) -> Optional[str]:
         if point_in_polygon(p, m.boundary):
             return m.id
     return None
+
+
+def point_in_modules(scene: Scene, points) -> list[Optional[str]]:
+    """Id of the first module, in traversal order, whose boundary polygon
+    contains each point (k, 2), else None: one entry per point."""
+    ids = [m.id for m in scene.modules] + [None]
+    return [ids[i] for i in containing_rows(scene, points).tolist()]
 
 
 def snapshot_others(snap, ped_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -704,7 +712,7 @@ class ListSimulator(Simulator):
         super().__init__(config, predictor)
         self._peds = [_PedRuntime(seed=s, slot=i) for i, s in
                       enumerate(sorted(config.pedestrians, key=lambda s: s.ped_id))]
-        self._rows = config.scene.wall_table[0]
+        self._rows = {m.id: row for row, m in enumerate(config.scene.modules)}
 
     def _active(self) -> list[_PedRuntime]:
         return [p for p in self._peds if p.positions and not p.exited]

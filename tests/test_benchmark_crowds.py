@@ -26,6 +26,17 @@ from oracles import ListSimulator, ListSocialForceSimulator
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHECKPOINT = PERFBENCH / "checkpoint.json"
 WINDOW = 8                          # the window of perfbench's crowd and checkpoint
+# tracer targets that no code defines any more (ROADMAP item 1)
+DEAD_TRACER_NAMES = {
+    "crowdsim.simulate.extract_step", "crowdsim.ingest.extract_step",
+    "crowdsim.features.extract_social", "crowdsim.features.wall_points_in_disk",
+    "crowdsim.features.extract_visual", "crowdsim.features.ray_cast_batch",
+    "crowdsim.simulate.first_wall_crossing", "crowdsim.social_force.first_wall_crossing",
+    "crowdsim.simulate.point_in_module", "crowdsim.social_force.point_in_module",
+    "crowdsim.ingest.point_in_module",
+    "crowdsim.simulate.segment_crossing", "crowdsim.social_force.segment_crossing",
+    "crowdsim.social_force.desired_direction", "crowdsim.cli.samples_to_arrays",
+}
 
 
 @cache
@@ -86,9 +97,13 @@ def test_the_benchmark_trace_contract(tmp_path):
                ("crowdsim.simulate:Simulator", "step"),
                ("crowdsim.cli", "sf_run")]
     patched = {(spec, attr) for spec, attr, *_ in tracing.PATCHES}
-    for spec, attr in targets:
-        assert (spec, attr) in patched
-        assert callable(getattr(tracing._owner(spec), attr, None)), f"{spec}.{attr}"
+    assert set(targets) <= patched
+    # Every other entry resolves too, but for the names the table already
+    # lists that no code defines; a change that mends the table may drop
+    # any of them.
+    unresolved = {f"{spec}.{attr}" for spec, attr in patched
+                  if not callable(getattr(tracing._owner(spec), attr, None))}
+    assert unresolved <= DEAD_TRACER_NAMES, sorted(unresolved - DEAD_TRACER_NAMES)
     assert "step" not in vars(_SocialForceSimulator)    # traced as Simulator.step
 
     archive, steps = _crowd_archive(tmp_path, seed=7, steps=20), 20

@@ -227,9 +227,11 @@ def test_flag_defaults_are_the_config_defaults(pipeline):
          training.val_every)
     assert (train.channels, train.dropout) == \
         (",".join(map(str, net.tcn_channels)), net.dropout_rate)
-    # unset in simulate: tcn reads the checkpoint, sf the ExtractionParams defaults
+    # simulate has only sf's --window, unset: tcn reads the checkpoint, sf
+    # the ExtractionParams defaults
     simulate = parser.parse_args(["simulate", "--scene", "s", "--data", "f"])
-    assert all(getattr(simulate, flag) is None for flag in fields)
+    assert simulate.window is None
+    assert not any(hasattr(simulate, flag) for flag in fields if flag != "window")
     manifest = json.loads((pipeline["sim_sf"] / "manifest.json").read_text())
     assert manifest["extraction"] == params.to_dict()
 
@@ -317,28 +319,37 @@ def test_simulate_without_checkpoint_errors(pipeline, tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
-def test_simulate_param_mismatch_errors(pipeline, tmp_path, capsys):
-    for flag, value in (("--beta", "10"), ("--de", "100")):
-        code = main(["simulate", "--scene", "corridor",
-                     "--data", str(pipeline["ingest"] / "dataset.json"),
-                     "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
-                     flag, value, "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "mismatch" in capsys.readouterr().err
-
-
-def test_simulate_nan_flag_mismatches_the_checkpoint(pipeline, tmp_path, capsys):
-    # abs(nan - stored) > 1e-9 is False: the NaN once passed and the run
-    # went on with the checkpoint's value
-    out = tmp_path / "x"
-    code = main(["simulate", "--scene", "corridor",
-                 "--data", str(pipeline["ingest"] / "dataset.json"),
-                 "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
-                 "--de", "nan", "--out", str(out)])
-    assert code == 1
-    assert "vision_range mismatch: --de nan but the checkpoint was trained with" \
-        in capsys.readouterr().err
+def test_simulate_takes_feature_settings_only_from_the_checkpoint(pipeline, tmp_path, capsys):
+    # A TCN run reads D_e, beta, alpha, the radius and the window from its
+    # checkpoint; flags could only repeat them or contradict them.  Social
+    # force reads only the window, as its seed length.
+    sim = ["simulate", "--scene", "corridor", "--data", str(pipeline["ingest"] / "dataset.json")]
+    tcn = [*sim, "--checkpoint", str(pipeline["train"] / "checkpoint.json")]
+    for flag in ("--de", "--beta", "--alpha", "--radius"):
+        for args in (tcn, [*sim, "--model", "sf"]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*args, flag, "10", "--out", str(tmp_path / "x")])
+            assert exit_.value.code == 2                # argparse: unknown flag
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--window" in help_text
+    assert not re.search(r"--(de|beta|alpha|radius)\b", help_text)
+    out = tmp_path / "tcn"
+    assert main([*tcn, "--window", "8", "--out", str(out)]) == 1
+    assert "--window applies to --model sf only" in capsys.readouterr().err
     assert not out.exists()
+    out = tmp_path / "sf"
+    assert main([*sim, "--model", "sf", "--window", "10", "--max-steps", "30",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extraction"] == ExtractionParams(window=10).to_dict()
+    doc = json.loads((pipeline["ingest"] / "dataset.json").read_text())
+    _, rows = read_csv(out / "trajectories.csv")
+    for track in doc["runs"][0]["trajectories"]:            # 10 seeded positions each
+        got = [[float(r[4]), float(r[5])] for r in rows if r[1] == track["ped_id"]][:10]
+        np.testing.assert_array_equal(got, track["positions"][:10])
 
 
 def test_simulate_unknown_run_errors(pipeline, tmp_path, capsys):
@@ -348,6 +359,19 @@ def test_simulate_unknown_run_errors(pipeline, tmp_path, capsys):
                  "--run", "nope", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "nope" in capsys.readouterr().err
+    # an archive without runs, or with a track without velocities, is an
+    # error that names the file, in simulate and in train
+    doc = json.loads((pipeline["ingest"] / "dataset.json").read_text())
+    no_runs = {k: v for k, v in doc.items() if k != "runs"}
+    no_velocities = json.loads(json.dumps(doc))
+    del no_velocities["runs"][0]["trajectories"][1]["velocities"]
+    for bad, key in ((no_runs, "runs"), (no_velocities, "velocities")):
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps(bad))
+        for command in (["simulate", "--model", "sf"], ["train", "--iters", "1"]):
+            assert main([command[0], "--scene", "corridor", "--data", str(path), *command[1:],
+                         "--out", str(tmp_path / "x")]) == 1
+            assert capsys.readouterr().err == f"error: {path}: malformed archive ('{key}')\n"
 
 
 def test_evaluate_sim_against_archive(pipeline, tmp_path):

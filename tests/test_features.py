@@ -378,7 +378,8 @@ def test_extract_batch_rows_equal_extract_step_bitwise(scene_name, n, grid, para
     scene = BATCH_SCENES[scene_name]
     rng = np.random.default_rng(seed)
     pos, vel, module_ids = _random_crowd(scene, rng, n, grid)
-    table_rows = np.array([scene.wall_table[0][m] for m in module_ids])
+    ids = [m.id for m in scene.modules]
+    table_rows = np.array([ids.index(m) for m in module_ids])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rows = extract_batch(pos, vel, table_rows, scene, params)

@@ -16,7 +16,6 @@ from crowdsim.geometry import (
     active_walls,
     closest_points_on_segments,
     first_wall_crossings,
-    point_in_modules,
     project_on_segments,
     ray_distances,
     save_scene,
@@ -29,6 +28,7 @@ from crowdsim.scene_library import BUILTIN_SCENES, builtin_scene, resolve_scene
 from oracles import (
     active_exit,
     closest_point_on_segment,
+    point_in_modules,
     point_in_polygon,
     point_segment_distance,
     points_in_polygon,
@@ -229,7 +229,7 @@ def test_ray_distances_equal_the_reference_bitwise(g, k, m, collinear, seed) -> 
     want = reference_ray_distances(origins, d, shared, collinear)      # (g, k, m + 2)
     assert got.tobytes() == want.transpose(0, 2, 1).tobytes()
     # The composite's padded table, each origin on a random module's row.
-    _, table, table_valid = _COMPOSITE.wall_table
+    table, table_valid = _COMPOSITE.wall_table
     rows = rng.integers(0, len(table), size=g)
     got = ray_distances(origins + 8.0, d, table, table_valid, rows, collinear)
     assert got.tobytes() == _reference_rows(origins + 8.0, d, table, table_valid, rows,
@@ -550,13 +550,13 @@ def test_active_walls_includes_virtual_walls() -> None:
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENES))
 def test_wall_table_pads_each_module_active_walls(name) -> None:
     scene = builtin_scene(name)
-    rows, table, valid = scene.wall_table
-    assert list(rows) == [m.id for m in scene.modules]
+    table, valid = scene.wall_table
+    assert len(table) == len(scene.modules)             # one row per module, in order
     assert table.shape[:2] == valid.shape
-    for m in scene.modules:
+    for row, m in enumerate(scene.modules):
         walls = active_walls(scene, m.id)
-        assert valid[rows[m.id]].tolist() == [i < len(walls) for i in range(valid.shape[1])]
-        assert table[rows[m.id], :len(walls)].tobytes() == walls.tobytes()
+        assert valid[row].tolist() == [i < len(walls) for i in range(valid.shape[1])]
+        assert table[row, :len(walls)].tobytes() == walls.tobytes()
     assert scene.wall_table is scene.wall_table         # built once
 
 

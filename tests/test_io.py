@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="crowdsim-checkpoint-v1"):
         load_checkpoint(path)
+    # a missing key or truncated tensor data is an error that names the file
+    params = ExtractionParams(ray_deg=45.0)
+    cfg = NetworkConfig(input_dim=params.feature_dim, tcn_channels=(4,), dilations=(1,),
+                        kernel_size=3, dropout_rate=0.0)
+    save_checkpoint(path, VelocityPredictor(cfg, np.random.default_rng(5)).state_dict(),
+                    cfg, params, "h")
+    good = json.loads(path.read_text())
+    for key in ("tensors", "manifest_hash", "network"):
+        bad = dict(good)
+        del bad[key]
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed checkpoint ('{key}')")):
+            load_checkpoint(path)
+    bad = json.loads(json.dumps(good))
+    name = sorted(bad["tensors"])[0]
+    bad["tensors"][name]["data"] = bad["tensors"][name]["data"][:-4]
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed tensor '{name}' ")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_inconsistent_dims(tmp_path):
@@ -91,6 +111,15 @@ def test_checkpoint_rejects_inconsistent_dims(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, net.state_dict(), cfg, params, "h")
     with pytest.raises(ValueError, match="input_dim"):
+        load_checkpoint(path)
+    # a network window that is not the stored extraction's fails at load,
+    # not later inside forward
+    cfg = NetworkConfig(input_dim=params.feature_dim, window=params.window + 2,
+                        tcn_channels=(4,), dilations=(1,), kernel_size=3, dropout_rate=0.0)
+    save_checkpoint(path, VelocityPredictor(cfg, np.random.default_rng(5)).state_dict(),
+                    cfg, params, "h")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: network window 10 does not match "
+                                                   "the stored extraction window 8")):
         load_checkpoint(path)
 
 

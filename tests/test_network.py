@@ -450,6 +450,21 @@ def test_adam_matches_reference_formula_one_step() -> None:
     np.testing.assert_allclose(p, want, rtol=1e-12)
 
 
+def test_adam_step_on_a_frozen_predictor_writes_nothing() -> None:
+    # The step checks every parameter before its first write, so a refused
+    # step leaves t and every moment as they were.
+    net = VelocityPredictor(TINY, np.random.default_rng(34))
+    rng = np.random.default_rng(35)
+    opt = Adam(net.parameters(), lr=1e-3)
+    pred = net.forward(rng.normal(size=(5, 8, 6)), train=True, rng=rng, head_only=True)
+    net.backward(loss_and_grad(pred, rng.normal(size=(5, 2)))[1])
+    net.freeze()
+    with pytest.raises(ValueError, match="the predictor is frozen"):
+        opt.step(net.gradients())
+    assert opt.t == 0
+    assert not any(m.any() or v.any() for m, v in zip(opt.m.values(), opt.v.values()))
+
+
 def test_network_config_validation() -> None:
     with pytest.raises(ValueError):
         NetworkConfig(input_dim=6, tcn_channels=(3, 4), dilations=(1, 2, 4))

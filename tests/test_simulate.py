@@ -504,8 +504,8 @@ def test_path_clear_matches_the_scalar_loop():
     rng = np.random.default_rng(8)
     verdicts = []
     for _ in range(600):
-        module = scene.modules[int(rng.integers(len(scene.modules)))]
-        walls = active_walls(scene, module.id)
+        row = int(rng.integers(len(scene.modules)))
+        walls = active_walls(scene, scene.modules[row].id)
         violated = walls[int(rng.integers(len(walls)))]
         # a guided path along the violated wall, near the clearance distance
         along = violated[1] - violated[0]
@@ -516,7 +516,7 @@ def test_path_clear_matches_the_scalar_loop():
         points = [start + offset * normal + j * step for j in range(int(rng.integers(1, 8)))]
         prev = points[0] - rng.choice([0.0, 0.05]) * rng.normal(size=2)
         want = _path_clear_loop(scene, prev, points, walls, violated)
-        assert sim._path_clear(prev, points, scene.wall_table[0][module.id], violated) == want
+        assert sim._path_clear(prev, points, row, violated) == want
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -877,6 +877,41 @@ def test_stranded_move_in_a_module_without_walls_holds():
     assert traj.truncated and not traj.exited and len(traj.positions) == 13
     assert np.array_equal(traj.positions, np.tile((2.0, 1.5), (13, 1)))
     assert not traj.reset_flags.any() and set(traj.module_ids) == {"bare"}
+
+
+class _ScriptOracle:
+    """One velocity per predict call, for a lone pedestrian; zero after the
+    script ends."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.tile(self.script.pop(0) if self.script else (0.0, 0.0), (len(x), 1))
+
+
+def test_a_pedestrian_resets_at_most_once_per_step():
+    # Module a's exit opens onto nothing: its successor lies 40 m away.  The
+    # walker runs +x at 2 m/s to x = 3.97, then lurches through the upper
+    # wall.  The guard resets it along the wall, and the reset's next step
+    # (x = 4.05) leaves every module and snaps nowhere, so the stranded move
+    # goes to _blocked again in the same step.  It has reset already, so it
+    # holds at its reset position; a second reset would commit x = 4.05.
+    a, b = _two_corridor_scene().modules
+    shift = np.array([40.0, 0.0])
+    far = replace(b, boundary=b.boundary + shift, walls=b.walls + shift, exit=b.exit + shift,
+                  entries=b.entries + shift, virtual_walls=b.virtual_walls + shift)
+    scene = Scene(modules=(a, far), successor={"a": "b", "b": None})
+    scene.validate()
+    config = _config(scene, [_moving_seed("w", (0.45, 1.0), (2.0, 0.0), 0.04)], max_steps=50)
+    script = [(2.0, 0.0)] * 37 + [(0.0, 50.0)]
+    result = Simulator(config, _ScriptOracle(script)).run()
+    traj = result.trajectories[0]
+    reset = int(np.flatnonzero(traj.reset_flags)[-1])       # the step after the lurch
+    assert reset == 45 and abs(traj.positions[44, 0] - 3.97) < 1e-9
+    assert traj.positions[45].tobytes() == traj.positions[44].tobytes()
+    assert all(point_in_module(scene, p) == "a" for p in traj.positions)
+    assert result.to_rows("r") == ListSimulator(config, _ScriptOracle(script)).run().to_rows("r")
 
 
 def test_junction_snap_ties_go_to_the_earlier_module():

@@ -97,6 +97,9 @@ def test_train_and_validation_share_one_row_per_extracted_row(monkeypatch):
     assert x_tr.rows is x_va.rows
     assert x_tr.rows.shape == (extracted, PARAMS.feature_dim)
     assert len(x_tr) + len(x_va) == sum(len(s) for s in sets)
+    # the rows are the row steps (1 … n-2) of the tracks that yield samples
+    tracks = [t for seed in (0, 1) for run in _dataset(seed).runs for t in run.trajectories]
+    assert extracted == sum(len(t) - 2 for t in tracks if len(t) - 1 > PARAMS.window)
 
 
 def test_train_on_windows_equals_train_on_stacked_arrays_bitwise():
