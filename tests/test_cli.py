@@ -319,18 +319,41 @@ def test_simulate_without_checkpoint_errors(pipeline, tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_simulate_param_mismatch_errors(pipeline, tmp_path, capsys):
+    # A TCN run reads D_e, beta, alpha and the radius from its checkpoint, so
+    # simulate has no flag that could contradict them: each is unknown to argparse.
+    sim = ["simulate", "--scene", "corridor", "--data", str(pipeline["ingest"] / "dataset.json")]
+    tcn = [*sim, "--checkpoint", str(pipeline["train"] / "checkpoint.json")]
+    out = tmp_path / "x"
+    for flag in ("--de", "--beta", "--alpha", "--radius"):
+        for args in (tcn, [*sim, "--model", "sf"]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*args, flag, "10", "--out", str(out)])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_simulate_nan_flag_mismatches_the_checkpoint(pipeline, tmp_path, capsys):
+    # abs(nan - stored) > 1e-9 is False: a NaN once passed a value check and
+    # the run went on with the checkpoint's value; now no value is taken at all
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--scene", "corridor",
+              "--data", str(pipeline["ingest"] / "dataset.json"),
+              "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
+              "--de", "nan", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --de nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_takes_feature_settings_only_from_the_checkpoint(pipeline, tmp_path, capsys):
     # A TCN run reads D_e, beta, alpha, the radius and the window from its
     # checkpoint; flags could only repeat them or contradict them.  Social
     # force reads only the window, as its seed length.
     sim = ["simulate", "--scene", "corridor", "--data", str(pipeline["ingest"] / "dataset.json")]
     tcn = [*sim, "--checkpoint", str(pipeline["train"] / "checkpoint.json")]
-    for flag in ("--de", "--beta", "--alpha", "--radius"):
-        for args in (tcn, [*sim, "--model", "sf"]):
-            with pytest.raises(SystemExit) as exit_:
-                main([*args, flag, "10", "--out", str(tmp_path / "x")])
-            assert exit_.value.code == 2                # argparse: unknown flag
-    capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])
     help_text = capsys.readouterr().out
