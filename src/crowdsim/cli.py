@@ -282,6 +282,7 @@ def cmd_simulate(args) -> int:
         params = ckpt.extraction
         net = VelocityPredictor(ckpt.network)
         net.load_state_dict(ckpt.state)
+        del ckpt        # the run holds the copied parameters, not the decoded tensors
     elif args.checkpoint is not None:
         raise ValueError("--checkpoint applies to --model tcn only")
     else:

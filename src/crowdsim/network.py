@@ -35,7 +35,9 @@ predictor keeps the last block output only until its backward.  The head and
 the 1x1 projections keep no input; a block gathers its projection's input
 again from the block input conv1 holds.  Dropout keeps boolean keep masks,
 scaled where they are applied.  Eval-mode forwards cache too, so a block's
-activations can be read after any forward.
+activations can be read after any forward.  `predict` caches nothing: each
+block's activations are dropped as the next block runs, and a backward after
+it raises as after no forward.
 """
 from __future__ import annotations
 
@@ -225,9 +227,11 @@ class _WeightNormConv:
         operand per tap."""
         return self.effective_weight().transpose(2, 1, 0).copy()
 
-    def forward(self, z: np.ndarray, taps: Optional[list] = None) -> np.ndarray:
+    def forward(self, z: np.ndarray, taps: Optional[list] = None,
+                cache: bool = True) -> np.ndarray:
         """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
-        table; by default every step, n_out = n_in."""
+        table; by default every step, n_out = n_in.  Unless cache is False,
+        z and the weight are kept for the backward."""
         _, batch, c_in = z.shape
         taps = _tap_table(range(len(z)), range(len(z)), self.q, self.h) if taps is None else taps
         w = self.tap_weights() if self.frozen_weight is None else self.frozen_weight
@@ -236,7 +240,7 @@ class _WeightNormConv:
         for u, dst, src in shifted:
             out[dst] += _gemm(z[src].reshape(-1, c_in), w[u]).reshape(-1, batch, w.shape[2])
         out += self.b
-        self._cache = (z, w, taps)
+        self._cache = (z, w, taps) if cache else None
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
@@ -325,22 +329,24 @@ class _TemporalBlock:
         return x * (mask / keep).transpose(2, 0, 1), mask
 
     def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator],
-                steps: Optional[_BlockSteps] = None):
+                steps: Optional[_BlockSteps] = None, cache: bool = True):
         """z: (B, C_in, n_in) -> (B, C_out, n_out) over the steps of a plan,
-        by default every step; cached arrays are (B, C, n) too."""
+        by default every step; cached arrays are (B, C, n) too, and none is
+        kept, by the block or its convs, if cache is False."""
         if steps is None:
             steps = _BlockSteps(z.shape[2], self.conv1.q, self.conv1.h, range(z.shape[2]))
         x = np.ascontiguousarray(z.transpose(2, 0, 1))
-        a1 = self.conv1.forward(x, steps.conv1)
+        a1 = self.conv1.forward(x, steps.conv1, cache)
         d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng, steps.length, steps.mid)
-        a2 = self.conv2.forward(d1, steps.conv2)
+        a2 = self.conv2.forward(d1, steps.conv2, cache)
         d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng, steps.length, steps.out)
         res = x[steps.skip]
         if self.proj is not None:
             # 1x1 conv over channels == linear map applied per time step.
             n, b, c = res.shape
             res = self.proj.forward(res.reshape(-1, c)).reshape(n, b, -1)
-        self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, steps)
+        self._cache = ((a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, steps)
+                       if cache else None)
         return (d2 + res).transpose(1, 2, 0)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
@@ -404,11 +410,15 @@ class VelocityPredictor:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
-                head_only: bool = False) -> np.ndarray:
+                head_only: bool = False, cache: bool = True) -> np.ndarray:
         """x: (window, input_dim) or (B, window, input_dim) -> (B, output_dim).
 
         Every block step is computed unless head_only, which computes only
         the steps the head reads; the outputs are bitwise equal either way.
+        The activations are kept for a backward unless cache is False, which
+        leaves every cache empty.  A time-major x, a (B, window, input_dim)
+        view of a (window, B, input_dim) buffer, goes to the first block
+        without a copy when that block reads contiguous steps.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
@@ -423,9 +433,9 @@ class VelocityPredictor:
         plan = self._plans[head_only]
         z = x[:, _selector(plan[0].inputs), :].transpose(0, 2, 1)   # channels first: (B, D, n)
         for block, steps in zip(self.blocks, plan):
-            z = block.forward(z, train, rng, steps)
+            z = block.forward(z, train, rng, steps, cache)
         out = self.head.forward(z[:, :, -1])
-        self._z = z
+        self._z = z if cache else None
         return out[0] if single else out
 
     def backward(self, dout: np.ndarray) -> None:
@@ -449,7 +459,10 @@ class VelocityPredictor:
             dz = self.blocks[i].backward(dz, input_grad=i > 0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, train=False, head_only=True)
+        """Eval-mode velocities of x over the head plan.  Nothing is kept for
+        a backward pass: every activation cache is empty once it returns,
+        and a backward then raises RuntimeError."""
+        return self.forward(x, train=False, head_only=True, cache=False)
 
     def freeze(self) -> "VelocityPredictor":
         """Make every parameter read-only and lay out each conv's weight

@@ -52,8 +52,10 @@ with no rows calls none: the wall guard and the exit test are one
 per-module exit table with one row per pedestrian's module, and
 containment is one `containing_rows` call.  Feature windows live in one
 (P, w, D) ring over every pedestrian: a step writes its rows at t % w
-with one scatter, the predictor's input is one gather over steps
-t-w+1 .. t, and window rewrites are written into the ring.  The step
+with one scatter, the predictor's input is one time-major gather over
+steps t-w+1 .. t, (w, n, D), passed as its (n, w, D) transposed view so
+the predictor's first block takes it without a copy, and window rewrites
+are written into the ring.  The step
 states live in a ring of the same layout: (P, w, 2, 2) positions and
 velocities as recorded at step s, at [slot, s % w], with a (P, w) mask of
 who was active then.  A step writes both with one scatter, and the
@@ -379,11 +381,14 @@ class Simulator:
     def _windows(self, active: np.ndarray, moved: np.ndarray, pos: np.ndarray,
                  vel: np.ndarray, t: int) -> np.ndarray:
         """Write the step's feature rows into the ring with one scatter and
-        gather the moved pedestrians' windows (n, w, D) with one gather:
-        steps t-w+1 .. t, oldest first."""
+        gather the moved pedestrians' windows with one gather: steps
+        t-w+1 .. t, oldest first.  The gather is time-major, (w, n, D), and
+        the windows (n, w, D) are its transposed view, the layout the
+        predictor's first block reads without a copy."""
         w = self.config.params.window
         self._ring[active, t % w] = self._step_features(active, pos, vel)
-        return self._ring[active[moved][:, None], np.arange(t + 1, t + w + 1) % w]
+        cols = np.arange(t + 1, t + w + 1) % w
+        return self._ring[active[moved][None, :], cols[:, None]].transpose(1, 0, 2)
 
     def _crossings(self, p_from: np.ndarray, p_to: np.ndarray, table: np.ndarray,
                    valid: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -86,6 +86,40 @@ def test_benchmark_crowds_give_the_list_reference_trajectories(tmp_path, seed, s
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predictor_windows_are_one_time_major_gather(tmp_path, monkeypatch):
+    # Every step's windows equal the pedestrian-major gather of the ring,
+    # ring[active[moved][:, None], cols], bit for bit.  They are the
+    # transposed view of a C-contiguous (w, n, D) gather, and the first
+    # block's conv reads that gather itself, not a copy.
+    run, dt = _load_run(_crowd_archive(tmp_path, 1, 32), "crowd")
+    params, net = _net()
+    config = SimulationConfig(scene=resolve_scene("composite"), dt=dt, params=params,
+                              pedestrians=tuple(seeds_from_run(run.trajectories, WINDOW)),
+                              max_steps=32)
+    windows, shared = [None], []        # the latest step's windows
+
+    class Checked(Simulator):
+        def _windows(self, active, moved, pos, vel, t):
+            x = super()._windows(active, moved, pos, vel, t)
+            want = self._ring[active[moved][:, None], np.arange(t + 1, t + WINDOW + 1) % WINDOW]
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()
+            assert x.transpose(1, 0, 2).flags.c_contiguous
+            windows[0] = x
+            return x
+
+    conv = net.blocks[0].conv1
+    forward = conv.forward
+
+    def first_conv(z, *args, **kwargs):
+        shared.append(np.shares_memory(z, windows[0]))
+        return forward(z, *args, **kwargs)
+
+    monkeypatch.setattr(conv, "forward", first_conv)
+    Checked(config, net).run()
+    assert len(shared) > 20 and all(shared)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_the_benchmark_trace_contract(tmp_path):
     """perfbench's trace check counts one force-law call per moved
     social-force pedestrian-step and one predicted row per moved TCN

@@ -2,10 +2,12 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import crowdsim.cli
 from crowdsim.cli import build_parser, main
 from crowdsim.features import ExtractionParams
 from crowdsim.ingest import Dataset, Run, Trajectory, dataset_to_dict
@@ -210,6 +212,32 @@ def test_simulate_output_format(pipeline):
         assert {r[0] for r in rows} == {"walkers"}
         manifest = json.loads((pipeline[key] / "manifest.json").read_text())
         assert manifest["model"] == model
+
+
+def test_simulate_runs_with_no_live_checkpoint(pipeline, tmp_path, monkeypatch):
+    # The decoded checkpoint is dropped once the predictor has copied its
+    # tensors: by the time the run starts nothing refers to it.
+    loaded, alive = [], []
+    load, run = crowdsim.cli.load_checkpoint, crowdsim.cli.run_simulation
+
+    def tracked_load(path):
+        ckpt = load(path)
+        loaded.append(weakref.ref(ckpt))
+        return ckpt
+
+    def checked_run(config, predictor):
+        alive.extend(ref() is not None for ref in loaded)
+        return run(config, predictor)
+
+    monkeypatch.setattr(crowdsim.cli, "load_checkpoint", tracked_load)
+    monkeypatch.setattr(crowdsim.cli, "run_simulation", checked_run)
+    out = tmp_path / "tcn"
+    assert main(["simulate", "--scene", "corridor",
+                 "--data", str(pipeline["ingest"] / "dataset.json"),
+                 "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
+                 "--model", "tcn", "--max-steps", "300", "--out", str(out)]) == 0
+    assert alive == [False]
+    assert read_csv(out / "trajectories.csv") == read_csv(pipeline["sim_tcn"] / "trajectories.csv")
 
 
 def test_flag_defaults_are_the_config_defaults(pipeline):

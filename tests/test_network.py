@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crowdsim.network
 from crowdsim.network import (
     Adam,
     NetworkConfig,
@@ -489,7 +490,7 @@ def test_training_config_rejects_invalid_optimiser_settings() -> None:
     TrainingConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
 
 
-def test_predict_never_serves_a_stale_weight() -> None:
+def test_predict_never_serves_a_stale_weight(monkeypatch) -> None:
     # An unfrozen conv lays out its weight on every forward: after in-place
     # writes, Adam steps and a load_state_dict, predict must equal a net
     # built fresh with the same parameters, byte for byte.  freeze() keeps
@@ -545,8 +546,39 @@ def test_predict_never_serves_a_stale_weight() -> None:
         assert net.predict(x).tobytes() == want.tobytes(), write.__name__
     assert all(not p.flags.writeable for _, p in net.parameters())
     net.freeze()
-    net.predict(x)
-    assert all(c.frozen_weight is w and c._cache[1] is w for c, w in zip(convs, kept))
+    assert all(c.frozen_weight is w for c, w in zip(convs, kept))
+    # Each GEMM of a conv's forward multiplies by a tap of the weight laid
+    # out at the first freeze, that very array.
+    operands = {id(c): [] for c in convs}
+    running = []
+    gemm, conv_forward = crowdsim.network._gemm, _WeightNormConv.forward
+
+    def recording_gemm(a, b):
+        if running:
+            operands[id(running[-1])].append(b)
+        return gemm(a, b)
+
+    def tracked_forward(conv, *args, **kwargs):
+        running.append(conv)
+        try:
+            return conv_forward(conv, *args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(crowdsim.network, "_gemm", recording_gemm)
+    monkeypatch.setattr(_WeightNormConv, "forward", tracked_forward)
+    net.forward(x)                  # fills every cache, which predict then empties
+    assert net.predict(x).tobytes() == want.tobytes()
+    monkeypatch.undo()
+    for c, w in zip(convs, kept):
+        assert len(operands[id(c)]) >= 2    # forward's and predict's first taps at least
+        assert all(b.base is w for b in operands[id(c)])
+    # predict keeps no activation, so a backward has nothing to read
+    assert net._z is None
+    for blk in net.blocks:
+        assert blk._cache is None and blk.conv1._cache is None and blk.conv2._cache is None
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        net.backward(np.ones((5, 2)))
     # Forwards read the weight laid out at freeze, not v and g: a write that
     # goes round the read-only flag is not seen.
     conv2.g.flags.writeable = True
