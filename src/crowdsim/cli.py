@@ -76,7 +76,11 @@ def _extraction(args, **values) -> ExtractionParams:
 def _train_configs(args, params: ExtractionParams, val_every: int,
                    tag: str = "") -> tuple[NetworkConfig, TrainingConfig]:
     """Network and training configs from the training flags."""
-    channels = tuple(int(c) for c in args.channels.split(","))
+    try:
+        channels = tuple(int(c) for c in args.channels.split(","))
+    except ValueError:
+        raise ValueError(f"--channels expects a comma-separated list of integers, "
+                         f"got {args.channels!r}") from None
     net_cfg = NetworkConfig(input_dim=params.feature_dim, window=params.window,
                             tcn_channels=channels,
                             dilations=tuple(2 ** i for i in range(len(channels))),

@@ -174,8 +174,8 @@ def parse_trajectories(path, unit_scale: float = 0.01, fps: float = 25.0,
     """
     if not fps > 0:
         raise ValueError("fps must be positive")
-    if not unit_scale > 0:
-        raise ValueError("unit_scale must be positive")
+    if not 0 < unit_scale < np.inf:
+        raise ValueError(f"unit_scale must be finite and positive, got {unit_scale!r}")
     dt = 1.0 / fps
     frames: dict[str, list[int]] = {}
     points: dict[str, list[tuple[float, float]]] = {}
@@ -196,6 +196,9 @@ def parse_trajectories(path, unit_scale: float = 0.01, fps: float = 25.0,
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
             if not (np.isfinite(x) and np.isfinite(y)):
                 raise ValueError(f"line {lineno}: non-finite coordinate")
+            if not (np.isfinite(x * unit_scale) and np.isfinite(y * unit_scale)):
+                raise ValueError(f"line {lineno}: coordinate ({x!r}, {y!r}) is not finite "
+                                 f"after scaling by unit_scale {unit_scale!r}")
             if ped in frames and frame <= frames[ped][-1]:
                 raise ValueError(
                     f"line {lineno}: non-monotonic frame {frame} for pedestrian {ped}"

@@ -29,6 +29,19 @@ read-only, so any later write raises ValueError, and each conv lays out its
 weight once, which its forwards then read.  Simulation runs a frozen
 predictor.
 
+Inference reads feature rows once, not once per window.  Block 0's conv1
+taps and its 1x1 projection are linear in each input row, so `encode` maps
+rows (..., D) with one GEMM against a (D, E) matrix to those products: C_0
+columns per live tap (dilation * u < window), then the projection's C_0,
+or the row itself where block 0 has no projection (then D = C_0).  `predict`
+takes windows of encoded rows: block 0's conv1 output is tap 0's product,
+plus taps 1.. in increasing u, then the bias, the order of `forward`'s
+per-tap GEMMs, and its skip path reads the projection's products; the later
+blocks and the head run as in `forward`, which keeps feature windows and
+stays the reference.  A column block of the wide GEMM equals the narrow
+GEMM bit for bit, so `predict(encode(x))` equals `forward(x)`.  `freeze`
+lays out the (D, E) matrix once; unfrozen, `encode` lays it out per call.
+
 An activation lives from the forward that caches it until the backward that
 reads it: each conv's and block's backward releases its cache, and the
 predictor keeps the last block output only until its backward.  The head and
@@ -37,7 +50,9 @@ again from the block input conv1 holds.  Dropout keeps boolean keep masks,
 scaled where they are applied.  Eval-mode forwards cache too, so a block's
 activations can be read after any forward.  `predict` caches nothing: each
 block's activations are dropped as the next block runs, and a backward after
-it raises as after no forward.
+it raises as after no forward.  Gradient arrays come from `backward` only: a
+layer holds none until its first backward assigns them, so a frozen
+predictor allocates none.
 """
 from __future__ import annotations
 
@@ -68,6 +83,8 @@ class NetworkConfig:
             raise ValueError("input_dim, window and output_dim must be positive")
         if len(self.tcn_channels) != len(self.dilations):
             raise ValueError("tcn_channels and dilations must have equal length")
+        if any(c < 1 for c in self.tcn_channels):
+            raise ValueError(f"tcn_channels must be positive, got {self.tcn_channels}")
         if self.kernel_size < 1:
             raise ValueError("kernel_size must be at least 1")
         if any(h < 1 for h in self.dilations):
@@ -213,9 +230,7 @@ class _WeightNormConv:
         self.g = np.linalg.norm(self.v.reshape(out_ch, -1), axis=1)
         self.b = np.zeros(out_ch)
         self.q, self.h = q, h
-        self.grad_v = np.zeros_like(self.v)
-        self.grad_g = np.zeros_like(self.g)
-        self.grad_b = np.zeros_like(self.b)
+        self.grad_v = self.grad_g = self.grad_b = None     # set by backward
         self._cache: Optional[tuple] = None
         self.frozen_weight: Optional[np.ndarray] = None     # set by freeze()
 
@@ -228,19 +243,34 @@ class _WeightNormConv:
         return self.effective_weight().transpose(2, 1, 0).copy()
 
     def forward(self, z: np.ndarray, taps: Optional[list] = None,
-                cache: bool = True) -> np.ndarray:
+                cache: bool = True, products: bool = False) -> np.ndarray:
         """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
         table; by default every step, n_out = n_in.  Unless cache is False,
-        z and the weight are kept for the backward."""
+        z and the weight are kept for the backward.
+
+        With products, z holds each input step's tap products instead, tap
+        u's in columns u*C_out .. (u+1)*C_out (`VelocityPredictor.encode`),
+        and they are summed as the GEMMs' would be: tap 0, then taps 1..
+        in increasing u, then the bias.  Nothing is kept for a backward."""
         _, batch, c_in = z.shape
         taps = _tap_table(range(len(z)), range(len(z)), self.q, self.h) if taps is None else taps
-        w = self.tap_weights() if self.frozen_weight is None else self.frozen_weight
+        c_out = self.b.shape[0]
+        if products:
+            def product(u, src):
+                return z[src, :, u * c_out:(u + 1) * c_out]
+        else:
+            w = self.tap_weights() if self.frozen_weight is None else self.frozen_weight
+
+            def product(u, src):
+                return _gemm(z[src].reshape(-1, c_in), w[u]).reshape(-1, batch, c_out)
         (_, _, src), *shifted = taps
-        out = _gemm(z[src].reshape(-1, c_in), w[0]).reshape(-1, batch, w.shape[2])
+        out = product(0, src)
+        if products:
+            out = out.copy()            # a view of z, which the sum must not write
         for u, dst, src in shifted:
-            out[dst] += _gemm(z[src].reshape(-1, c_in), w[u]).reshape(-1, batch, w.shape[2])
+            out[dst] += product(u, src)
         out += self.b
-        self._cache = (z, w, taps) if cache else None
+        self._cache = (z, w, taps) if cache and not products else None
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
@@ -283,8 +313,7 @@ class _Linear:
         bound = 1.0 / np.sqrt(in_dim)
         self.w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
         self.b = np.zeros(out_dim)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
+        self.grad_w = self.grad_b = None                    # set by backward
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return _gemm(x, self.w.T.copy()) + self.b[None, :]
@@ -329,19 +358,28 @@ class _TemporalBlock:
         return x * (mask / keep).transpose(2, 0, 1), mask
 
     def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator],
-                steps: Optional[_BlockSteps] = None, cache: bool = True):
+                steps: Optional[_BlockSteps] = None, cache: bool = True,
+                products: bool = False):
         """z: (B, C_in, n_in) -> (B, C_out, n_out) over the steps of a plan,
         by default every step; cached arrays are (B, C, n) too, and none is
-        kept, by the block or its convs, if cache is False."""
+        kept, by the block or its convs, if cache is False.
+
+        With products, z holds encoded rows (`VelocityPredictor.encode`):
+        conv1 sums their tap products, and the skip path reads their last
+        C_out columns, the projection's products or the row itself."""
         if steps is None:
             steps = _BlockSteps(z.shape[2], self.conv1.q, self.conv1.h, range(z.shape[2]))
         x = np.ascontiguousarray(z.transpose(2, 0, 1))
-        a1 = self.conv1.forward(x, steps.conv1, cache)
+        a1 = self.conv1.forward(x, steps.conv1, cache, products)
         d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng, steps.length, steps.mid)
         a2 = self.conv2.forward(d1, steps.conv2, cache)
         d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng, steps.length, steps.out)
         res = x[steps.skip]
-        if self.proj is not None:
+        if products:
+            res = res[:, :, -a2.shape[2]:]
+            if self.proj is not None:
+                res = res + self.proj.b
+        elif self.proj is not None:
             # 1x1 conv over channels == linear map applied per time step.
             n, b, c = res.shape
             res = self.proj.forward(res.reshape(-1, c)).reshape(n, b, -1)
@@ -407,6 +445,10 @@ class VelocityPredictor:
         self.head = _Linear(in_ch, config.output_dim, rng)
         self._z: Optional[np.ndarray] = None     # last block output, until backward
         self._plans = {False: step_plan(config), True: step_plan(config, head_only=True)}
+        # block 0's conv1 taps that read a window step: u with dilation * u < window
+        self._live_taps = len(self._plans[True][0].conv1)
+        self.encoded_dim = (self._live_taps + 1) * config.tcn_channels[0]
+        self._encoder: Optional[np.ndarray] = None     # set by freeze()
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
@@ -420,20 +462,25 @@ class VelocityPredictor:
         view of a (window, B, input_dim) buffer, goes to the first block
         without a copy when that block reads contiguous steps.
         """
+        if train and self.config.dropout_rate > 0.0 and rng is None:
+            raise ValueError("train-mode forward needs an rng for dropout")
+        return self._run(x, self.config.input_dim, train, rng, head_only, cache)
+
+    def _run(self, x, width: int, train: bool, rng, head_only: bool, cache: bool,
+             products: bool = False) -> np.ndarray:
+        """The blocks and the head over windows x of rows of the given width:
+        feature rows, or encoded rows (products) for block 0."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
             x = x[None, :, :]
-        if x.ndim != 3 or x.shape[1] != self.config.window or x.shape[2] != self.config.input_dim:
+        if x.ndim != 3 or x.shape[1] != self.config.window or x.shape[2] != width:
             raise ValueError(
-                f"input must be (batch, {self.config.window}, {self.config.input_dim}), "
-                f"got {x.shape}")
-        if train and self.config.dropout_rate > 0.0 and rng is None:
-            raise ValueError("train-mode forward needs an rng for dropout")
+                f"input must be (batch, {self.config.window}, {width}), got {x.shape}")
         plan = self._plans[head_only]
         z = x[:, _selector(plan[0].inputs), :].transpose(0, 2, 1)   # channels first: (B, D, n)
-        for block, steps in zip(self.blocks, plan):
-            z = block.forward(z, train, rng, steps, cache)
+        for i, (block, steps) in enumerate(zip(self.blocks, plan)):
+            z = block.forward(z, train, rng, steps, cache, products and i == 0)
         out = self.head.forward(z[:, :, -1])
         self._z = z if cache else None
         return out[0] if single else out
@@ -458,15 +505,42 @@ class VelocityPredictor:
         for i in reversed(range(len(self.blocks))):
             dz = self.blocks[i].backward(dz, input_grad=i > 0)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode velocities of x over the head plan.  Nothing is kept for
-        a backward pass: every activation cache is empty once it returns,
-        and a backward then raises RuntimeError."""
-        return self.forward(x, train=False, head_only=True, cache=False)
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """Block 0's first-layer products of feature rows, (..., input_dim)
+        -> (..., encoded_dim), with one GEMM: C_0 columns per live conv1 tap,
+        in increasing u, then the projection's C_0 (or, with no projection,
+        the row itself)."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim < 1 or rows.shape[-1] != self.config.input_dim:
+            raise ValueError(f"rows must be (..., {self.config.input_dim}), got {rows.shape}")
+        flat = np.ascontiguousarray(rows.reshape(-1, rows.shape[-1]))
+        out = _gemm(flat, self._first_layer() if self._encoder is None else self._encoder)
+        if self.blocks[0].proj is None:
+            out = np.concatenate((out, flat), axis=1)
+        return out.reshape(rows.shape[:-1] + (self.encoded_dim,))
+
+    def _first_layer(self) -> np.ndarray:
+        """The matrix `encode` multiplies by: block 0's live conv1 taps,
+        (input_dim, C_0) each, then its projection's transposed weight."""
+        block = self.blocks[0]
+        conv = block.conv1
+        w = conv.tap_weights() if conv.frozen_weight is None else conv.frozen_weight
+        parts = list(w[:self._live_taps])
+        if block.proj is not None:
+            parts.append(block.proj.w.T)
+        return np.concatenate(parts, axis=1)
+
+    def predict(self, e: np.ndarray) -> np.ndarray:
+        """Eval-mode velocities over the head plan of windows of encoded
+        rows (`encode`), (window, encoded_dim) or (B, window, encoded_dim);
+        bitwise equal to `forward` of the feature windows they encode.
+        Nothing is kept for a backward pass: every activation cache is
+        empty once it returns, and a backward then raises RuntimeError."""
+        return self._run(e, self.encoded_dim, False, None, True, False, products=True)
 
     def freeze(self) -> "VelocityPredictor":
-        """Make every parameter read-only and lay out each conv's weight
-        once, in place; returns self.
+        """Make every parameter read-only and lay out each conv's weight,
+        and `encode`'s matrix, once, in place; returns self.
 
         Forwards then read the laid-out weights, and any write to a
         parameter (an Adam step, load_state_dict, an in-place edit) raises
@@ -479,6 +553,9 @@ class VelocityPredictor:
             if conv.frozen_weight is None:
                 conv.frozen_weight = conv.tap_weights()
                 conv.frozen_weight.flags.writeable = False
+        if self._encoder is None:
+            self._encoder = self._first_layer()
+            self._encoder.flags.writeable = False
         return self
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:

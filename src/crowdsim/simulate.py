@@ -51,11 +51,14 @@ with no rows calls none: the wall guard and the exit test are one
 `first_wall_crossings` call each, against `Scene.wall_table` and a
 per-module exit table with one row per pedestrian's module, and
 containment is one `containing_rows` call.  Feature windows live in one
-(P, w, D) ring over every pedestrian: a step writes its rows at t % w
-with one scatter, the predictor's input is one time-major gather over
-steps t-w+1 .. t, (w, n, D), passed as its (n, w, D) transposed view so
-the predictor's first block takes it without a copy, and window rewrites
-are written into the ring.  The step
+(P, w, E) ring of encoded rows over every pedestrian: a step encodes its
+rows with one `predictor.encode` call (block 0's first-layer products, so
+each row is multiplied once, not once per window that reads it) and
+writes them at t % w with one scatter, the predictor's input is one
+time-major gather over steps t-w+1 .. t, (w, n, E), passed as its
+(n, w, E) transposed view so the predictor's first block takes it
+without a copy, and a step's window rewrites are encoded in one call and
+written into the ring.  The step
 states live in a ring of the same layout: (P, w, 2, 2) positions and
 velocities as recorded at step s, at [slot, s % w], with a (P, w) mask of
 who was active then.  A step writes both with one scatter, and the
@@ -212,8 +215,9 @@ class Simulator:
         self._vel = np.zeros((n, 16, 2))
         self._row = np.zeros((n, 16), dtype=int)        # Scene.wall_table row of the module
         self._flag = np.zeros((n, 16), dtype=bool)      # reset flags; step t's resets set t + 1
-        # feature row of step s of the pedestrian in slot i at ring[i, s % w]
-        self._ring = np.zeros((n, params.window, params.feature_dim))
+        # encoded feature row of step s of the pedestrian in slot i at
+        # ring[i, s % w]; made by the first _store, at the encoding's width
+        self._ring: Optional[np.ndarray] = None
         # position and velocity recorded at step s, and whether active then
         self._states = np.zeros((n, params.window, 2, 2))
         self._recorded = np.zeros((n, params.window), dtype=bool)
@@ -380,15 +384,24 @@ class Simulator:
 
     def _windows(self, active: np.ndarray, moved: np.ndarray, pos: np.ndarray,
                  vel: np.ndarray, t: int) -> np.ndarray:
-        """Write the step's feature rows into the ring with one scatter and
-        gather the moved pedestrians' windows with one gather: steps
-        t-w+1 .. t, oldest first.  The gather is time-major, (w, n, D), and
-        the windows (n, w, D) are its transposed view, the layout the
+        """Write the step's encoded feature rows into the ring with one
+        scatter and gather the moved pedestrians' windows with one gather:
+        steps t-w+1 .. t, oldest first.  The gather is time-major, (w, n, E),
+        and the windows (n, w, E) are its transposed view, the layout the
         predictor's first block reads without a copy."""
         w = self.config.params.window
-        self._ring[active, t % w] = self._step_features(active, pos, vel)
+        self._store(active, t % w, self._step_features(active, pos, vel))
         cols = np.arange(t + 1, t + w + 1) % w
         return self._ring[active[moved][None, :], cols[:, None]].transpose(1, 0, 2)
+
+    def _store(self, slots, cols, rows: np.ndarray) -> None:
+        """Scatter the predictor's encoding of feature rows (k, D), one
+        `encode` call, into the ring at [slots, cols]."""
+        encoded = self.predictor.encode(rows)
+        if self._ring is None:
+            self._ring = np.zeros((len(self._ids), self.config.params.window,
+                                   encoded.shape[1]))
+        self._ring[slots, cols] = encoded
 
     def _crossings(self, p_from: np.ndarray, p_to: np.ndarray, table: np.ndarray,
                    valid: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -518,8 +531,8 @@ class Simulator:
         return nxt
 
     def _flush_rewrites(self) -> None:
-        """Extract every queued rewrite row in one call and write them into
-        the ring with one scatter.
+        """Extract every queued rewrite row in one call, encode them in one
+        call and write them into the ring with one scatter.
 
         Row k is step s_k's recorded states of everyone active then (one
         gather from the state ring), with the subject's rewritten state
@@ -536,9 +549,9 @@ class Simulator:
         subject = entry == slots[group]
         states[subject] = np.stack((self._pos[slots, steps], self._vel[slots, steps]), axis=1)
         rows = self._row[slots, self.step_index]
-        self._ring[slots, cols] = extract_batch(
+        self._store(slots, cols, extract_batch(
             states[:, 0], states[:, 1], np.where(subject, rows[group], -1),
-            self.config.scene, self.config.params, groups=group)
+            self.config.scene, self.config.params, groups=group))
         self._rewrites.clear()
 
 

@@ -17,13 +17,18 @@ already.
 Desired directions aim at the nearest point of the current module's exit
 segment shrunk inward by the pedestrian radius (each module's shrunk exit
 is built once per run, and a step's directions come from one call);
-the force law runs once per moved pedestrian.  Its inputs cost no per-call
-work: the wall terms (`segment_terms`) of the scene's padded wall table are
-built once per run, every moved pedestrian's closest points on its
-module's walls come from one `project_on_segments` call per step, and the
-law reads the step's full positions and velocities (the states `Simulator`
-records) with the subject's index.  Integration is semi-implicit Euler (v
-then p) at the caller's dt, once per step over the whole crowd's
+the force law runs once per moved pedestrian.  Its operands are built once
+per run or per step, not per call: the wall terms (`segment_terms`) of the
+scene's padded wall table are built once per run, every moved
+pedestrian's closest points on its module's walls come from one
+`project_on_segments` call per step, and one neighbour table per step
+holds positions (the step's crowd, as `Simulator` records it, then W wall
+slots), velocities (the crowd's, then zeros) and reach (2r, then r).  Each
+moved pedestrian's wall points are written into the wall slots, and the
+law reads views of the table with the subject's index: one subtraction per
+operand, Helbing & Molnar's walls as neighbours at rest, and its final
+2-vector arithmetic on Python floats.  Integration is semi-implicit Euler
+(v then p) at the caller's dt, once per step over the whole crowd's
 accelerations.
 
 The run itself (entry seeding, prefix replay, the wall guard, exit
@@ -83,32 +88,28 @@ def draw_desired_speeds(ped_ids, rng: np.random.Generator,
     return out
 
 
-def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, desired_speed: float,
-                    direction, wall_points: np.ndarray, params: SFParams) -> np.ndarray:
-    """Net acceleration of pedestrian index of the crowd pos, vel (N, 2):
-    driving term plus repulsion force sums over mass.
+def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, reach: np.ndarray,
+                    crowd: int, desired_speed: float, direction,
+                    params: SFParams) -> np.ndarray:
+    """Net acceleration of the pedestrian at row index of a neighbour
+    table: driving term plus repulsion force sums over mass.
 
-    wall_points (m, 2) are the subject's closest points on its m walls
-    (`project_on_segments`).  The crowd and then the walls go through one
-    repulsion pass as N + m neighbours, each
-    at its reach (2r for a pedestrian, r for a wall) and with its velocity
-    relative to the subject (-v for a wall).  The subject's own pair counts
-    as infinitely far, so its two terms are exact zeros.  A neighbour
-    closer than 1e-12 pushes along +x, with one warning per kind and call.
+    The table's rows pos, vel (k, 2) and reach (k,) are the crowd's crowd
+    pedestrians (at 2r), then the subject's closest points on its walls
+    (`project_on_segments`), at zero velocity and reach r.  Every row goes
+    through one repulsion pass, with its velocity relative to the
+    subject's, so a wall's is 0 - v.  The subject's own pair counts as
+    infinitely far, so its two terms are exact zeros.  A neighbour closer
+    than 1e-12 pushes along +x, with one warning per kind and call.
     """
     p, v = pos[index], vel[index]
-    e = np.asarray(direction, dtype=float)
-    n_peds = len(pos)
-    k = n_peds + len(wall_points)
-    diff = np.empty((k, 2))
-    np.subtract(p, pos, out=diff[:n_peds])
-    np.subtract(p, wall_points, out=diff[n_peds:])
+    diff = p - pos
     d = np.hypot(diff[:, 0], diff[:, 1])
     d[index] = np.inf
     degenerate = d < 1e-12
-    if degenerate.any():
-        for what, rows in (("overlapping pedestrians", degenerate[:n_peds]),
-                           ("pedestrian centered on a wall", degenerate[n_peds:])):
+    if np.count_nonzero(degenerate):
+        for what, rows in (("overlapping pedestrians", degenerate[:crowd]),
+                           ("pedestrian centered on a wall", degenerate[crowd:])):
             if rows.any():
                 warnings.warn(f"{what}: falling back to a fixed repulsion direction",
                               RuntimeWarning)
@@ -118,25 +119,25 @@ def sf_acceleration(index: int, pos: np.ndarray, vel: np.ndarray, desired_speed:
     else:
         n = diff / d[:, None]
     t = n[:, ::-1] * _QUARTER_TURN                  # (-n_y, n_x), exactly
-    dv = np.empty_like(diff)
-    np.subtract(vel, v, out=dv[:n_peds])
-    dv[n_peds:] = -v                    # kappa*o*((-v).t) is -kappa*o*(v.t), bit for bit
-    gap = np.empty(k)
-    np.subtract(2.0 * params.radius, d[:n_peds], out=gap[:n_peds])
-    np.subtract(params.radius, d[n_peds:], out=gap[n_peds:])
+    dv = vel - v
+    gap = reach - d
     overlap = np.maximum(gap, 0.0)
 
     # Add the terms one by one from zero, pedestrians then walls, normal
     # before friction: accumulate keeps that order, so rounding is the same
     # as a loop over the neighbours.  The sum starts at +0.0 and so is never
-    # -0.0, and adding the subject's zero terms leaves its bits unchanged.
-    terms = np.empty((2 * k + 1, 2))
+    # -0.0: adding the subject's zero terms, or a wall's friction term of
+    # either sign of zero (0 - v and -v differ only in a zero's sign),
+    # leaves its bits unchanged.
+    terms = np.empty((2 * len(pos) + 1, 2))
     terms[0] = 0.0
     np.multiply((params.A * np.exp(gap / params.B) + params.k * overlap)[:, None], n,
                 out=terms[1::2])
     np.multiply((params.kappa * overlap * np.vecdot(dv, t))[:, None], t, out=terms[2::2])
-    force = np.add.accumulate(terms, axis=0)[-1]
-    return (desired_speed * e - v) / params.tau + force / params.mass
+    fx, fy = np.add.accumulate(terms, axis=0)[-1].tolist()
+    (vx, vy), (ex, ey) = v.tolist(), direction
+    return np.array(((desired_speed * ex - vx) / params.tau + fx / params.mass,
+                     (desired_speed * ey - vy) / params.tau + fy / params.mass))
 
 
 def shrunk_exit(exit_segment, radius: float) -> np.ndarray:
@@ -198,11 +199,19 @@ class _SocialForceSimulator(Simulator):
         # every subject's closest points on its module's padded walls (m, W, 2)
         a, ab, len2 = self._wall_terms
         points = project_on_segments(p[:, None], a[rows], ab[rows], len2[rows])
+        # the step's neighbour table: the crowd, then W wall slots at rest,
+        # which take each subject's wall points in turn
+        n, walls, radius = len(pos), a.shape[1], self.sf_params.radius
+        table_pos = np.concatenate((pos, np.zeros((walls, 2))))
+        table_vel = np.concatenate((vel, np.zeros((walls, 2))))
+        reach = np.concatenate((np.full(n, 2.0 * radius), np.full(walls, radius)))
         acc = np.empty((len(index), 2))
-        for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
+        for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(),
+                                                   directions.tolist(),
                                                    self._wall_counts[rows].tolist())):
-            acc[i] = sf_acceleration(index[i], pos, vel, speed, e,
-                                     points[i, :count], self.sf_params)
+            table_pos[n:n + count] = points[i, :count]
+            acc[i] = sf_acceleration(index[i], table_pos[:n + count], table_vel[:n + count],
+                                     reach[:n + count], n, speed, e, self.sf_params)
         v_new = v + acc * dt
         return p + v_new * dt, v_new
 

@@ -43,8 +43,10 @@ way, and the tests hold a batched kernel of `crowdsim` to it:
 
 `active_exit`, `point_segment_distance`, `rect_contains`, `velocity_at`,
 `stack_window`, `snapshot_others`, `Sample` with `sampleset_getitem` and
-`sampleset_iter` (a `SampleSet` as `Sample`s) and the two velocity stubs
-are small helpers that tests build their cases with.  The module is not
+`sampleset_iter` (a `SampleSet` as `Sample`s), `neighbour_table` (the
+force law's operands for one subject), and `StubPredictor` (whose identity
+`encode` the model stubs inherit) with the two velocity stubs are small
+helpers that tests build their cases with.  The module is not
 collected by pytest (its name does not start with "test_"); tests import
 it as a sibling module, and `test_oracles.py` keeps these names out of
 the package, its classes included; a helper named `<class>_<name>` is
@@ -578,7 +580,29 @@ def desired_direction(position, exit_segment, radius: float,
     return (target - p) / dist
 
 
-class ConstantVelocityOracle:
+def neighbour_table(pos, vel, wall_points, params):
+    """The force law's table for a subject in the crowd pos, vel (N, 2)
+    with its wall points (m, 2): positions, velocities (zero for a wall),
+    reaches (2r, then r) and the crowd size N, as `sf_acceleration` takes
+    them after the subject's index."""
+    pos = np.asarray(pos, dtype=float).reshape(-1, 2)
+    points = np.asarray(wall_points, dtype=float).reshape(-1, 2)
+    return (np.concatenate((pos, points)),
+            np.concatenate((np.asarray(vel, dtype=float).reshape(-1, 2), np.zeros_like(points))),
+            np.concatenate((np.full(len(pos), 2.0 * params.radius),
+                            np.full(len(points), params.radius))),
+            len(pos))
+
+
+class StubPredictor:
+    """Base of the model stubs: `encode` keeps each feature row as it is,
+    so `predict` reads windows of feature rows."""
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        return rows
+
+
+class ConstantVelocityOracle(StubPredictor):
     """Model stub predicting one fixed velocity for every window."""
 
     def __init__(self, velocity):
@@ -623,7 +647,8 @@ class DequeWindowSimulator(Simulator):
         snap = _Snapshot(index={self._ids[slot]: i for i, slot in enumerate(active)},
                          pos=self._pos[active, t], vel=self._vel[active, t])
         self._snapshots.append((t, snap))
-        for slot, feats in zip(active, self._step_features(active, snap.pos, snap.vel)):
+        rows = self.predictor.encode(self._step_features(active, snap.pos, snap.vel))
+        for slot, feats in zip(active, rows):
             self._deques[slot].append(feats.copy())   # a view would keep the whole batch alive
         if not moved.any():
             return None
@@ -651,7 +676,7 @@ class DequeWindowSimulator(Simulator):
         rows = extract_batch(np.concatenate(pos), np.concatenate(vel),
                              np.concatenate(table_rows), self.config.scene, self.config.params,
                              groups=np.repeat(np.arange(len(pos)), [len(p) for p in pos]))
-        for (slot, s), row in zip(queued, rows):
+        for (slot, s), row in zip(queued, self.predictor.encode(rows)):
             self._deques[slot][s - t - 1] = row.copy()
         self._rewrites.clear()
 
@@ -824,7 +849,7 @@ class ListSimulator(Simulator):
         gather the moved pedestrians' windows (n, w, D) with one gather:
         steps t-w+1 .. t, oldest first."""
         w = self.config.params.window
-        self._ring[[p.slot for p in active], t % w] = self._step_features(active, pos, vel)
+        self._store([p.slot for p in active], t % w, self._step_features(active, pos, vel))
         return self._ring[np.array([p.slot for p in moved], dtype=int)[:, None],
                           np.arange(t + 1, t + w + 1) % w]
 
@@ -1002,9 +1027,9 @@ class ListSimulator(Simulator):
         states = self._states[entry, cols[group]]
         subject = entry == slots[group]
         states[subject] = np.stack((pos, vel), axis=1)
-        self._ring[slots, cols] = extract_batch(
+        self._store(slots, cols, extract_batch(
             states[:, 0], states[:, 1], np.where(subject, rows[group], -1),
-            self.config.scene, self.config.params, groups=group)
+            self.config.scene, self.config.params, groups=group))
         self._rewrites.clear()
 
 
@@ -1045,8 +1070,9 @@ class ListSocialForceSimulator(ListSimulator):
         acc = np.empty((len(moved), 2))
         for i, (speed, e, count) in enumerate(zip(self._speeds[slots].tolist(), directions,
                                                    self._wall_counts[rows].tolist())):
-            acc[i] = sf_acceleration(index[i], pos, vel, speed, e,
-                                     points[i, :count], self.sf_params)
+            acc[i] = sf_acceleration(index[i], *neighbour_table(pos, vel, points[i, :count],
+                                                                self.sf_params),
+                                     speed, e, self.sf_params)
         v_new = v + acc * dt
         for ped, nxt, v_next in zip(moved, p + v_new * dt, v_new):
             ped._proposal, ped._velocity = nxt, v_next

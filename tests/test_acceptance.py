@@ -26,7 +26,7 @@ from crowdsim.scene_library import make_bottleneck, make_corridor
 from crowdsim.simulate import PedestrianSeed, SimulationConfig, run_simulation
 from crowdsim.social_force import SFParams, sf_run
 
-from oracles import (ConstantVelocityOracle, ZeroVelocityOracle, active_exit,
+from oracles import (ConstantVelocityOracle, StubPredictor, ZeroVelocityOracle, active_exit,
                      dilated_causal_conv, extract_step, point_segment_distance,
                      ray_cast, stack_window)
 from oracles import scalar_first_wall_crossing as first_wall_crossing
@@ -277,7 +277,7 @@ def test_criterion_06_training_learnability():
     assert time.monotonic() - t0 < 300.0
 
 
-class _ScrambleOracle:
+class _ScrambleOracle(StubPredictor):
     """Deterministic direction scrambler used to stress wall handling.
 
     A constant drift toward the upper-left presses pedestrians into walls

@@ -97,6 +97,21 @@ def test_ingest_malformed_file_errors(tmp_path, capsys):
     assert err.startswith("error:") and "line 2" in err
 
 
+def test_ingest_rejects_a_unit_scale_that_leaves_no_finite_coordinate(pipeline, tmp_path,
+                                                                       capsys):
+    # A non-finite --unit-scale, or one that scales a coordinate out of the
+    # float range, exits 1 naming it instead of writing Infinity or NaN.
+    for i, (scale, named) in enumerate((("inf", "unit_scale"), ("nan", "unit_scale"),
+                                        ("1e308", "line 2"))):
+        out = tmp_path / f"out{i}"
+        code = main(["ingest", "--scene", "corridor", "--data", str(pipeline["raw"]),
+                     "--fps", "16", "--unit-scale", scale, "--out", str(out)])
+        assert code == 1, scale
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, (scale, err)
+        assert not (out / "dataset.json").exists()
+
+
 # lower-left corner of the composite scene's corridor module
 COMPOSITE_CORRIDOR_CM = (240.0, 320.0)
 
@@ -198,6 +213,23 @@ def test_train_rejects_a_non_finite_learning_rate(pipeline, tmp_path, capsys):
     assert code == 1
     assert "learning_rate" in capsys.readouterr().err
     assert not (tmp_path / "nan").exists()
+
+
+def test_bad_channels_lists_are_named(pipeline, tmp_path, capsys):
+    # A list that does not parse names --channels, in train and in
+    # sensitivity; one that parses to a count below 1 names tcn_channels.
+    data = str(pipeline["ingest"] / "dataset.json")
+    cases = (("0,8", "tcn_channels"), ("8,-2", "tcn_channels"),
+             ("", "--channels"), ("8,x", "--channels"))
+    for i, (channels, named) in enumerate(cases):
+        for command in ("train", "sensitivity"):
+            extra = ["--de", "20,100"] if command == "sensitivity" else []
+            code = main([command, "--scene", "corridor", "--data", data, *extra,
+                         "--beta", "45", "--alpha", "90", "--iters", "1", "--batch", "16",
+                         "--channels", channels, "--out", str(tmp_path / f"{command}{i}")])
+            assert code == 1, (command, channels)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err, (command, channels, err)
 
 
 def test_simulate_output_format(pipeline):

@@ -103,6 +103,18 @@ def test_parse_malformed_row_names_line(tmp_path):
         parse_trajectories(_write(tmp_path, "1 0 0\n"))
 
 
+def test_parse_rejects_non_finite_scaled_coordinates(tmp_path):
+    # unit_scale must be finite, as it must be positive; a finite coordinate
+    # that scaling makes infinite is named by its line.
+    path = _write(tmp_path, "1 0 0 0\n1 1 10 0\n")
+    for scale in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="unit_scale must be finite and positive"):
+            parse_trajectories(path, unit_scale=scale)
+    with pytest.raises(ValueError, match="line 2.*unit_scale"):
+        parse_trajectories(path, unit_scale=1e308)
+    assert len(parse_trajectories(path, unit_scale=1e300)) == 1
+
+
 def test_parse_non_monotonic_frames_rejected(tmp_path):
     path = _write(tmp_path, "1 5 0 0\n1 5 1 1\n")
     with pytest.raises(ValueError, match="non-monotonic"):

@@ -242,7 +242,7 @@ def test_head_plan_matches_full_plan_at_the_default_size() -> None:
     net = VelocityPredictor(cfg, np.random.default_rng(30))
     for batch in (1, 2, 5, 37, 38):
         x = np.random.default_rng(batch).normal(size=(batch, 8, 230))
-        assert net.predict(x).tobytes() == net.forward(x).tobytes(), batch
+        assert net.predict(net.encode(x)).tobytes() == net.forward(x).tobytes(), batch
         full = net.forward(x, train=True, rng=np.random.default_rng(31))
         head = net.forward(x, train=True, rng=np.random.default_rng(31), head_only=True)
         assert head.tobytes() == full.tobytes(), batch
@@ -282,6 +282,88 @@ def test_head_plan_matches_full_plan(window, q, dilations, channels, input_dim, 
         for name, got in net.gradients():
             scale = float(np.abs(want[name]).max())
             assert np.abs(got - want[name]).max() <= 1e-12 * scale, (train, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.integers(1, 10), q=st.integers(1, 10),
+       dilations=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       channels=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       input_dim=st.integers(1, 5), batch=st.integers(1, 4), frozen=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(window=8, q=8, dilations=[1, 2, 4], channels=[3, 4, 5], input_dim=6,
+         batch=3, frozen=True, seed=0)                   # the default geometry
+@example(window=8, q=3, dilations=[1, 2], channels=[3, 4, 5], input_dim=3,
+         batch=2, frozen=False, seed=1)                  # block 0 without projection
+@example(window=4, q=9, dilations=[1, 2], channels=[2, 3, 3], input_dim=5,
+         batch=2, frozen=True, seed=2)                   # kernel longer than the window
+@example(window=9, q=3, dilations=[3, 1], channels=[2, 3, 3], input_dim=4,
+         batch=3, frozen=False, seed=3)                  # block-0 dilation above 1
+@example(window=1, q=2, dilations=[1], channels=[2, 3, 3], input_dim=4,
+         batch=1, frozen=True, seed=4)                   # one row: _gemm's one-row path
+def test_predict_of_encoded_rows_equals_forward(window, q, dilations, channels, input_dim,
+                                                batch, frozen, seed) -> None:
+    # encode gives each feature row block 0's live conv1 tap products and
+    # its projection's (or, with no projection, the row itself); predict
+    # over windows of them equals forward over the feature windows, bit for
+    # bit, frozen or not, and also through a time-major view.
+    cfg = NetworkConfig(input_dim=input_dim, window=window,
+                        tcn_channels=tuple(channels[:len(dilations)]), kernel_size=q,
+                        dilations=tuple(dilations), dropout_rate=0.2)
+    rng = np.random.default_rng(seed)
+    net = VelocityPredictor(cfg, rng)
+    for name, p in net.parameters():
+        if name.endswith(".b"):
+            p[:] = rng.normal(scale=0.3, size=p.shape)
+    if frozen:
+        net.freeze()
+    live = min(q, (window - 1) // dilations[0] + 1)
+    assert net.encoded_dim == (live + 1) * channels[0]
+    assert (net.blocks[0].proj is None) == (input_dim == channels[0])
+    x = rng.normal(size=(batch, window, input_dim))
+    want = net.forward(x).tobytes()
+    e = net.encode(x)
+    assert e.shape == (batch, window, net.encoded_dim)
+    assert net.predict(e).tobytes() == want
+    time_major = np.ascontiguousarray(e.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert net.predict(time_major).tobytes() == want
+    assert net.predict(net.encode(x[0])).tobytes() == net.forward(x[0]).tobytes()
+    with pytest.raises(ValueError, match="input must be"):
+        net.predict(x if input_dim != net.encoded_dim else x[:, :, :0])
+
+
+def test_gradient_arrays_come_from_backward_only() -> None:
+    # No layer holds a gradient array before its first backward, so a
+    # loaded, frozen predictor allocates none, whatever it predicts.  A
+    # backward assigns fresh gradients: a net whose arrays held stale
+    # values gets the same bytes as one that held none.
+    def gradient_slots(net):
+        layers = [c for blk in net.blocks for c in (blk.conv1, blk.conv2)]
+        layers += [blk.proj for blk in net.blocks if blk.proj is not None] + [net.head]
+        return [(layer, name) for layer in layers for name in vars(layer)
+                if name.startswith("grad_")]
+
+    trained = VelocityPredictor(TINY, np.random.default_rng(41))
+    frozen = VelocityPredictor(TINY, np.random.default_rng(42))
+    frozen.load_state_dict(trained.state_dict())
+    frozen.freeze()
+    x = np.random.default_rng(43).normal(size=(4, 8, 6))
+    frozen.predict(frozen.encode(x))
+    frozen.forward(x, cache=False)
+    slots = gradient_slots(frozen)
+    assert len(slots) == 3 * 6 + 3 * 2 + 2     # six convs, three projections, the head
+    assert all(getattr(layer, name) is None for layer, name in slots)
+    assert all(g is None for _, g in frozen.gradients())
+
+    stale = VelocityPredictor(TINY, np.random.default_rng(41))
+    for layer, name in gradient_slots(stale):
+        setattr(layer, name, np.full(getattr(layer, name[len("grad_"):]).shape, np.nan))
+    dout = np.random.default_rng(44).normal(size=(4, 2))
+    for net in (trained, stale):
+        net.forward(x, train=True, rng=np.random.default_rng(45), head_only=True)
+        net.backward(dout)
+    params = dict(trained.parameters())
+    for (name, got), (_, want) in zip(stale.gradients(), trained.gradients()):
+        assert got.shape == params[name].shape and got.tobytes() == want.tobytes(), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -469,6 +551,9 @@ def test_adam_step_on_a_frozen_predictor_writes_nothing() -> None:
 def test_network_config_validation() -> None:
     with pytest.raises(ValueError):
         NetworkConfig(input_dim=6, tcn_channels=(3, 4), dilations=(1, 2, 4))
+    for channels in ((0, 8), (8, -2)):
+        with pytest.raises(ValueError, match="tcn_channels"):
+            NetworkConfig(input_dim=6, tcn_channels=channels, dilations=(1, 2))
     with pytest.raises(ValueError):
         NetworkConfig(input_dim=6, dilations=(1, 0, 4))
     with pytest.raises(ValueError):
@@ -526,24 +611,24 @@ def test_predict_never_serves_a_stale_weight(monkeypatch) -> None:
 
     writes = (rescale, nudge, flip, one_ulp, adam_step, adam_step, load)
     for write in writes:
-        before = net.predict(x)
+        before = net.predict(net.encode(x))
         write()
-        got = net.predict(x)
+        got = net.predict(net.encode(x))
         fresh = VelocityPredictor(TINY, np.random.default_rng(99))
         fresh.load_state_dict(net.state_dict())
-        assert got.tobytes() == fresh.predict(x).tobytes(), write.__name__
+        assert got.tobytes() == fresh.predict(fresh.encode(x)).tobytes(), write.__name__
         assert got.tobytes() != before.tobytes(), write.__name__
-    assert net.predict(x).tobytes() == other.predict(x).tobytes()
+    assert net.predict(net.encode(x)).tobytes() == other.predict(other.encode(x)).tobytes()
     assert all(c.frozen_weight is None for c in convs)  # training keeps no layout
 
-    want = net.predict(x)
+    want = net.predict(net.encode(x))
     assert net.freeze() is net
     kept = [c.frozen_weight for c in convs]
-    assert net.predict(x).tobytes() == want.tobytes()
+    assert net.predict(net.encode(x)).tobytes() == want.tobytes()
     for write in writes:
         with pytest.raises(ValueError):
             write()
-        assert net.predict(x).tobytes() == want.tobytes(), write.__name__
+        assert net.predict(net.encode(x)).tobytes() == want.tobytes(), write.__name__
     assert all(not p.flags.writeable for _, p in net.parameters())
     net.freeze()
     assert all(c.frozen_weight is w for c, w in zip(convs, kept))
@@ -568,10 +653,10 @@ def test_predict_never_serves_a_stale_weight(monkeypatch) -> None:
     monkeypatch.setattr(crowdsim.network, "_gemm", recording_gemm)
     monkeypatch.setattr(_WeightNormConv, "forward", tracked_forward)
     net.forward(x)                  # fills every cache, which predict then empties
-    assert net.predict(x).tobytes() == want.tobytes()
+    assert net.predict(net.encode(x)).tobytes() == want.tobytes()
     monkeypatch.undo()
     for c, w in zip(convs, kept):
-        assert len(operands[id(c)]) >= 2    # forward's and predict's first taps at least
+        assert len(operands[id(c)]) >= 2    # forward's taps at least
         assert all(b.base is w for b in operands[id(c)])
     # predict keeps no activation, so a backward has nothing to read
     assert net._z is None
@@ -584,7 +669,7 @@ def test_predict_never_serves_a_stale_weight(monkeypatch) -> None:
     conv2.g.flags.writeable = True
     conv2.g[1] = -conv2.g[1]
     conv2.g.flags.writeable = False
-    assert net.predict(x).tobytes() == want.tobytes()
+    assert net.predict(net.encode(x)).tobytes() == want.tobytes()
 
 
 def test_state_dict_round_trip() -> None:

@@ -33,6 +33,7 @@ from oracles import (
     DequeWindowSimulator,
     ListSimulator,
     ListSocialForceSimulator,
+    StubPredictor,
     ZeroVelocityOracle,
     active_exit,
     closest_point_on_segment,
@@ -47,7 +48,7 @@ from oracles import scalar_point_in_module as point_in_module
 PARAMS = ExtractionParams(ray_deg=45.0, vision_range=20.0, window=8)
 
 
-class _DriftOracle:
+class _DriftOracle(StubPredictor):
     """Row-wise model reading the window: damped last velocity plus a bias."""
 
     def __init__(self, bias=(0.05, 0.02)):
@@ -57,7 +58,7 @@ class _DriftOracle:
         return x[:, -1, :2] * 0.9 + self.bias
 
 
-class _SpikeOracle:
+class _SpikeOracle(StubPredictor):
     """Emits an upward lurch when the window shows a stationary pedestrian."""
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -67,7 +68,7 @@ class _SpikeOracle:
         return out
 
 
-class _HashOracle:
+class _HashOracle(StubPredictor):
     """Deterministic direction scramble keyed on the last position."""
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -365,12 +366,16 @@ class _ScalarFeatureSimulator(DequeWindowSimulator):
     def _flush_rewrites(self):
         cfg, t = self.config, self.step_index
         by_step = dict(self._snapshots)
+        rows = []
         for slot, s, *_ in self._rewrites:
             module_id = _module_id(self, slot, t)        # when it reset
-            self._deques[slot][s - t - 1] = extract_step(
+            rows.append(extract_step(
                 self._pos[slot, s], self._vel[slot, s],
                 *snapshot_others(by_step[s], self._ids[slot]), active_walls(cfg.scene, module_id),
-                active_exit(cfg.scene, module_id), cfg.params)
+                active_exit(cfg.scene, module_id), cfg.params))
+        if rows:                # the step's rewrite rows, encoded together
+            for (slot, s, *_), row in zip(self._rewrites, self.predictor.encode(np.array(rows))):
+                self._deques[slot][s - t - 1] = row
         self._rewrites.clear()
 
 
@@ -763,13 +768,13 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         calls["projections"][sim.step_index] = calls["projections"].get(sim.step_index, 0) + 1
         return project_on_segments(*args)
 
-    def checked_law(index, pos, vel, speed, direction, wall_points, params):
+    def checked_law(index, pos, vel, reach, crowd, speed, direction, params):
         module_id = _module_id(sim, sim._active()[index], sim.step_index)
         walls = active_walls(sim.config.scene, module_id)
         want = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
-        assert wall_points.tobytes() == want.tobytes()
+        assert pos[crowd:].tobytes() == want.tobytes()
         calls["laws"] += 1
-        return law(index, pos, vel, speed, direction, wall_points, params)
+        return law(index, pos, vel, reach, crowd, speed, direction, params)
 
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", counted_kernel)
     monkeypatch.setattr(crowdsim.simulate, "containing_rows", checked_modules)
@@ -879,7 +884,7 @@ def test_stranded_move_in_a_module_without_walls_holds():
     assert not traj.reset_flags.any() and set(traj.module_ids) == {"bare"}
 
 
-class _ScriptOracle:
+class _ScriptOracle(StubPredictor):
     """One velocity per predict call, for a lone pedestrian; zero after the
     script ends."""
 

@@ -28,7 +28,7 @@ from crowdsim.social_force import (
 )
 
 from oracles import (active_exit, closest_point_on_segment, desired_direction,
-                     point_segment_distance)
+                     neighbour_table, point_segment_distance)
 from oracles import scalar_first_wall_crossing as first_wall_crossing
 from oracles import scalar_point_in_module as point_in_module
 
@@ -45,7 +45,8 @@ def _accel_in_crowd(position, velocity, desired_speed, direction, others_pos, ot
     vel = np.insert(np.asarray(others_vel, dtype=float).reshape(-1, 2), index, velocity, axis=0)
     walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
     points = project_on_segments(pos[index], *segment_terms(walls[:, 0], walls[:, 1]))
-    return sf_acceleration(index, pos, vel, desired_speed, direction, points, params)
+    return sf_acceleration(index, *neighbour_table(pos, vel, points, params),
+                           desired_speed, direction, params)
 
 
 def _config(scene, seeds, dt=0.04, max_steps=400) -> SimulationConfig:
@@ -432,20 +433,35 @@ def _warning_texts(fn, *args) -> tuple:
 @given(n_others=st.integers(0, 12), n_walls=st.integers(0, 8),
        spread=st.sampled_from([0.05, 0.3, 1.5]), overlap=st.booleans(),
        on_wall=st.booleans(), where=st.sampled_from(["first", "middle", "last"]),
+       zero_v=st.sampled_from(["none", "x", "y", "both"]), contact=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @example(n_others=0, n_walls=0, spread=0.3, overlap=True, on_wall=False, where="first",
-         seed=0)                        # a lone subject: no "overlapping" warning
+         zero_v="none", contact=False, seed=0)  # a lone subject: no "overlapping" warning
+@example(n_others=3, n_walls=2, spread=0.3, overlap=False, on_wall=False, where="middle",
+         zero_v="x", contact=True, seed=1)      # a wall contact at a zero velocity component
 def test_sf_acceleration_equals_the_loop_bitwise(n_others, n_walls, spread, overlap,
-                                                  on_wall, where, seed) -> None:
+                                                  on_wall, where, zero_v, contact,
+                                                  seed) -> None:
     # The subject sits at the first, a middle or the last row of the crowd;
-    # the loop sees the crowd without it.
+    # the loop sees the crowd without it.  Zeroed velocity components reach
+    # the friction terms with either sign of zero (a wall's relative
+    # velocity is 0 - v, the loop's -v), and a wall in contact, closer
+    # than the radius, gives them a nonzero overlap.
     rng = np.random.default_rng(seed)
     p = rng.uniform(-1.0, 1.0, size=2)
     v = rng.normal(size=2)
     e = rng.normal(size=2)
     others = p + spread * rng.normal(size=(n_others, 2))
     others_vel = rng.normal(size=(n_others, 2))
+    zeroed = {"none": [], "x": [0], "y": [1], "both": [0, 1]}[zero_v]
+    v[zeroed] = 0.0
+    others_vel[::2, zeroed] = 0.0
     walls = rng.uniform(-2.0, 2.0, size=(n_walls, 2, 2))
+    if contact and n_walls:
+        # a wall through a point within the radius of the subject, along x or y
+        axis = np.eye(2)[rng.integers(2)]
+        foot = p + rng.uniform(-0.25, 0.25, size=2) * axis[::-1]
+        walls[-1] = [foot - axis, foot + axis]
     if overlap and n_others:
         others[rng.integers(n_others)] = p                  # a co-located pedestrian
     if on_wall and n_walls:
