@@ -13,14 +13,15 @@ NetworkConfig and TrainingConfig.  `sensitivity` trains with its own
 smaller protocol.  Of the extraction flags `simulate` has only `--window`,
 for social force: a TCN run reads them all from its checkpoint.  `train`
 and `sensitivity` share one training stage, `simulate` and `sensitivity`
-one simulation stage.  A run's steps count from its earliest track.
+one simulation stage.  Archives are read by `ingest.load_dataset`, and a
+recorded run's tracks, for seeds and metrics alike, come from
+`ingest.Run.tracks`, which counts steps from the run's earliest track.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
@@ -28,21 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from .features import ExtractionParams
-from .ingest import (DATASET_FORMAT, Dataset, clip_to_focus, dataset_from_dict,
-                     dataset_to_dict, parse_trajectories, Run, SampleSet, build_samples,
-                     trajectory_from_dict)
+from .ingest import (Dataset, clip_to_focus, dataset_to_dict, load_dataset,
+                     parse_trajectories, Run, SampleSet, build_samples)
 from .io import (RunManifest, derive_seed, load_checkpoint, read_csv,
                  save_checkpoint, substream, write_csv, write_json)
 from .metrics import (Track, evaluate_run, fundamental_diagram,
                       parameter_sensitivity)
 from .network import NetworkConfig, TrainingConfig, VelocityPredictor, train
 from .scene_library import resolve_scene
-from .simulate import SimulationConfig, run_simulation, seeds_from_run
+from .simulate import TRAJECTORY_HEADER, SimulationConfig, run_simulation, seeds_from_run
 from .social_force import SFParams, sf_run
 
 OUT_ENV_VAR = "CROWDSIM_OUT"
-TRAJECTORY_HEADER = ["run", "ped_id", "step", "time_s", "x_m", "y_m",
-                     "module_id", "reset_flag"]
 # usual camera rates of the source recordings, by leading module kind
 EXPECTED_FPS = {"bottleneck": 25.0, "t_junction": 25.0,
                 "corridor": 16.0, "corner": 16.0}
@@ -91,45 +89,17 @@ def _train_configs(args, params: ExtractionParams, val_every: int,
     return net_cfg, train_cfg
 
 
-def _load_archive(path, parse):
-    """parse(doc) of the archive at path; a missing key or a wrong type names the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a {DATASET_FORMAT} archive")
-    try:
-        return parse(doc)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed archive ({exc})") from exc
-
-
-def _load_run(path, run_name) -> tuple[Run, float]:
-    """One run of an archive, and the archive's dt."""
-    def pick(doc):
-        runs = {r["name"]: r for r in doc["runs"]}
-        name = run_name
-        if name is None:
-            if len(runs) != 1:
-                raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
-            name = next(iter(runs))
-        if name not in runs:
-            raise ValueError(f"{path}: no run named {name!r} (available: {sorted(runs)})")
-        trajs = tuple(trajectory_from_dict(t) for t in runs[name]["trajectories"])
-        return Run(name=name, trajectories=trajs), float(doc["dt"])
-    return _load_archive(path, pick)
-
-
-def _tracks_from_run(run: Run, dt: float) -> list[Track]:
-    """Recorded tracks with steps counted from the run's earliest track.
-
-    `seeds_from_run` counts from the same origin, so simulated and recorded
-    steps align by index.
-    """
-    if not run.trajectories:
-        raise ValueError(f"run {run.name!r} has no trajectories")
-    origin = min(t.t0 for t in run.trajectories)
-    return [Track(ped_id=t.ped_id, steps=t.t0 - origin + np.arange(len(t)),
-                  positions=t.positions, dt=dt) for t in run.trajectories]
+def _load_run(path, run_name, scene) -> tuple[Run, float]:
+    """One run of the archive at path, and the archive's dt."""
+    dataset = load_dataset(path, scene)
+    runs = {run.name: run for run in dataset.runs}
+    if run_name is None:
+        if len(runs) != 1:
+            raise ValueError(f"{path}: archive holds {len(runs)} runs, pick one with --run")
+        run_name = next(iter(runs))
+    if run_name not in runs:
+        raise ValueError(f"{path}: no run named {run_name!r} (available: {sorted(runs)})")
+    return runs[run_name], dataset.dt
 
 
 def _tracks_from_csv(path) -> list[Track]:
@@ -169,10 +139,11 @@ def _tracks_from_csv(path) -> list[Track]:
     return tracks
 
 
-def _load_tracks(path, run_name=None) -> list[Track]:
-    path = str(path)
-    if path.endswith(".json"):
-        return _tracks_from_run(*_load_run(path, run_name))
+def _load_tracks(path, run_name, scene) -> list[Track]:
+    """Tracks of a trajectories CSV, or of one run of an archive (`Run.tracks`)."""
+    if str(path).endswith(".json"):
+        run, dt = _load_run(path, run_name, scene)
+        return run.tracks(dt)
     return _tracks_from_csv(path)
 
 
@@ -244,7 +215,7 @@ def cmd_train(args) -> int:
                                       training=train_cfg.to_dict())
     scene = resolve_scene(args.scene)
     mhash = manifest.hash()
-    datasets = [_load_archive(p, lambda doc: dataset_from_dict(doc, scene)) for p in args.data]
+    datasets = [load_dataset(p, scene) for p in args.data]
     _, result, n_train = _train_stage(datasets, params, net_cfg, train_cfg, args.seed)
     save_checkpoint(out / "checkpoint.json", result.state, net_cfg, params,
                     mhash, training=train_cfg)
@@ -257,11 +228,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _simulate_stage(scene, dt: float, run: Run, params: ExtractionParams, max_steps: int,
+def _simulate_stage(scene, dt: float, tracks, params: ExtractionParams, max_steps: int,
                     net=None, seed: int = 0):
-    """Closed-loop run seeded from a recorded run: the TCN ``net``, or social
-    force when it is None.  None when no track fills a window."""
-    seeds = seeds_from_run(run.trajectories, window=params.window)
+    """Closed-loop run seeded from a run's `Run.tracks`: the TCN ``net``, or
+    social force when it is None.  None when no track fills a window."""
+    seeds = seeds_from_run(tracks, window=params.window)
     if not seeds:
         return None
     config = SimulationConfig(scene=scene, dt=dt, pedestrians=tuple(seeds),
@@ -273,7 +244,7 @@ def _simulate_stage(scene, dt: float, run: Run, params: ExtractionParams, max_st
 
 def cmd_simulate(args) -> int:
     scene = resolve_scene(args.scene)
-    run, dt = _load_run(args.data, args.run)
+    run, dt = _load_run(args.data, args.run, scene)
 
     net = None
     if args.model == "tcn":
@@ -298,7 +269,7 @@ def cmd_simulate(args) -> int:
                                                "checkpoint": args.checkpoint,
                                                "max_steps": args.max_steps})
     mhash = manifest.hash()
-    result = _simulate_stage(scene, dt, run, params, args.max_steps, net, args.seed)
+    result = _simulate_stage(scene, dt, run.tracks(dt), params, args.max_steps, net, args.seed)
     if result is None:
         raise ValueError(f"run {run.name!r}: no trajectory is long enough "
                          f"to seed a {params.window}-step window")
@@ -316,8 +287,8 @@ def cmd_evaluate(args) -> int:
                                       options={"run": args.run, "module": args.module})
     scene = resolve_scene(args.scene)
     mhash = manifest.hash()
-    sim_tracks = _load_tracks(args.sim, args.run)
-    exp_tracks = _load_tracks(args.data, args.run)
+    sim_tracks = _load_tracks(args.sim, args.run, scene)
+    exp_tracks = _load_tracks(args.data, args.run, scene)
     focus = _focus_area(scene, args.module)
     run_name = args.run if args.run is not None else "run"
     report = evaluate_run(sim_tracks, exp_tracks, run=run_name,
@@ -367,7 +338,7 @@ def cmd_fd(args) -> int:
                                                "svg": bool(args.svg), "run": args.run})
     scene = resolve_scene(args.scene)
     mhash = manifest.hash()
-    tracks = _load_tracks(args.data, args.run)
+    tracks = _load_tracks(args.data, args.run, scene)
     if not tracks:
         raise ValueError(f"{args.data}: no trajectories")
     dt = tracks[0].dt
@@ -415,6 +386,15 @@ def cmd_sensitivity(args) -> int:
     combos = list(itertools.product(*grids.values()))
     if len(combos) < 2:
         raise ValueError("sensitivity analysis needs at least 2 parameter combinations")
+    # every combination's configs, so a bad setting fails before the output
+    # directory is made; seeds derive from sub-stream names such as train-de20-beta5
+    stages = []
+    for combo in combos:
+        values = dict(zip(grids, combo))
+        tag = "-" + "-".join(f"{flag}{v:g}" for flag, v in values.items())
+        params = _extraction(args, **values)
+        stages.append((combo, tag, params,
+                       *_train_configs(args, params, max(1, args.iters // 2), tag)))
     out, manifest = _out_and_manifest(
         args, args.data, model="tcn",
         options={**{flag: grids.get(flag, getattr(args, flag)) for flag in EXTRACTION_FLAGS},
@@ -422,21 +402,17 @@ def cmd_sensitivity(args) -> int:
                  "channels": args.channels, "dropout": args.dropout,
                  "max_steps": args.max_steps})
     mhash = manifest.hash()
-    datasets = [_load_archive(p, lambda doc: dataset_from_dict(doc, scene)) for p in args.data]
+    datasets = [load_dataset(p, scene) for p in args.data]
     reports = []
-    for combo in combos:
-        values = dict(zip(grids, combo))
-        # seeds derive from sub-stream names such as train-de20-beta5
-        tag = "-" + "-".join(f"{flag}{v:g}" for flag, v in values.items())
-        params = _extraction(args, **values)
-        net_cfg, train_cfg = _train_configs(args, params, max(1, args.iters // 2), tag)
+    for combo, tag, params, net_cfg, train_cfg in stages:
         net, _, _ = _train_stage(datasets, params, net_cfg, train_cfg, args.seed, tag)
         for dataset in datasets:
             for run in dataset.runs:
-                result = _simulate_stage(scene, dataset.dt, run, params, args.max_steps, net)
+                tracks = run.tracks(dataset.dt)
+                result = _simulate_stage(scene, dataset.dt, tracks, params, args.max_steps, net)
                 if result is None:
                     continue
-                report = evaluate_run(result.trajectories, _tracks_from_run(run, dataset.dt),
+                report = evaluate_run(result.trajectories, tracks,
                                       run=run.name, model="tcn", focus_area=None)
                 reports.append((combo, report))
     summary = parameter_sensitivity(reports)

@@ -12,10 +12,14 @@ at index t with index 0 left NaN.  This makes the simulator update
 Training samples take their features from `features.extract_batch`, as the
 simulator does, many frames per call; each sample window indexes rows of
 one feature array that holds every extracted row once.
+
+Only this module reads archives (`load_dataset`), and `Run.tracks` alone
+sets a run's step origin, its earliest track, for seeds and metrics alike.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -23,6 +27,7 @@ import numpy as np
 
 from .features import ExtractionParams, extract_batch
 from .geometry import Scene, containing_rows, rect_mask
+from .metrics import Track
 
 DATASET_FORMAT = "crowdsim-dataset-v1"
 
@@ -68,6 +73,14 @@ class Run:
 
     name: str
     trajectories: tuple[Trajectory, ...]
+
+    def tracks(self, dt: float) -> list[Track]:
+        """The run's trajectories as Tracks at interval dt, steps counted
+        from its earliest track, even one too short to seed: the simulator's
+        seeds (`simulate.seeds_from_run`) and the metrics share them."""
+        origin = min((t.t0 for t in self.trajectories), default=0)
+        return [Track(ped_id=t.ped_id, steps=t.t0 - origin + np.arange(len(t)),
+                      positions=t.positions, dt=dt) for t in self.trajectories]
 
 
 @dataclass(frozen=True)
@@ -399,3 +412,16 @@ def dataset_from_dict(doc: dict, scene: Scene) -> Dataset:
         for r in doc["runs"]
     )
     return Dataset(scene=scene, runs=runs, role=str(doc["role"]), dt=float(doc["dt"]))
+
+
+def load_dataset(path, scene: Scene) -> Dataset:
+    """The archive at path; a wrong format, a missing key or a wrong type
+    names the file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{path}: not a {DATASET_FORMAT} archive")
+    try:
+        return dataset_from_dict(doc, scene)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed archive ({exc})") from exc

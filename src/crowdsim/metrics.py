@@ -1,18 +1,21 @@
 """Trajectory comparison metrics and fundamental-diagram computation.
 
-Trajectories are aligned by absolute step index.  ADE averages pointwise
-distances over the overlapping step range, FDE compares the last points
-inside the focus area, and TTE is the absolute difference of in-focus
-durations.  Fundamental diagrams use the classical measurement-area
-method: per frame, density is the occupant count over the area and speed
-is the mean backward-difference speed of the occupants.
+The metrics read `Track`s, a pedestrian's positions with the step of
+each; `evaluate_run` and `fundamental_diagram` raise TypeError on anything
+else.  A `simulate.SimulatedTrajectory` is a Track, and a recorded run's
+come from `ingest.Run.tracks`, which owns the step origin.  Tracks are
+aligned by step index.  ADE averages pointwise distances over the
+overlapping step range, FDE compares the last points inside the focus
+area, and TTE is the absolute difference of in-focus durations.
+Fundamental diagrams use the classical measurement-area method: per
+frame, density is the occupant count over the area and speed is the mean
+backward-difference speed of the occupants.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .geometry import rect_mask
 
 @dataclass(frozen=True)
 class Track:
-    """Positions indexed by absolute step, for either data source."""
+    """One pedestrian's positions, each at its step of the run."""
 
     ped_id: str
     steps: np.ndarray           # (n,) increasing ints
@@ -35,29 +38,24 @@ class Track:
             raise ValueError("steps must be (n,) and positions (n, 2)")
         if steps.size == 0:
             raise ValueError("empty track")
-        if np.any(np.diff(steps) <= 0):
+        if (steps[1:] <= steps[:-1]).any():
             raise ValueError("steps must be strictly increasing")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "positions", pos)
 
 
-def as_track(obj) -> Track:
-    """Adapt simulator or ingest trajectories to a Track."""
-    if isinstance(obj, Track):
-        return obj
-    if hasattr(obj, "entry_step"):
-        return Track(ped_id=obj.ped_id, steps=np.asarray(obj.steps, dtype=int),
-                     positions=obj.positions, dt=obj.dt)
-    if hasattr(obj, "t0"):
-        return Track(ped_id=obj.ped_id,
-                     steps=obj.t0 + np.arange(len(obj.positions)),
-                     positions=obj.positions, dt=obj.dt)
-    raise TypeError(f"cannot adapt {type(obj).__name__} to a Track")
+def _tracks(tracks) -> list[Track]:
+    """tracks as a list; anything but a Track raises TypeError."""
+    tracks = list(tracks)
+    for track in tracks:
+        if not isinstance(track, Track):
+            raise TypeError(f"expected a Track, got {type(track).__name__} "
+                            "(a recorded run's come from ingest.Run.tracks)")
+    return tracks
 
 
-def ade(sim, exp) -> float:
-    """Mean pointwise distance over the steps both trajectories cover."""
-    a, b = as_track(sim), as_track(exp)
+def ade(a: Track, b: Track) -> float:
+    """Mean pointwise distance over the steps both tracks cover."""
     common, ia, ib = np.intersect1d(a.steps, b.steps, return_indices=True)
     if common.size == 0:
         raise ValueError(f"no overlapping steps for pedestrian {a.ped_id!r}")
@@ -87,15 +85,13 @@ def _fde_tte(a: Track, b: Track, a_inside, b_inside) -> tuple[float, float]:
             abs(duration_a - duration_b))
 
 
-def fde(sim, exp, focus_area=None) -> float:
+def fde(a: Track, b: Track, focus_area=None) -> float:
     """Distance between the final in-focus points."""
-    a, b = as_track(sim), as_track(exp)
     return _fde_tte(a, b, _inside(a, focus_area), _inside(b, focus_area))[0]
 
 
-def tte(sim, exp, focus_area=None) -> float:
+def tte(a: Track, b: Track, focus_area=None) -> float:
     """Absolute difference of the in-focus travel times, in seconds."""
-    a, b = as_track(sim), as_track(exp)
     return _fde_tte(a, b, _inside(a, focus_area), _inside(b, focus_area))[1]
 
 
@@ -126,16 +122,17 @@ class MetricReport:
                                         self.fde_values, self.tte_values)]
 
 
-def evaluate_run(sim_trajectories, exp_trajectories, run: str, model: str,
+def evaluate_run(sim_tracks, exp_tracks, run: str, model: str,
                  focus_area=None) -> MetricReport:
-    """Per-pedestrian ADE/FDE/TTE over the ids present on both sides.
+    """Per-pedestrian ADE/FDE/TTE over the ids present on both sides, each
+    an iterable of Tracks.
 
     Ids present on only one side are excluded with a warning naming them,
     and so are pedestrians whose recorded track never enters the focus
     area, with a warning giving their count.
     """
-    sim_by_id = {t.ped_id: t for t in map(as_track, sim_trajectories)}
-    exp_by_id = {t.ped_id: t for t in map(as_track, exp_trajectories)}
+    sim_by_id = {t.ped_id: t for t in _tracks(sim_tracks)}
+    exp_by_id = {t.ped_id: t for t in _tracks(exp_tracks)}
     matched = sorted(sim_by_id.keys() & exp_by_id.keys())
     missing = sorted(sim_by_id.keys() ^ exp_by_id.keys())
     if missing:
@@ -173,7 +170,7 @@ class FDPoint:
     flow: float         # persons/(m*s)
 
 
-def fundamental_diagram(trajectories, area, dt: float) -> list[FDPoint]:
+def fundamental_diagram(tracks, area, dt: float) -> list[FDPoint]:
     """Classical per-frame measurement: density, mean speed, and flow.
 
     Frames with no occupants are omitted, as are frames whose occupants all
@@ -184,7 +181,7 @@ def fundamental_diagram(trajectories, area, dt: float) -> list[FDPoint]:
     if size <= 0:
         raise ValueError("measurement area must have positive size")
     frames, inside, speeds, moved = [], [], [], []
-    for track in map(as_track, trajectories):
+    for track in _tracks(tracks):
         step = np.diff(track.positions, axis=0)
         frames.append(track.steps)
         inside.append(rect_mask(area, track.positions))

@@ -47,12 +47,12 @@ reads it: each conv's and block's backward releases its cache, and the
 predictor keeps the last block output only until its backward.  The head and
 the 1x1 projections keep no input; a block gathers its projection's input
 again from the block input conv1 holds.  Dropout keeps boolean keep masks,
-scaled where they are applied.  Eval-mode forwards cache too, so a block's
-activations can be read after any forward.  `predict` caches nothing: each
-block's activations are dropped as the next block runs, and a backward after
-it raises as after no forward.  Gradient arrays come from `backward` only: a
-layer holds none until its first backward assigns them, so a frozen
-predictor allocates none.
+scaled where they are applied.  Every forward caches, eval-mode ones too,
+so a block's activations can be read after any forward.  `predict` keeps
+nothing: each block's activations are dropped as the next block runs, and
+a backward after it raises as after no forward.  Gradient arrays come from
+`backward` only: a layer holds none until its first backward assigns them,
+so a frozen predictor allocates none.
 """
 from __future__ import annotations
 
@@ -243,10 +243,10 @@ class _WeightNormConv:
         return self.effective_weight().transpose(2, 1, 0).copy()
 
     def forward(self, z: np.ndarray, taps: Optional[list] = None,
-                cache: bool = True, products: bool = False) -> np.ndarray:
+                products: bool = False) -> np.ndarray:
         """z: (n_in, B, C_in) -> (n_out, B, C_out) over the steps of a tap
-        table; by default every step, n_out = n_in.  Unless cache is False,
-        z and the weight are kept for the backward.
+        table; by default every step, n_out = n_in.  z and the weight are
+        kept for the backward.
 
         With products, z holds each input step's tap products instead, tap
         u's in columns u*C_out .. (u+1)*C_out (`VelocityPredictor.encode`),
@@ -270,7 +270,7 @@ class _WeightNormConv:
         for u, dst, src in shifted:
             out[dst] += product(u, src)
         out += self.b
-        self._cache = (z, w, taps) if cache and not products else None
+        self._cache = None if products else (z, w, taps)
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
@@ -358,11 +358,9 @@ class _TemporalBlock:
         return x * (mask / keep).transpose(2, 0, 1), mask
 
     def forward(self, z: np.ndarray, train: bool, rng: Optional[np.random.Generator],
-                steps: Optional[_BlockSteps] = None, cache: bool = True,
-                products: bool = False):
+                steps: Optional[_BlockSteps] = None, products: bool = False):
         """z: (B, C_in, n_in) -> (B, C_out, n_out) over the steps of a plan,
-        by default every step; cached arrays are (B, C, n) too, and none is
-        kept, by the block or its convs, if cache is False.
+        by default every step; cached arrays are (B, C, n) too.
 
         With products, z holds encoded rows (`VelocityPredictor.encode`):
         conv1 sums their tap products, and the skip path reads their last
@@ -370,9 +368,9 @@ class _TemporalBlock:
         if steps is None:
             steps = _BlockSteps(z.shape[2], self.conv1.q, self.conv1.h, range(z.shape[2]))
         x = np.ascontiguousarray(z.transpose(2, 0, 1))
-        a1 = self.conv1.forward(x, steps.conv1, cache, products)
+        a1 = self.conv1.forward(x, steps.conv1, products)
         d1, m1 = self._drop(np.maximum(a1, 0.0), train, rng, steps.length, steps.mid)
-        a2 = self.conv2.forward(d1, steps.conv2, cache)
+        a2 = self.conv2.forward(d1, steps.conv2)
         d2, m2 = self._drop(np.maximum(a2, 0.0), train, rng, steps.length, steps.out)
         res = x[steps.skip]
         if products:
@@ -383,8 +381,7 @@ class _TemporalBlock:
             # 1x1 conv over channels == linear map applied per time step.
             n, b, c = res.shape
             res = self.proj.forward(res.reshape(-1, c)).reshape(n, b, -1)
-        self._cache = ((a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, steps)
-                       if cache else None)
+        self._cache = (a1.transpose(1, 2, 0), m1, a2.transpose(1, 2, 0), m2, steps)
         return (d2 + res).transpose(1, 2, 0)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
@@ -452,21 +449,21 @@ class VelocityPredictor:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
-                head_only: bool = False, cache: bool = True) -> np.ndarray:
+                head_only: bool = False) -> np.ndarray:
         """x: (window, input_dim) or (B, window, input_dim) -> (B, output_dim).
 
         Every block step is computed unless head_only, which computes only
         the steps the head reads; the outputs are bitwise equal either way.
-        The activations are kept for a backward unless cache is False, which
-        leaves every cache empty.  A time-major x, a (B, window, input_dim)
-        view of a (window, B, input_dim) buffer, goes to the first block
-        without a copy when that block reads contiguous steps.
+        The activations are kept for a backward.  A time-major x, a
+        (B, window, input_dim) view of a (window, B, input_dim) buffer, goes
+        to the first block without a copy when that block reads contiguous
+        steps.
         """
         if train and self.config.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        return self._run(x, self.config.input_dim, train, rng, head_only, cache)
+        return self._run(x, self.config.input_dim, train, rng, head_only)
 
-    def _run(self, x, width: int, train: bool, rng, head_only: bool, cache: bool,
+    def _run(self, x, width: int, train: bool, rng, head_only: bool,
              products: bool = False) -> np.ndarray:
         """The blocks and the head over windows x of rows of the given width:
         feature rows, or encoded rows (products) for block 0."""
@@ -480,9 +477,11 @@ class VelocityPredictor:
         plan = self._plans[head_only]
         z = x[:, _selector(plan[0].inputs), :].transpose(0, 2, 1)   # channels first: (B, D, n)
         for i, (block, steps) in enumerate(zip(self.blocks, plan)):
-            z = block.forward(z, train, rng, steps, cache, products and i == 0)
+            z = block.forward(z, train, rng, steps, products and i == 0)
+            if products:        # predict keeps no activation past its block
+                block._cache = block.conv1._cache = block.conv2._cache = None
         out = self.head.forward(z[:, :, -1])
-        self._z = z if cache else None
+        self._z = None if products else z
         return out[0] if single else out
 
     def backward(self, dout: np.ndarray) -> None:
@@ -536,7 +535,7 @@ class VelocityPredictor:
         bitwise equal to `forward` of the feature windows they encode.
         Nothing is kept for a backward pass: every activation cache is
         empty once it returns, and a backward then raises RuntimeError."""
-        return self._run(e, self.encoded_dim, False, None, True, False, products=True)
+        return self._run(e, self.encoded_dim, False, None, True, products=True)
 
     def freeze(self) -> "VelocityPredictor":
         """Make every parameter read-only and lay out each conv's weight,

@@ -19,7 +19,8 @@ each slot's entry step, recorded length and exited flag.  A slot is
 pending while its length is 0, active until it exits, and truncated if
 still active when the run stops; during step t, reset flag t + 1 marks
 who has reset already.  T starts small and doubles as the run goes on.
-Module ids become strings only in `SimulationResult`.
+Module ids become strings only in `SimulationResult`, whose records
+are `metrics.Track`s, steps[0] being the entry step.
 
 A step works on masks and index arrays over the slots, with no Python
 per pedestrian outside the model: entrants are one scatter, seeded
@@ -58,13 +59,14 @@ writes them at t % w with one scatter, the predictor's input is one
 time-major gather over steps t-w+1 .. t, (w, n, E), passed as its
 (n, w, E) transposed view so the predictor's first block takes it
 without a copy, and a step's window rewrites are encoded in one call and
-written into the ring.  The step
+written into the ring.  The TCN's step
 states live in a ring of the same layout: (P, w, 2, 2) positions and
 velocities as recorded at step s, at [slot, s % w], with a (P, w) mask of
-who was active then.  A step writes both with one scatter, and the
+who was active then.  A TCN step writes both with one scatter, and the
 rewrite rows of a step are one gather of the recorded states of their
 steps, the subject's rewritten state scattered over its own entry;
-rewrites never write back into the state ring.
+rewrites never write back into the state ring.  Social force, which
+reads neither ring, makes neither.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from .geometry import (
     containing_rows,
     first_wall_crossings,
 )
+from .metrics import Track
 
 WALL_CLEARANCE = 0.05
 MIN_GUIDED_SPEED = 0.1
@@ -141,19 +144,18 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class SimulatedTrajectory:
-    ped_id: str
-    entry_step: int
-    dt: float
-    positions: np.ndarray       # (n, 2)
+class SimulatedTrajectory(Track):
+    """A simulated pedestrian's record: its Track, steps[0] being its entry
+    step, and per step its module and reset flag."""
+
     module_ids: tuple[str, ...]
     reset_flags: np.ndarray     # (n,) bool
     exited: bool
     truncated: bool
 
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(self.entry_step, self.entry_step + len(self.positions))
+
+TRAJECTORY_HEADER = ["run", "ped_id", "step", "time_s", "x_m", "y_m",
+                     "module_id", "reset_flag"]
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,11 @@ class SimulationResult:
     truncated: bool
 
     def to_rows(self, run_name: str) -> list[list]:
-        """Rows (run, ped_id, step, time_s, x_m, y_m, module_id, reset_flag)."""
+        """Rows under TRAJECTORY_HEADER, pedestrians in id order."""
         rows, dt = [], float(self.dt)
         for traj in sorted(self.trajectories, key=lambda t: t.ped_id):
-            steps = range(traj.entry_step, traj.entry_step + len(traj.positions))
-            for step, (x, y), module_id, reset in zip(steps, traj.positions.tolist(),
+            for step, (x, y), module_id, reset in zip(traj.steps.tolist(),
+                                                      traj.positions.tolist(),
                                                       traj.module_ids, traj.reset_flags.tolist()):
                 rows.append([run_name, traj.ped_id, step, step * dt, x, y, module_id,
                              int(reset)])
@@ -216,11 +218,9 @@ class Simulator:
         self._row = np.zeros((n, 16), dtype=int)        # Scene.wall_table row of the module
         self._flag = np.zeros((n, 16), dtype=bool)      # reset flags; step t's resets set t + 1
         # encoded feature row of step s of the pedestrian in slot i at
-        # ring[i, s % w]; made by the first _store, at the encoding's width
-        self._ring: Optional[np.ndarray] = None
-        # position and velocity recorded at step s, and whether active then
-        self._states = np.zeros((n, params.window, 2, 2))
-        self._recorded = np.zeros((n, params.window), dtype=bool)
+        # ring[i, s % w], and the position and velocity recorded then, and
+        # whether active; made by the first _store, on the TCN path only
+        self._ring = self._states = self._recorded = None
         self._rewrites: list = []           # (slot, s), extracted at step end
         scene = config.scene
         self._wall_table = scene.wall_table     # (table, valid)
@@ -271,9 +271,6 @@ class Simulator:
             return
 
         pos, vel, rows = self._pos[active, t], self._vel[active, t], self._row[active, t]
-        self._recorded[:, t % w] = False
-        self._recorded[active, t % w] = True
-        self._states[active, t % w] = np.stack((pos, vel), axis=1)
         local = t - self._entry[active]
         moved = local >= w - 1
         nxt = np.empty_like(pos)
@@ -384,23 +381,29 @@ class Simulator:
 
     def _windows(self, active: np.ndarray, moved: np.ndarray, pos: np.ndarray,
                  vel: np.ndarray, t: int) -> np.ndarray:
-        """Write the step's encoded feature rows into the ring with one
-        scatter and gather the moved pedestrians' windows with one gather:
-        steps t-w+1 .. t, oldest first.  The gather is time-major, (w, n, E),
-        and the windows (n, w, E) are its transposed view, the layout the
-        predictor's first block reads without a copy."""
+        """Write the step's encoded feature rows into the ring and its
+        states into the state ring with one scatter each, and gather the
+        moved pedestrians' windows with one gather: steps t-w+1 .. t, oldest
+        first.  The gather is time-major, (w, n, E), and the windows
+        (n, w, E) are its transposed view, the layout the predictor's first
+        block reads without a copy."""
         w = self.config.params.window
         self._store(active, t % w, self._step_features(active, pos, vel))
+        self._recorded[:, t % w] = False
+        self._recorded[active, t % w] = True
+        self._states[active, t % w] = np.stack((pos, vel), axis=1)
         cols = np.arange(t + 1, t + w + 1) % w
         return self._ring[active[moved][None, :], cols[:, None]].transpose(1, 0, 2)
 
     def _store(self, slots, cols, rows: np.ndarray) -> None:
         """Scatter the predictor's encoding of feature rows (k, D), one
-        `encode` call, into the ring at [slots, cols]."""
+        `encode` call, into the ring at [slots, cols]; the first call makes
+        the ring, at the encoding's width, and the state ring."""
         encoded = self.predictor.encode(rows)
         if self._ring is None:
-            self._ring = np.zeros((len(self._ids), self.config.params.window,
-                                   encoded.shape[1]))
+            shape = (len(self._ids), self.config.params.window)
+            self._ring = np.zeros(shape + encoded.shape[1:])
+            self._states, self._recorded = np.zeros(shape + (2, 2)), np.zeros(shape, dtype=bool)
         self._ring[slots, cols] = encoded
 
     def _crossings(self, p_from: np.ndarray, p_to: np.ndarray, table: np.ndarray,
@@ -433,12 +436,12 @@ class Simulator:
         ids = [m.id for m in self.config.scene.modules]
         trajectories = []
         for slot in np.flatnonzero(self._length).tolist():
-            steps = slice(self._entry[slot], self._entry[slot] + self._length[slot])
+            steps = np.arange(self._entry[slot], self._entry[slot] + self._length[slot])
             trajectories.append(SimulatedTrajectory(
-                ped_id=self._ids[slot], entry_step=int(self._entry[slot]), dt=self.config.dt,
-                positions=self._pos[slot, steps].copy(),
+                ped_id=self._ids[slot], steps=steps, dt=self.config.dt,
+                positions=self._pos[slot, steps],
                 module_ids=tuple(ids[r] for r in self._row[slot, steps].tolist()),
-                reset_flags=self._flag[slot, steps].copy(),
+                reset_flags=self._flag[slot, steps],
                 exited=bool(self._exited[slot]), truncated=bool(truncated[slot]),
             ))
         return SimulationResult(scene=self.config.scene, dt=self.config.dt,
@@ -560,13 +563,10 @@ def run_simulation(config: SimulationConfig, predictor) -> SimulationResult:
     return Simulator(config, predictor).run()
 
 
-def seeds_from_run(trajectories, window: int) -> list[PedestrianSeed]:
-    """Seed configs from experimental tracks: entry time plus first w positions.
-
-    Steps count from the run's earliest track, the tracks shorter than the
-    window included; those tracks are skipped.
-    """
-    origin = min((t.t0 for t in trajectories), default=0)
-    return [PedestrianSeed(ped_id=t.ped_id, entry_step=t.t0 - origin,
+def seeds_from_run(tracks, window: int) -> list[PedestrianSeed]:
+    """Seed configs from a recorded run's Tracks (`ingest.Run.tracks`): the
+    entry step steps[0] plus the first w positions.  Tracks shorter than
+    the window are skipped."""
+    return [PedestrianSeed(ped_id=t.ped_id, entry_step=int(t.steps[0]),
                            positions=t.positions[:window].copy())
-            for t in trajectories if len(t) >= window]
+            for t in tracks if len(t.steps) >= window]

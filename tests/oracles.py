@@ -766,10 +766,6 @@ class ListSimulator(Simulator):
 
         pos = np.array([p.positions[-1] for p in active])
         vel = np.array([p.velocities[-1] for p in active])
-        slots = np.array([p.slot for p in active])
-        self._recorded[:, t % w] = False
-        self._recorded[slots, t % w] = True
-        self._states[slots, t % w] = np.stack((pos, vel), axis=1)
         moved: list[_PedRuntime] = []
         for ped in active:
             ped._reset_now = False
@@ -845,11 +841,16 @@ class ListSimulator(Simulator):
 
     def _windows(self, active: list, moved: list, pos: np.ndarray, vel: np.ndarray,
                  t: int) -> np.ndarray:
-        """Write the step's feature rows into the ring with one scatter and
-        gather the moved pedestrians' windows (n, w, D) with one gather:
-        steps t-w+1 .. t, oldest first."""
+        """Write the step's feature rows into the ring and its states into
+        the state ring with one scatter each, and gather the moved
+        pedestrians' windows (n, w, D) with one gather: steps t-w+1 .. t,
+        oldest first."""
         w = self.config.params.window
-        self._store([p.slot for p in active], t % w, self._step_features(active, pos, vel))
+        slots = np.array([p.slot for p in active])
+        self._store(slots, t % w, self._step_features(active, pos, vel))
+        self._recorded[:, t % w] = False
+        self._recorded[slots, t % w] = True
+        self._states[slots, t % w] = np.stack((pos, vel), axis=1)
         return self._ring[np.array([p.slot for p in moved], dtype=int)[:, None],
                           np.arange(t + 1, t + w + 1) % w]
 
@@ -890,8 +891,8 @@ class ListSimulator(Simulator):
             if not ped.positions:
                 continue
             trajectories.append(SimulatedTrajectory(
-                ped_id=ped.ped_id, entry_step=ped.entry, dt=self.config.dt,
-                positions=np.asarray(ped.positions, dtype=float),
+                ped_id=ped.ped_id, steps=ped.entry + np.arange(len(ped.positions)),
+                dt=self.config.dt, positions=np.asarray(ped.positions, dtype=float),
                 module_ids=tuple(ped.modules),
                 reset_flags=np.asarray(ped.reset_flags, dtype=bool),
                 exited=ped.exited, truncated=ped.truncated,

@@ -66,10 +66,10 @@ def _crowd_archive(tmp_path, seed: int, steps: int) -> Path:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed, steps", [(1, 32), (309, 32), (309, 120)])
 def test_benchmark_crowds_give_the_list_reference_trajectories(tmp_path, seed, steps):
-    run, dt = _load_run(_crowd_archive(tmp_path, seed, steps), "crowd")
+    run, dt = _load_run(_crowd_archive(tmp_path, seed, steps), "crowd", resolve_scene("composite"))
     params, net = _net()
     config = SimulationConfig(scene=resolve_scene("composite"), dt=dt, params=params,
-                              pedestrians=tuple(seeds_from_run(run.trajectories, WINDOW)),
+                              pedestrians=tuple(seeds_from_run(run.tracks(dt), WINDOW)),
                               max_steps=steps)
     speeds = draw_desired_speeds([s.ped_id for s in config.pedestrians],
                                  substream(seed, "sf-speeds"), SFParams())
@@ -91,10 +91,10 @@ def test_predictor_windows_are_one_time_major_gather(tmp_path, monkeypatch):
     # ring[active[moved][:, None], cols], bit for bit.  They are the
     # transposed view of a C-contiguous (w, n, D) gather, and the first
     # block's conv reads that gather itself, not a copy.
-    run, dt = _load_run(_crowd_archive(tmp_path, 1, 32), "crowd")
+    run, dt = _load_run(_crowd_archive(tmp_path, 1, 32), "crowd", resolve_scene("composite"))
     params, net = _net()
     config = SimulationConfig(scene=resolve_scene("composite"), dt=dt, params=params,
-                              pedestrians=tuple(seeds_from_run(run.trajectories, WINDOW)),
+                              pedestrians=tuple(seeds_from_run(run.tracks(dt), WINDOW)),
                               max_steps=32)
     windows, shared = [None], []        # the latest step's windows
 

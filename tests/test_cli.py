@@ -232,6 +232,23 @@ def test_bad_channels_lists_are_named(pipeline, tmp_path, capsys):
             assert err.startswith("error:") and named in err, (command, channels, err)
 
 
+def test_a_bad_training_setting_leaves_no_output_directory(pipeline, tmp_path, capsys):
+    # train and sensitivity build every config before they make --out; in
+    # sensitivity the bad setting may sit in the first grid combination or
+    # a later one
+    data = str(pipeline["ingest"] / "dataset.json")
+    cases = ((["train", "--channels", "0,8"], "tcn_channels"),
+             (["sensitivity", "--de", "20,100", "--beta", "5", "--channels", "0,8"],
+              "tcn_channels"),
+             (["sensitivity", "--de", "20,-5", "--beta", "5"], "vision_range"))
+    for i, (argv, named) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([argv[0], "--scene", "corridor", "--data", data, *argv[1:],
+                     "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists(), argv
+
+
 def test_simulate_output_format(pipeline):
     for key, model in (("sim_tcn", "tcn"), ("sim_sf", "sf")):
         path = pipeline[key] / "trajectories.csv"

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from crowdsim.metrics import (FDPoint, MetricReport, Track, ade, as_track,
-                              evaluate_run, fde, fundamental_diagram,
-                              parameter_sensitivity, tte)
+from crowdsim.features import ExtractionParams
+from crowdsim.ingest import Run, Trajectory
+from crowdsim.metrics import (FDPoint, MetricReport, Track, ade, evaluate_run, fde,
+                              fundamental_diagram, parameter_sensitivity, tte)
+from crowdsim.scene_library import make_corridor
+from crowdsim.simulate import SimulatedTrajectory, SimulationConfig, seeds_from_run
+from crowdsim.social_force import SFParams, sf_run
 
 from oracles import rect_contains
 
@@ -113,22 +117,59 @@ def test_tte_counts_span_between_first_and_last_in_focus():
     assert got == pytest.approx((5 - 2) * dt - 1 * dt, abs=1e-12)
 
 
-def test_as_track_adapts_both_trajectory_types():
-    from crowdsim.ingest import Trajectory
-    from crowdsim.simulate import SimulatedTrajectory
-
+def test_simulated_trajectory_is_a_track_starting_at_its_entry():
     pos = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-    vel = np.full((3, 2), np.nan)
-    vel[1:] = [[2.5, 0.0], [2.5, 0.0]]
-    ing = Trajectory(ped_id="a", t0=4, dt=0.04, positions=pos, velocities=vel)
-    t = as_track(ing)
-    assert list(t.steps) == [4, 5, 6]
-    sim = SimulatedTrajectory(ped_id="a", entry_step=3, dt=0.04, positions=pos,
-                              module_ids=["m", "m", "m"],
-                              reset_flags=[False] * 3, exited=True, truncated=False)
-    t2 = as_track(sim)
-    assert list(t2.steps) == [3, 4, 5]
-    np.testing.assert_array_equal(t2.positions, pos)
+    sim = SimulatedTrajectory(ped_id="a", steps=3 + np.arange(3), dt=0.04, positions=pos,
+                              module_ids=("m", "m", "m"), reset_flags=np.zeros(3, dtype=bool),
+                              exited=True, truncated=False)
+    assert isinstance(sim, Track)
+    assert sim.steps.tolist() == [3, 4, 5]
+    np.testing.assert_array_equal(sim.positions, pos)
+    assert ade(sim, _track("a", pos, t0=3)) == 0.0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimulatedTrajectory(ped_id="a", steps=[3, 3, 4], dt=0.04, positions=pos,
+                            module_ids=("m", "m", "m"), reset_flags=np.zeros(3, dtype=bool),
+                            exited=True, truncated=False)
+
+
+def _walker(ped_id, t0, n, y, dt=0.0625):
+    pos = np.column_stack([0.5 + dt * np.arange(n), np.full(n, y)])
+    vel = np.full_like(pos, np.nan)
+    vel[1:] = 1.0, 0.0
+    return Trajectory(ped_id=ped_id, t0=t0, dt=dt, positions=pos, velocities=vel)
+
+
+def test_run_tracks_count_steps_from_the_earliest_track():
+    # b, the earliest track, is too short to seed any window; it still sets
+    # step 0.  Positions are the trajectories' own, and dt is the one given.
+    a, b = _walker("a", 7, 3, 1.0), _walker("b", 4, 2, 2.0)
+    tracks = Run("r", (a, b)).tracks(0.0625)
+    assert [(t.ped_id, t.steps.tolist()) for t in tracks] == [("a", [3, 4, 5]), ("b", [0, 1])]
+    assert all(isinstance(t, Track) and t.dt == 0.0625 for t in tracks)
+    assert tracks[0].positions.tobytes() == a.positions.tobytes()
+    assert Run("empty", ()).tracks(0.0625) == []
+
+
+def test_metrics_reject_recorded_trajectories():
+    # A corridor run whose tracks start at frames 3 and 5, simulated by
+    # social force.  Against Run.tracks the steps align; an ingest
+    # Trajectory counts from its own frame, so the metrics refuse it
+    # rather than pair each simulated step with another recorded one.
+    dt, w = 0.0625, 8
+    run = Run("r", (_walker("a", 3, 40, 1.0), _walker("b", 5, 40, 2.0)))
+    tracks = run.tracks(dt)
+    config = SimulationConfig(scene=make_corridor(), dt=dt, params=ExtractionParams(window=w),
+                              pedestrians=tuple(seeds_from_run(tracks, w)), max_steps=60)
+    sim = sf_run(config, SFParams(), rng=np.random.default_rng(0)).trajectories
+    report = evaluate_run(sim, tracks, run="r", model="sf")
+    assert report.ped_ids == ("a", "b")
+    for got, track in zip(sorted(sim, key=lambda t: t.ped_id), tracks):
+        assert got.steps[:w].tolist() == track.steps[:w].tolist() == list(range(
+            track.steps[0], track.steps[0] + w))
+    with pytest.raises(TypeError, match="Trajectory"):
+        evaluate_run(sim, run.trajectories, run="r", model="sf")
+    with pytest.raises(TypeError, match="Trajectory"):
+        fundamental_diagram(run.trajectories, area=(0.0, 0.0, 6.0, 3.0), dt=dt)
 
 
 def test_evaluate_run_matches_ids_and_warns_on_mismatch():
@@ -242,12 +283,11 @@ def test_fd_density_halves_when_area_doubles():
         assert s.speed == b.speed
 
 
-def _fundamental_diagram_loop(trajectories, area, dt):
+def _fundamental_diagram_loop(tracks, area, dt):
     """The per-(frame, track) loop that fundamental_diagram replaced: the
     oracle it must equal bit for bit."""
     xmin, ymin, xmax, ymax = (float(v) for v in area)
     size = (xmax - xmin) * (ymax - ymin)
-    tracks = [as_track(t) for t in trajectories]
     points = []
     for frame in sorted({int(s) for t in tracks for s in t.steps}):
         count = 0

@@ -348,7 +348,7 @@ def test_gradient_arrays_come_from_backward_only() -> None:
     frozen.freeze()
     x = np.random.default_rng(43).normal(size=(4, 8, 6))
     frozen.predict(frozen.encode(x))
-    frozen.forward(x, cache=False)
+    frozen.forward(x)
     slots = gradient_slots(frozen)
     assert len(slots) == 3 * 6 + 3 * 2 + 2     # six convs, three projections, the head
     assert all(getattr(layer, name) is None for layer, name in slots)

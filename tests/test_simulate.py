@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crowdsim.simulate
 import crowdsim.social_force
@@ -15,7 +17,7 @@ from crowdsim.geometry import (
     project_on_segments,
     segment_terms,
 )
-from crowdsim.ingest import Trajectory
+from crowdsim.ingest import Run, Trajectory
 from crowdsim.network import NetworkConfig, VelocityPredictor
 from crowdsim.scene_library import make_bottleneck, make_composite, make_corridor
 from crowdsim.simulate import (
@@ -134,7 +136,6 @@ def test_seeded_prefix_fidelity_exact():
     result = run_simulation(_config(scene, [seed], max_steps=300),
                             _DriftOracle())
     traj = result.trajectories[0]
-    assert traj.entry_step == 5
     assert traj.steps[0] == 5
     assert np.array_equal(traj.positions[:8], seed.positions)
 
@@ -325,11 +326,49 @@ def test_seeds_from_run_shifts_entries():
         vel[1:] = np.diff(pos, axis=0) / 0.04
         return Trajectory(ped_id=ped, t0=t0, dt=0.04, positions=pos, velocities=vel)
 
-    seeds = seeds_from_run([traj("a", 30, 12), traj("b", 34, 9), traj("c", 40, 5)],
-                           window=8)
+    run = Run("r", (traj("a", 30, 12), traj("b", 34, 9), traj("c", 40, 5)))
+    seeds = seeds_from_run(run.tracks(0.04), window=8)
     assert [s.ped_id for s in seeds] == ["a", "b"]
     assert [s.entry_step for s in seeds] == [0, 4]
     assert seeds[0].positions.shape == (8, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(0, 30), st.integers(2, 20)), min_size=1,
+                      max_size=6),
+       window=st.integers(2, 10))
+@example(spans=[(3, 5), (5, 40), (9, 12)], window=8)    # the earliest seeds nothing
+@example(spans=[(4, 2), (4, 9), (0, 3)], window=8)      # nor do the two earliest
+def test_simulated_steps_start_at_their_recorded_tracks(spans, window):
+    # Random runs: tracks of random frames t0 and lengths, some shorter
+    # than the window, the earliest among them.  Every track at least w
+    # long is simulated, and its first w steps and positions are those of
+    # its `Run.tracks` track: seeds and the metrics' recorded side count
+    # steps from one origin.
+    dt = 0.0625
+    trajs = []
+    for i, (t0, n) in enumerate(spans):
+        pos = np.column_stack([0.5 + 0.05 * np.arange(n), np.full(n, 0.4 + 0.4 * i)])
+        vel = np.full_like(pos, np.nan)
+        vel[1:] = 0.8, 0.0
+        trajs.append(Trajectory(ped_id=f"p{i}", t0=t0, dt=dt, positions=pos, velocities=vel))
+    tracks = {t.ped_id: t for t in Run("r", tuple(trajs)).tracks(dt)}
+    assert min(t.steps[0] for t in tracks.values()) == 0
+    seeds = seeds_from_run(tracks.values(), window)
+    assert [s.ped_id for s in seeds] == [pid for pid, t in tracks.items()
+                                         if len(t.steps) >= window]
+    if not seeds:
+        return
+    config = SimulationConfig(scene=make_corridor(), dt=dt, pedestrians=tuple(seeds),
+                              params=ExtractionParams(window=window),
+                              max_steps=max(s.entry_step for s in seeds) + window)
+    result = sf_run(config, SFParams(), rng=np.random.default_rng(0))
+    assert len(result.trajectories) == len(seeds)
+    for sim in result.trajectories:
+        recorded = tracks[sim.ped_id]
+        assert sim.steps[:window].tolist() == recorded.steps[:window].tolist()
+        assert sim.positions[:window].tobytes() == recorded.positions[:window].tobytes()
 
 
 def test_result_rows_format():
@@ -851,16 +890,16 @@ def test_model_surface_and_one_record_per_pedestrian():
     fast, late = by_id["fast"], by_id["late"]
     assert fast.exited and not fast.truncated and late.truncated and result.truncated
     assert fast.module_ids[0] == "a" and fast.module_ids[-1] == "b"     # a junction hand-off
-    assert pending == [t < late.entry_step for t in range(len(pending))]
+    assert pending == [t < late.steps[0] for t in range(len(pending))]
     for traj in (fast, late):
-        last = traj.entry_step + len(traj.positions) - 1
+        last = traj.steps[0] + len(traj.positions) - 1
         entries = [e for e in log if e[1] == traj.ped_id]
         assert len(entries) == sim.step_index
         for step, _, module_id, active in entries:
-            if step < traj.entry_step:
+            if step < traj.steps[0]:
                 assert module_id is None and not active
             else:   # step t recorded the position of step t + 1, the last one at an exit
-                assert module_id == traj.module_ids[min(step + 1, last) - traj.entry_step]
+                assert module_id == traj.module_ids[min(step + 1, last) - traj.steps[0]]
                 assert active == (step + 1 < last or not traj.exited)
     assert [module_of(sim, slot) for slot in range(2)] == [fast.module_ids[-1],
                                                            late.module_ids[-1]]
@@ -954,7 +993,7 @@ def _assert_same_runs(got, want):
     assert got.truncated == want.truncated
     assert [t.ped_id for t in got.trajectories] == [t.ped_id for t in want.trajectories]
     for a, b in zip(got.trajectories, want.trajectories):
-        assert a.entry_step == b.entry_step
+        assert a.steps[0] == b.steps[0]
         assert a.positions.tobytes() == b.positions.tobytes()
         assert a.module_ids == b.module_ids
         assert a.reset_flags.tobytes() == b.reset_flags.tobytes()

@@ -377,7 +377,7 @@ def test_sf_run_records_nothing_before_entry_step():
     result = sf_run(_config(scene, seeds, max_steps=600), SFParams(),
                     desired_speeds={"early": 1.4, "late": 1.4})
     late = {t.ped_id: t for t in result.trajectories}["late"]
-    assert late.entry_step == 5 and late.steps[0] == 5
+    assert late.steps[0] == 5
     assert np.array_equal(late.positions[:8], np.tile([1.0, 1.4], (8, 1)))
     assert min(r[2] for r in result.to_rows("sf") if r[1] == "late") == 5
     assert late.exited and not late.reset_flags.any()
