@@ -57,10 +57,9 @@ EXTRACTION_FLAGS = {
 
 
 def _out_and_manifest(args, data, **fields) -> tuple[Path, RunManifest]:
-    """A command's output directory, made if missing, and its run manifest."""
+    """A command's output directory, made by its first write, and its run manifest."""
     out = Path(args.out if args.out is not None
                else os.environ.get(OUT_ENV_VAR, "."))
-    out.mkdir(parents=True, exist_ok=True)
     return out, RunManifest(command=args.command, scene=args.scene, data=tuple(data),
                             seed=args.seed, out=str(out), **fields)
 
@@ -147,9 +146,16 @@ def _load_tracks(path, run_name, scene) -> list[Track]:
     return _tracks_from_csv(path)
 
 
+def _module(scene, module_id: str):
+    """The module of a --module id; an unknown id is an error listing the known ones."""
+    if module_id not in (ids := [m.id for m in scene.modules]):
+        raise ValueError(f"unknown module id {module_id!r} (available: {ids})")
+    return scene.module(module_id)
+
+
 def _focus_area(scene, module_flag):
     if module_flag is not None:
-        return scene.module(module_flag).focus_area
+        return _module(scene, module_flag).focus_area
     areas = [(m.id, m.focus_area) for m in scene.modules if m.focus_area is not None]
     if not areas:
         return None
@@ -343,7 +349,7 @@ def cmd_fd(args) -> int:
         raise ValueError(f"{args.data}: no trajectories")
     dt = tracks[0].dt
     if args.module:
-        modules = [scene.module(m) for m in args.module]
+        modules = [_module(scene, m) for m in args.module]
     else:
         modules = [m for m in scene.modules if m.measurement_area is not None]
     if not modules:

@@ -4,6 +4,9 @@ Every file a command writes embeds the hash of the run manifest, so a
 result can always be traced back to the exact inputs and seeds that
 produced it.  Nothing here records wall-clock time: rerunning a command
 with an identical manifest must reproduce its outputs byte for byte.
+`write_csv` streams its rows.  The writers make a command's output
+directory at its first write, so a command that fails on its inputs
+leaves none.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -150,16 +154,15 @@ def _fmt(value) -> str:
 
 def write_csv(path, header: list[str], rows, manifest_hash: str,
               trailer: Optional[list[str]] = None) -> None:
-    """CSV with the manifest hash embedded as a leading comment line."""
-    lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
-    for row in rows:
-        plain = _PLAIN_TYPES.issuperset(map(type, row))
-        lines.append(",".join(map(str if plain else _fmt, row)))
-    for extra in trailer or []:
-        lines.append(f"# {extra}")
+    """CSV with the manifest hash embedded as a leading comment line; rows
+    may be any iterable, each written as it is formatted."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"# manifest_hash={manifest_hash}\n{','.join(header)}\n")
+        for row in rows:
+            plain = _PLAIN_TYPES.issuperset(map(type, row))
+            fh.write(",".join(map(str if plain else _fmt, row)) + "\n")
+        fh.writelines(f"# {extra}\n" for extra in trailer or [])
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -182,6 +185,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 def write_json(path, doc: dict, manifest_hash: str) -> None:
     doc = dict(doc)
     doc["manifest_hash"] = manifest_hash
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=1))
         fh.write("\n")

@@ -19,23 +19,22 @@ each slot's entry step, recorded length and exited flag.  A slot is
 pending while its length is 0, active until it exits, and truncated if
 still active when the run stops; during step t, reset flag t + 1 marks
 who has reset already.  T starts small and doubles as the run goes on.
-Module ids become strings only in `SimulationResult`, whose records
-are `metrics.Track`s, steps[0] being the entry step.
+The slot arrays are a finished run's only copy: `SimulationResult`'s
+records are `metrics.Track`s (steps[0] the entry step) that view them,
+with module ids as strings, and `to_rows` yields its CSV rows one by one.
 
 A step works on masks and index arrays over the slots, with no Python
 per pedestrian outside the model: entrants are one scatter, seeded
 proposals one gather from the (P, w, 2) seed array, and the commit one
-scatter.  The model surface is two methods on arrays: `_propose` (the
-next positions, and velocities if the model has them, of the moved
-slots, those past their seeded prefix) and `_blocked` (where the step's
-blocked moves go instead).  The one wall guard, right after `_propose`,
-tests every moved slot's move against its module's active walls and
-hands the crossing moves to `_blocked` together, with their walls.  A
-proposal outside every module snaps onto the nearest boundary edge
-within JUNCTION_SNAP (one `snap_to_modules` call per step); the moves
-that snap nowhere go to `_blocked` together with no walls.  The
-social-force baseline overrides both methods and holds every blocked
-move.
+scatter.  The model surface is two methods on arrays, `_propose` and
+`_blocked` (where the step's blocked moves go instead).  The one wall
+guard, right after `_propose`, tests every moved slot's move against its
+module's active walls and hands the crossing moves to `_blocked`
+together, with their walls.  A proposal outside every module snaps onto
+the nearest boundary edge within JUNCTION_SNAP (one `snap_to_modules`
+call per step); the moves that snap nowhere go to `_blocked` together
+with no walls.  The social-force baseline overrides both methods and
+holds every blocked move.
 
 The TCN's `_blocked` resets the history, one slot at a time: the most
 recent simulated steps (never the seeded prefix) are replaced by a guided
@@ -51,22 +50,16 @@ Each stage of a step is one kernel call for the whole crowd, and a stage
 with no rows calls none: the wall guard and the exit test are one
 `first_wall_crossings` call each, against `Scene.wall_table` and a
 per-module exit table with one row per pedestrian's module, and
-containment is one `containing_rows` call.  Feature windows live in one
-(P, w, E) ring of encoded rows over every pedestrian: a step encodes its
-rows with one `predictor.encode` call (block 0's first-layer products, so
-each row is multiplied once, not once per window that reads it) and
-writes them at t % w with one scatter, the predictor's input is one
-time-major gather over steps t-w+1 .. t, (w, n, E), passed as its
-(n, w, E) transposed view so the predictor's first block takes it
-without a copy, and a step's window rewrites are encoded in one call and
-written into the ring.  The TCN's step
-states live in a ring of the same layout: (P, w, 2, 2) positions and
-velocities as recorded at step s, at [slot, s % w], with a (P, w) mask of
-who was active then.  A TCN step writes both with one scatter, and the
-rewrite rows of a step are one gather of the recorded states of their
-steps, the subject's rewritten state scattered over its own entry;
-rewrites never write back into the state ring.  Social force, which
-reads neither ring, makes neither.
+containment is one `containing_rows` call.  The TCN keeps two rings over
+every pedestrian, at [slot, s % w] for step s: encoded feature rows
+(P, w, E), from one `predictor.encode` call per step (block 0's
+first-layer products, so each row is multiplied once, not once per window
+that reads it), and the states recorded at step s, (P, w, 2, 2).  The
+predictor's input is one time-major gather of the feature ring
+(`_windows`), and a step's window rewrites are one grouped extraction
+over the recorded states of the slots active at their steps, encoded in
+one call (`_flush_rewrites`); they never write back into the state ring.
+Social force, which reads neither ring, makes neither.
 """
 
 from __future__ import annotations
@@ -151,7 +144,11 @@ class SimulatedTrajectory(Track):
     module_ids: tuple[str, ...]
     reset_flags: np.ndarray     # (n,) bool
     exited: bool
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        """Still active when the run stopped."""
+        return not self.exited
 
 
 TRAJECTORY_HEADER = ["run", "ped_id", "step", "time_s", "x_m", "y_m",
@@ -165,16 +162,14 @@ class SimulationResult:
     trajectories: tuple[SimulatedTrajectory, ...]
     truncated: bool
 
-    def to_rows(self, run_name: str) -> list[list]:
-        """Rows under TRAJECTORY_HEADER, pedestrians in id order."""
-        rows, dt = [], float(self.dt)
+    def to_rows(self, run_name: str):
+        """Rows under TRAJECTORY_HEADER, pedestrians in id order, one at a time."""
+        dt = float(self.dt)
         for traj in sorted(self.trajectories, key=lambda t: t.ped_id):
             for step, (x, y), module_id, reset in zip(traj.steps.tolist(),
                                                       traj.positions.tolist(),
                                                       traj.module_ids, traj.reset_flags.tolist()):
-                rows.append([run_name, traj.ped_id, step, step * dt, x, y, module_id,
-                             int(reset)])
-        return rows
+                yield [run_name, traj.ped_id, step, step * dt, x, y, module_id, int(reset)]
 
 
 def snap_to_modules(scene: Scene, points):
@@ -217,10 +212,9 @@ class Simulator:
         self._vel = np.zeros((n, 16, 2))
         self._row = np.zeros((n, 16), dtype=int)        # Scene.wall_table row of the module
         self._flag = np.zeros((n, 16), dtype=bool)      # reset flags; step t's resets set t + 1
-        # encoded feature row of step s of the pedestrian in slot i at
-        # ring[i, s % w], and the position and velocity recorded then, and
-        # whether active; made by the first _store, on the TCN path only
-        self._ring = self._states = self._recorded = None
+        # slot i's encoded feature row of step s at ring[i, s % w], and its
+        # state recorded then; made by the first _store, on the TCN path only
+        self._ring = self._states = None
         self._rewrites: list = []           # (slot, s), extracted at step end
         scene = config.scene
         self._wall_table = scene.wall_table     # (table, valid)
@@ -389,8 +383,6 @@ class Simulator:
         block reads without a copy."""
         w = self.config.params.window
         self._store(active, t % w, self._step_features(active, pos, vel))
-        self._recorded[:, t % w] = False
-        self._recorded[active, t % w] = True
         self._states[active, t % w] = np.stack((pos, vel), axis=1)
         cols = np.arange(t + 1, t + w + 1) % w
         return self._ring[active[moved][None, :], cols[:, None]].transpose(1, 0, 2)
@@ -403,7 +395,7 @@ class Simulator:
         if self._ring is None:
             shape = (len(self._ids), self.config.params.window)
             self._ring = np.zeros(shape + encoded.shape[1:])
-            self._states, self._recorded = np.zeros(shape + (2, 2)), np.zeros(shape, dtype=bool)
+            self._states = np.zeros(shape + (2, 2))
         self._ring[slots, cols] = encoded
 
     def _crossings(self, p_from: np.ndarray, p_to: np.ndarray, table: np.ndarray,
@@ -432,21 +424,18 @@ class Simulator:
         while self.step_index < self.config.max_steps and (
                 self._active().size or self._has_pending()):
             self.step()
-        truncated = (self._length > 0) & ~self._exited       # active when the run stopped
         ids = [m.id for m in self.config.scene.modules]
         trajectories = []
         for slot in np.flatnonzero(self._length).tolist():
-            steps = np.arange(self._entry[slot], self._entry[slot] + self._length[slot])
+            span = slice(self._entry[slot], self._entry[slot] + self._length[slot])
             trajectories.append(SimulatedTrajectory(
-                ped_id=self._ids[slot], steps=steps, dt=self.config.dt,
-                positions=self._pos[slot, steps],
-                module_ids=tuple(ids[r] for r in self._row[slot, steps].tolist()),
-                reset_flags=self._flag[slot, steps],
-                exited=bool(self._exited[slot]), truncated=bool(truncated[slot]),
-            ))
+                ped_id=self._ids[slot], steps=np.arange(span.start, span.stop),
+                dt=self.config.dt, positions=self._pos[slot, span],
+                module_ids=tuple(ids[r] for r in self._row[slot, span].tolist()),
+                reset_flags=self._flag[slot, span], exited=bool(self._exited[slot])))
+        truncated = any(t.truncated for t in trajectories) or self._has_pending()
         return SimulationResult(scene=self.config.scene, dt=self.config.dt,
-                                trajectories=tuple(trajectories),
-                                truncated=bool(truncated.any()) or self._has_pending())
+                                trajectories=tuple(trajectories), truncated=truncated)
 
     # -- the TCN's reset --------------------------------------------------
 
@@ -547,7 +536,8 @@ class Simulator:
             return
         slots, steps = np.array(self._rewrites).T
         cols = steps % self.config.params.window
-        group, entry = np.nonzero(self._recorded[:, cols].T)
+        s = steps[:, None]      # a length counts the state after the last active step
+        group, entry = np.nonzero((self._entry <= s) & (s <= self._entry + self._length - 2))
         states = self._states[entry, cols[group]]
         subject = entry == slots[group]
         states[subject] = np.stack((self._pos[slots, steps], self._vel[slots, steps]), axis=1)

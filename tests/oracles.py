@@ -692,7 +692,6 @@ class _PedRuntime:
     modules: list = field(default_factory=list)
     reset_flags: list = field(default_factory=list)
     exited: bool = False
-    truncated: bool = False
     _proposal: Optional[np.ndarray] = None
     _velocity: Optional[np.ndarray] = None   # model velocity, kept if _proposal commits as is
     _predicted: bool = False
@@ -738,6 +737,9 @@ class ListSimulator(Simulator):
         self._peds = [_PedRuntime(seed=s, slot=i) for i, s in
                       enumerate(sorted(config.pedestrians, key=lambda s: s.ped_id))]
         self._rows = {m.id: row for row, m in enumerate(config.scene.modules)}
+        # who was active at step s, at [slot, s % w]: the record that
+        # Simulator derives from its slots' entry steps and lengths
+        self._recorded = np.zeros((len(self._peds), config.params.window), dtype=bool)
 
     def _active(self) -> list[_PedRuntime]:
         return [p for p in self._peds if p.positions and not p.exited]
@@ -877,14 +879,8 @@ class ListSimulator(Simulator):
                              self.config.scene, self.config.params)
 
     def run(self) -> SimulationResult:
-        while True:
-            active = self._active()
-            if not active and not self._has_pending():
-                break
-            if self.step_index >= self.config.max_steps:
-                for ped in active:
-                    ped.truncated = True
-                break
+        while self.step_index < self.config.max_steps and (
+                self._active() or self._has_pending()):
             self.step()
         trajectories = []
         for ped in self._peds:
@@ -895,7 +891,7 @@ class ListSimulator(Simulator):
                 dt=self.config.dt, positions=np.asarray(ped.positions, dtype=float),
                 module_ids=tuple(ped.modules),
                 reset_flags=np.asarray(ped.reset_flags, dtype=bool),
-                exited=ped.exited, truncated=ped.truncated,
+                exited=ped.exited,
             ))
         truncated = any(t.truncated for t in trajectories) or self._has_pending()
         return SimulationResult(scene=self.config.scene, dt=self.config.dt,

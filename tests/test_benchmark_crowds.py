@@ -78,7 +78,7 @@ def test_benchmark_crowds_give_the_list_reference_trajectories(tmp_path, seed, s
              ListSocialForceSimulator(config, SFParams(), speeds).run())]
     for got, want in runs:
         assert len(got.trajectories) == len(config.pedestrians)
-        assert got.to_rows("crowd") == want.to_rows("crowd")
+        assert list(got.to_rows("crowd")) == list(want.to_rows("crowd"))
         for a, b in zip(got.trajectories, want.trajectories):
             assert a.positions.tobytes() == b.positions.tobytes()
             assert a.reset_flags.tobytes() == b.reset_flags.tobytes()

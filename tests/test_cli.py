@@ -249,6 +249,39 @@ def test_a_bad_training_setting_leaves_no_output_directory(pipeline, tmp_path, c
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--data", "{missing}"],
+    ["train", "--data", "{missing}"],
+    ["simulate", "--data", "{missing}", "--model", "sf"],
+    ["evaluate", "--data", "{archive}", "--sim", "{missing}"],
+    ["fd", "--data", "{missing}"],
+    ["sensitivity", "--data", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_an_input_error_leaves_no_output_directory(pipeline, tmp_path, capsys, argv):
+    # --out is made by a command's first write, so one that fails on its
+    # inputs leaves nothing behind
+    paths = {"missing": tmp_path / "absent.json",
+             "archive": pipeline["ingest"] / "dataset.json"}
+    out = tmp_path / "out"
+    assert main([argv[0], "--scene", "corridor", *(a.format(**paths) for a in argv[1:]),
+                 "--out", str(out)]) == 1
+    assert "absent.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_module_id_is_named_with_the_known_ones(pipeline, tmp_path, capsys):
+    sim_csv = str(pipeline["sim_sf"] / "trajectories.csv")
+    for argv in (["ingest", "--data", str(pipeline["raw"]), "--fps", "16"],
+                 ["evaluate", "--data", sim_csv, "--sim", sim_csv],
+                 ["fd", "--data", sim_csv]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--scene", "corridor", *argv[1:], "--module", "nope",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown module id 'nope' (available: ['corridor'])\n", argv
+        assert not out.exists()
+
+
 def test_simulate_output_format(pipeline):
     for key, model in (("sim_tcn", "tcn"), ("sim_sf", "sf")):
         path = pipeline[key] / "trajectories.csv"

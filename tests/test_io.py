@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from crowdsim.io import (Checkpoint, RunManifest, canonical_json, derive_seed,
                          load_checkpoint, read_csv, save_checkpoint, substream,
                          write_csv, write_json)
 from crowdsim.network import NetworkConfig, TrainingConfig, VelocityPredictor
+from crowdsim.scene_library import make_corridor
+from crowdsim.simulate import TRAJECTORY_HEADER, SimulatedTrajectory, SimulationResult
 
 
 def _manifest(**over):
@@ -209,3 +212,38 @@ def test_write_json_embeds_hash(tmp_path):
 def test_canonical_json_sorted_and_compact():
     s = canonical_json({"b": 1, "a": [1.5, 2]})
     assert s == '{"a":[1.5,2],"b":1}'
+
+
+def _plain_rows(n):
+    return lambda: (["p", i, i * 0.25, True] for i in range(n))
+
+
+def _trajectory_rows(n, steps=100):
+    """to_rows of a finished run of n // steps pedestrians of `steps` steps each."""
+    line = np.stack([np.linspace(0.0, 4.0, steps), np.full(steps, 1.5)], axis=1)
+    records = tuple(SimulatedTrajectory(
+        ped_id=f"p{i:05d}", steps=i + np.arange(steps), dt=0.0625, positions=line,
+        module_ids=("corridor",) * steps, reset_flags=np.zeros(steps, dtype=bool),
+        exited=True) for i in range(n // steps))
+    result = SimulationResult(scene=make_corridor(), dt=0.0625, trajectories=records,
+                              truncated=False)
+    return lambda: result.to_rows("run")
+
+
+@pytest.mark.parametrize("rows", [_plain_rows, _trajectory_rows], ids=["plain", "trajectories"])
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path, rows):
+    # Rows are written as they are formatted: the peak of making and writing
+    # 100k rows stays within twice the peak of making and writing 1k.
+    def peak(n):
+        make = rows(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / f"{n}.csv", TRAJECTORY_HEADER, make(), "h")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_000), peak(100_000)
+    assert large < 2 * small, (small, large)
+    assert len(read_csv(tmp_path / "100000.csv")[1]) == 100_000

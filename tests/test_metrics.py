@@ -121,7 +121,7 @@ def test_simulated_trajectory_is_a_track_starting_at_its_entry():
     pos = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
     sim = SimulatedTrajectory(ped_id="a", steps=3 + np.arange(3), dt=0.04, positions=pos,
                               module_ids=("m", "m", "m"), reset_flags=np.zeros(3, dtype=bool),
-                              exited=True, truncated=False)
+                              exited=True)
     assert isinstance(sim, Track)
     assert sim.steps.tolist() == [3, 4, 5]
     np.testing.assert_array_equal(sim.positions, pos)
@@ -129,7 +129,7 @@ def test_simulated_trajectory_is_a_track_starting_at_its_entry():
     with pytest.raises(ValueError, match="strictly increasing"):
         SimulatedTrajectory(ped_id="a", steps=[3, 3, 4], dt=0.04, positions=pos,
                             module_ids=("m", "m", "m"), reset_flags=np.zeros(3, dtype=bool),
-                            exited=True, truncated=False)
+                            exited=True)
 
 
 def _walker(ped_id, t0, n, y, dt=0.0625):

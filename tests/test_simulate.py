@@ -140,6 +140,19 @@ def test_seeded_prefix_fidelity_exact():
     assert np.array_equal(traj.positions[:8], seed.positions)
 
 
+def test_records_are_views_of_the_slot_arrays():
+    # a finished run has one representation: each record's positions and
+    # reset flags are slices of the simulator's slot arrays, not copies
+    seeds = [_moving_seed("a", (0.6, 1.0), (0.9, 0.05), 0.04),
+             _moving_seed("b", (1.0, 2.0), (0.7, -0.1), 0.04, entry=5)]
+    sim = Simulator(_config(make_corridor(), seeds, max_steps=60), _DriftOracle())
+    result = sim.run()
+    assert len(result.trajectories) == 2
+    for traj in result.trajectories:
+        assert np.shares_memory(traj.positions, sim._pos)
+        assert np.shares_memory(traj.reset_flags, sim._flag)
+
+
 def test_zero_velocity_oracle_is_fixed_point():
     scene = make_corridor()
     seeds = [_stationary_seed("1", (2.0, 1.0)), _stationary_seed("2", (3.0, 2.0))]
@@ -376,7 +389,7 @@ def test_result_rows_format():
     seeds = [_moving_seed("p", (5.6, 1.5), (1.0, 0.0), 0.04)]
     result = run_simulation(_config(scene, seeds, max_steps=100),
                             ConstantVelocityOracle((1.0, 0.0)))
-    rows = result.to_rows("E080-C300")
+    rows = list(result.to_rows("E080-C300"))
     assert rows[0][:3] == ["E080-C300", "p", 0]
     assert rows[0][3] == 0.0
     assert rows[1][3] == pytest.approx(0.04)
@@ -694,7 +707,7 @@ def test_batched_wall_guard_gives_the_scalar_trajectories(model, monkeypatch):
                    for t in shipped.trajectories)
     monkeypatch.setattr(crowdsim.simulate, "first_wall_crossings", _scalar_crossings)
     monkeypatch.setattr(crowdsim.simulate, "containing_rows", _scalar_rows)
-    assert run().to_rows("r") == shipped.to_rows("r")
+    assert list(run().to_rows("r")) == list(shipped.to_rows("r"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -955,7 +968,8 @@ def test_a_pedestrian_resets_at_most_once_per_step():
     assert reset == 45 and abs(traj.positions[44, 0] - 3.97) < 1e-9
     assert traj.positions[45].tobytes() == traj.positions[44].tobytes()
     assert all(point_in_module(scene, p) == "a" for p in traj.positions)
-    assert result.to_rows("r") == ListSimulator(config, _ScriptOracle(script)).run().to_rows("r")
+    assert list(result.to_rows("r")) == list(
+        ListSimulator(config, _ScriptOracle(script)).run().to_rows("r"))
 
 
 def test_junction_snap_ties_go_to_the_earlier_module():
