@@ -128,8 +128,8 @@ def evaluate_run(sim_tracks, exp_tracks, run: str, model: str,
     an iterable of Tracks.
 
     Ids present on only one side are excluded with a warning naming them,
-    and so are pedestrians whose recorded track never enters the focus
-    area, with a warning giving their count.
+    and so are pedestrians whose recorded or simulated track never enters
+    the focus area, with one warning per side giving their count.
     """
     sim_by_id = {t.ped_id: t for t in _tracks(sim_tracks)}
     exp_by_id = {t.ped_id: t for t in _tracks(exp_tracks)}
@@ -141,20 +141,22 @@ def evaluate_run(sim_tracks, exp_tracks, run: str, model: str,
     if not matched:
         raise ValueError(f"run {run!r}: no pedestrian ids in common")
     exp_inside = {pid: _inside(exp_by_id[pid], focus_area) for pid in matched}
+    sim_inside = {pid: _inside(sim_by_id[pid], focus_area) for pid in matched}
     if focus_area is not None:
-        entering = [pid for pid in matched if exp_inside[pid].any()]
-        if len(entering) < len(matched):
-            warnings.warn(f"run {run!r}: excluding {len(matched) - len(entering)} "
-                          "pedestrians whose recorded track never enters the focus area",
-                          RuntimeWarning)
-        if not entering:
-            raise ValueError(f"run {run!r}: no recorded track enters the focus area")
-        matched = entering
+        for side, inside in (("recorded", exp_inside), ("simulated", sim_inside)):
+            entering = [pid for pid in matched if inside[pid].any()]
+            if len(entering) < len(matched):
+                warnings.warn(f"run {run!r}: excluding {len(matched) - len(entering)} "
+                              f"pedestrians whose {side} track never enters the focus area",
+                              RuntimeWarning)
+            if not entering:
+                raise ValueError(f"run {run!r}: no {side} track enters the focus area")
+            matched = entering
     ades, fdes, ttes = [], [], []
     for pid in matched:
         sim, exp = sim_by_id[pid], exp_by_id[pid]
         ades.append(ade(sim, exp))
-        f, t = _fde_tte(sim, exp, _inside(sim, focus_area), exp_inside[pid])
+        f, t = _fde_tte(sim, exp, sim_inside[pid], exp_inside[pid])
         fdes.append(f)
         ttes.append(t)
     return MetricReport(run=run, model=model, ped_ids=tuple(matched),

@@ -36,26 +36,27 @@ call per step); the moves that snap nowhere go to `_blocked` together
 with no walls.  The social-force baseline overrides both methods and
 holds every blocked move.
 
-The TCN's `_blocked` resets the history, one slot at a time: the most
-recent simulated steps (never the seeded prefix) are replaced by a guided
-constant-speed path 0.05 m clear of the wall (with no wall, its module's
-nearest), aimed along it toward the exit (or straight at the exit
-midpoint in bottleneck modules), and those steps' window features are
-re-extracted against the neighbours' states as recorded at each step, all
-of a step's rewrites in one call at step end.  If the guided path would
-cross a wall, the pedestrian has reset already this step, or a stranded
-move's module has no active walls, it holds position.
+The TCN's `_blocked` resets its blocked pedestrians together: each one's
+most recent simulated steps (never the seeded prefix) are replaced by a
+guided constant-speed path 0.05 m clear of its wall (with no wall, its
+module's nearest), aimed along it toward the exit (or straight at the
+exit midpoint in bottleneck modules), else by standing there, and those
+steps' window features are re-extracted against the neighbours' states
+as recorded at each step, all of a step's rewrites in one call at step
+end.  If neither path is clear, the pedestrian has reset already this
+step, or a stranded move's module has no active walls, it holds position.
 
 Each stage of a step is one kernel call for the whole crowd, and a stage
 with no rows calls none: the wall guard and the exit test are one
 `first_wall_crossings` call each, against `Scene.wall_table` and a
-per-module exit table with one row per pedestrian's module, and
-containment is one `containing_rows` call.  The TCN keeps two rings over
-every pedestrian, at [slot, s % w] for step s: encoded feature rows
-(P, w, E), from one `predictor.encode` call per step (block 0's
-first-layer products, so each row is multiplied once, not once per window
-that reads it), and the states recorded at step s, (P, w, 2, 2).  The
-predictor's input is one time-major gather of the feature ring
+per-module exit table with one row per pedestrian's module, containment
+is one `containing_rows` call, and so is each stage of a reset, from the
+clear points to the chain tests (`_path_clear`).  The TCN keeps two
+rings over every pedestrian, at [slot, s % w] for step s: encoded
+feature rows (P, w, E), from one `predictor.encode` call per step (block
+0's first-layer products, so each row is multiplied once, not once per
+window that reads it), and the states recorded at step s, (P, w, 2, 2).
+The predictor's input is one time-major gather of the feature ring
 (`_windows`), and a step's window rewrites are one grouped extraction
 over the recorded states of the slots active at their steps, encoded in
 one call (`_flush_rewrites`); they never write back into the state ring.
@@ -350,27 +351,97 @@ class Simulator:
         next goes to the module containing it (a crossing move's next is
         tested as its proposal).
 
-        The TCN resets each against its wall (with no wall, its module's
-        nearest), and holds a pedestrian that has reset already this step
-        or is stranded in a module with no active walls.
+        The TCN resets them together, each against its wall (with no wall,
+        its module's nearest) and in its own slot only, and holds a
+        pedestrian that has reset already this step or is stranded in a
+        module with no active walls.
         """
+        w, dt = self.config.params.window, self.config.dt
         table, valid = self._wall_table
-        nxt = self._pos[slots, t]
-        held = self._flag[slots, t + 1]
-        for i, slot in enumerate(slots.tolist()):
-            if held[i]:
-                continue
-            if walls is not None:
-                wall = walls[i]
-            else:
-                row = self._row[slot, t]
-                own = table[row, valid[row]]
-                if not len(own):
-                    held[i] = True
-                    continue
-                _, gaps = closest_points_on_segments(nxt[i], own[:, 0], own[:, 1])
-                wall = own[int(np.argmin(gaps))]
-            nxt[i] = self._reset(slot, wall, t)
+        nxt, rows, held = self._pos[slots, t], self._row[slots, t], self._flag[slots, t + 1]
+        if walls is None:
+            held |= ~valid[rows].any(axis=1)
+        go = np.flatnonzero(~held)
+        self._flag[slots[go], t + 1] = True
+        exit_mid = np.array([m.exit.mean(axis=0) for m in self.config.scene.modules])[rows]
+        bottleneck = np.array([m.kind == "bottleneck" for m in self.config.scene.modules])[rows]
+        vec = exit_mid - nxt
+        nrm = np.hypot(vec[:, 0], vec[:, 1])
+        go = go[~(bottleneck[go] & (nrm[go] < 1e-9))]   # at a bottleneck's exit: stays put
+        if not go.size:
+            return nxt, held
+        slot, row, pos, vec, nrm = slots[go], rows[go], nxt[go], vec[go], nrm[go]
+        if walls is None:
+            own = table[row]
+            gaps = closest_points_on_segments(pos[:, None], own[:, :, 0], own[:, :, 1])[1]
+            walls = own[np.arange(len(go)), np.argmin(np.where(valid[row], gaps, np.inf), 1)]
+        else:
+            walls = walls[go]
+
+        # the direction along the wall toward the exit midpoint (straight at
+        # it in a bottleneck), and the clear point p_hat: the position, or
+        # WALL_CLEARANCE off the wall along its normal toward the midpoint
+        along = walls[:, 1] - walls[:, 0]
+        along = along / np.hypot(along[:, 0], along[:, 1])[:, None]
+        normal = np.stack((-along[:, 1], along[:, 0]), axis=1)
+        c, dist = closest_points_on_segments(pos, walls[:, 0], walls[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direction = np.where(bottleneck[go, None], vec / nrm[:, None],
+                                 np.where(np.vecdot(along, vec)[:, None] >= 0.0, along, -along))
+            away = (pos - c) / dist[:, None]
+        normal = np.where(np.vecdot(normal, exit_mid[go] - c)[:, None] < 0.0, -normal, normal)
+        normal = np.where(dist[:, None] > 1e-12, away, normal)
+        p_hat = np.where(dist[:, None] >= WALL_CLEARANCE, pos, c + normal * WALL_CLEARANCE)
+
+        # the steps to rewrite, the simulated ones of the window (never the
+        # seeded prefix), t - w + 1 + c at its columns c >= first; each
+        # reset's speed is np.mean of its own steps' (pairwise past 8)
+        first = np.maximum(0, self._entry[slot] + 2 * w - 1 - t)
+        speed = np.zeros(len(go))
+        for f in set(first.tolist()) - {w}:
+            v = self._vel[slot[first == f], t - w + 1 + f:t + 1]
+            speed[first == f] = np.mean(np.hypot(v[..., 0], v[..., 1]), axis=1)
+        speed = np.maximum(speed, MIN_GUIDED_SPEED)
+        prev = self._pos[slot, t - w + first]
+        back = np.arange(w - 1, -1, -1.0)[:, None]         # column c: w - 1 - c steps before t
+
+        # the guided path at speed, else standing at p_hat; zeros, not
+        # direction * 0.0, keep the standing velocities and offsets +0.0
+        step_vel = direction * speed[:, None]
+        ok = np.zeros(len(go), dtype=bool)
+        todo = np.flatnonzero(first < w)
+        for standing in (False, True):
+            if standing:
+                todo = todo[~ok[todo]]
+                speed[todo], step_vel[todo] = 0.0, 0.0
+            points = p_hat[:, None] - (step_vel * dt)[:, None] * back
+            if todo.size:
+                chains = np.concatenate((points[todo, :1], points[todo]), axis=1)
+                chains[np.arange(len(todo)), first[todo]] = prev[todo]
+                ok[todo] = self._path_clear(chains, first[todo], row[todo], walls[todo])
+
+        # rewrites queue slot by slot, then step by step: encode may round a row by its place
+        done = np.flatnonzero(ok)
+        i, col = np.nonzero(np.arange(w) >= first[done][:, None])
+        who, steps = slot[done[i]], t - w + 1 + col
+        self._pos[who, steps] = points[done[i], col]
+        self._vel[who, steps] = step_vel[done[i]]
+        self._vel[slot[done], t - w + 1 + first[done]] = (
+            (points[done, first[done]] - prev[done]) / dt)
+        self._flag[who, steps] = True
+        self._rewrites += zip(who.tolist(), steps.tolist())
+
+        # one crossing test for the next moves: a first predicted step's
+        # sidestep pos -> p_hat, and a moving path's step p_hat -> ahead
+        ahead = p_hat + direction * speed[:, None] * dt
+        side = ((first == w) & (np.hypot(*(p_hat - pos).T) >= 1e-12))[:, None]
+        start, end = np.where(side, pos, p_hat), np.where(side, p_hat, ahead)
+        test = side[:, 0] | ok & (speed > 0.0)
+        hit = np.zeros(len(go), dtype=bool)
+        if test.any():
+            hit[test] = first_wall_crossings(start[test], end[test], table, valid, row[test]) >= 0
+        nxt[go] = np.select([(ok & ~hit)[:, None], (ok | (first == w) & ~hit)[:, None]],
+                            [ahead, p_hat], pos)
         return nxt, held
 
     def _windows(self, active: np.ndarray, moved: np.ndarray, pos: np.ndarray,
@@ -407,13 +478,6 @@ class Simulator:
             return np.full(0, -1)
         return first_wall_crossings(p_from, p_to, table, valid, rows)
 
-    def _module_crossings(self, row: int, p_from, p_to) -> np.ndarray:
-        """`first_wall_crossings` of moves p_from -> p_to against the active
-        walls of one module, by its `Scene.wall_table` row."""
-        p_from = np.reshape(p_from, (-1, 2))
-        return first_wall_crossings(p_from, p_to, *self._wall_table,
-                                    np.full(len(p_from), row))
-
     def _step_features(self, active: np.ndarray, pos: np.ndarray,
                        vel: np.ndarray) -> np.ndarray:
         """Feature rows of the active slots at states pos, vel, (N, D)."""
@@ -439,88 +503,21 @@ class Simulator:
 
     # -- the TCN's reset --------------------------------------------------
 
-    def _clear_point(self, p: np.ndarray, wall: np.ndarray, toward: np.ndarray) -> np.ndarray:
-        (c,), (dist,) = closest_points_on_segments(p, wall[:1], wall[1:])
-        if dist >= WALL_CLEARANCE:
-            return p.copy()
-        if dist > 1e-12:
-            n = (p - c) / dist
-        else:
-            d = wall[1] - wall[0]
-            n = np.array([-d[1], d[0]]) / np.hypot(*d)
-            if float(n @ (toward - c)) < 0.0:
-                n = -n
-        return c + n * WALL_CLEARANCE
-
-    def _path_clear(self, prev: np.ndarray, points: list, row: int,
-                    violated: np.ndarray) -> bool:
-        chain = np.array([prev] + points)
-        a, b = chain[:-1], chain[1:]
+    def _path_clear(self, chains: np.ndarray, first: np.ndarray, rows: np.ndarray,
+                    violated: np.ndarray) -> np.ndarray:
+        """Whether each chain is clear, (b,) bool.  Chain i, chains[i,
+        first[i]:] (b, k, 2), is a last kept position and then guided points
+        that may not move across the active walls of table row rows[i], come
+        within WALL_CLEARANCE of wall violated[i] or leave every module.  One
+        kernel call per test over every chain; earlier columns are not read."""
+        i, col = np.nonzero(np.arange(chains.shape[1]) > first[:, None])
+        a, b = chains[i, col - 1], chains[i, col]
         moves = np.hypot(*(b - a).T) > 1e-12
-        gaps = closest_points_on_segments(b[:, None], violated[:1], violated[1:])[1]
-        return not (np.any(self._module_crossings(row, a[moves], b[moves]) >= 0)
-                    or np.any(gaps < WALL_CLEARANCE - 1e-9)
-                    or np.any(containing_rows(self.config.scene, b) < 0))
-
-    def _reset(self, slot: int, wall: np.ndarray, t: int) -> np.ndarray:
-        """Replace recent simulated history with a guided wall-clear path;
-        returns the next position."""
-        cfg = self.config
-        w = cfg.params.window
-        dt = cfg.dt
-        self._flag[slot, t + 1] = True
-        pos_t = self._pos[slot, t].copy()
-        row = int(self._row[slot, t])
-        module = cfg.scene.modules[row]
-        exit_mid = module.exit.mean(axis=0)
-
-        if module.kind == "bottleneck":
-            vec = exit_mid - pos_t
-            nrm = float(np.hypot(*vec))
-            if nrm < 1e-9:
-                return pos_t
-            direction = vec / nrm
-        else:
-            d = wall[1] - wall[0]
-            d = d / float(np.hypot(*d))
-            direction = d if float(d @ (exit_mid - pos_t)) >= 0.0 else -d
-
-        p_hat = self._clear_point(pos_t, wall, exit_mid)
-        r0 = max(t - w + 1, int(self._entry[slot]) + w)     # the first predicted step
-        steps = list(range(r0, t + 1))
-
-        if not steps:
-            # first predicted step: the whole window is the seeded prefix,
-            # which is never rewritten; just sidestep clear of the wall
-            if (np.hypot(*(p_hat - pos_t)) < 1e-12
-                    or self._module_crossings(row, pos_t, p_hat)[0] < 0):
-                return p_hat
-            return pos_t
-
-        m = len(steps)
-        speeds = [float(np.hypot(*self._vel[slot, s])) for s in steps]
-        speed = max(float(np.mean(speeds)), MIN_GUIDED_SPEED)
-        prev = self._pos[slot, r0 - 1].copy()
-
-        # the guided path at speed, else standing at p_hat; zeros, not
-        # direction * 0.0, keep the standing velocities and offsets +0.0
-        for speed, step_vel in ((speed, direction * speed), (0.0, np.zeros(2))):
-            guided = [p_hat - step_vel * dt * (m - 1 - j) for j in range(m)]
-            if self._path_clear(prev, guided, row, wall):
-                break
-        else:
-            return pos_t
-
-        self._pos[slot, r0:t + 1] = guided
-        self._vel[slot, r0] = (guided[0] - prev) / dt
-        self._vel[slot, r0 + 1:t + 1] = step_vel
-        self._flag[slot, r0:t + 1] = True
-        self._rewrites += [(slot, s) for s in steps]
-
-        nxt = p_hat + direction * speed * dt
-        if speed > 0.0 and self._module_crossings(row, p_hat, nxt)[0] >= 0:
-            return p_hat.copy()
-        return nxt
+        gaps = closest_points_on_segments(b, violated[i, 0], violated[i, 1])[1]
+        bad = (gaps < WALL_CLEARANCE - 1e-9) | (containing_rows(self.config.scene, b) < 0)
+        bad[moves] |= first_wall_crossings(a[moves], b[moves], *self._wall_table,
+                                           rows[i[moves]]) >= 0
+        return np.bincount(i[bad], minlength=len(chains)) == 0
 
     def _flush_rewrites(self) -> None:
         """Extract every queued rewrite row in one call, encode them in one

@@ -932,6 +932,19 @@ class ListSimulator(Simulator):
         ped.modules.append(module_id)
         ped.reset_flags.append(ped._reset_now)
 
+    def _clear_point(self, p: np.ndarray, wall: np.ndarray, toward: np.ndarray) -> np.ndarray:
+        (c,), (dist,) = closest_points_on_segments(p, wall[:1], wall[1:])
+        if dist >= WALL_CLEARANCE:
+            return p.copy()
+        if dist > 1e-12:
+            n = (p - c) / dist
+        else:
+            d = wall[1] - wall[0]
+            n = np.array([-d[1], d[0]]) / np.hypot(*d)
+            if float(n @ (toward - c)) < 0.0:
+                n = -n
+        return c + n * WALL_CLEARANCE
+
     def _path_clear(self, prev: np.ndarray, points: list, module_id: str,
                     violated: np.ndarray) -> bool:
         chain = np.array([prev] + points)

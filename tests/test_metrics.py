@@ -205,12 +205,30 @@ def test_evaluate_run_excludes_recorded_tracks_outside_the_focus_area():
     assert report.fde_values[0] == 0.0
 
 
+def test_evaluate_run_excludes_simulated_tracks_outside_the_focus_area():
+    # b's simulated track never enters the area (say, truncated before it
+    # reaches the module) and c's recorded one never does: one warning per
+    # side gives the count, and a alone is scored.
+    area = (0.0, 0.0, 1.0, 1.0)
+    inside = np.cumsum(np.full((10, 2), 0.05), axis=0)
+    outside = inside + 5.0
+    sims = [_track("a", inside), _track("b", outside), _track("c", inside)]
+    exps = [_track("a", inside), _track("b", inside), _track("c", outside)]
+    with pytest.warns(RuntimeWarning) as caught:
+        report = evaluate_run(sims, exps, run="r", model="tcn", focus_area=area)
+    assert [str(w.message) for w in caught] == [
+        "run 'r': excluding 1 pedestrians whose recorded track never enters the focus area",
+        "run 'r': excluding 1 pedestrians whose simulated track never enters the focus area"]
+    assert report.ped_ids == ("a",) and report.fde_values[0] == 0.0
+
+
 def test_evaluate_run_raises_when_simulated_track_misses_the_focus_area():
     area = (0.0, 0.0, 1.0, 1.0)
     inside = np.cumsum(np.full((10, 2), 0.05), axis=0)
-    with pytest.raises(ValueError, match="'a' never enters the focus area"):
-        evaluate_run([_track("a", inside + 5.0)], [_track("a", inside)],
-                     run="r", model="sf", focus_area=area)
+    with pytest.warns(RuntimeWarning, match="excluding 1 pedestrians whose simulated track"):
+        with pytest.raises(ValueError, match="no simulated track enters the focus area"):
+            evaluate_run([_track("a", inside + 5.0)], [_track("a", inside)],
+                         run="r", model="sf", focus_area=area)
 
 
 def test_evaluate_run_raises_when_no_recorded_track_enters_the_focus_area():

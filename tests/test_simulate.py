@@ -431,12 +431,12 @@ class _ScalarFeatureSimulator(DequeWindowSimulator):
         self._rewrites.clear()
 
 
-def _random_seeds(scene, rng, n, prefix, start_lo, start_hi, velocity, max_entry):
+def _random_seeds(scene, rng, n, prefix, start_lo, start_hi, velocity, max_entry, w=8):
     """n moving seeds whose every window position lies inside the scene."""
     seeds = []
     while len(seeds) < n:
         seed = _moving_seed(f"{prefix}{len(seeds):02d}", rng.uniform(start_lo, start_hi),
-                            velocity(rng), 0.04, entry=int(rng.integers(0, max_entry)))
+                            velocity(rng), 0.04, entry=int(rng.integers(0, max_entry)), w=w)
         if all(point_in_module(scene, p) is not None for p in seed.positions):
             seeds.append(seed)
     return seeds
@@ -556,26 +556,33 @@ def _path_clear_loop(scene, prev, points, walls, violated) -> bool:
 
 
 def test_path_clear_matches_the_scalar_loop():
+    # 600 chains of 1-7 guided points in one call, each right-aligned in a
+    # (600, 8, 2) array after NaN padding that _path_clear must not read.
     scene = make_composite()
     sim = Simulator(_config(scene, []), ZeroVelocityOracle())
     rng = np.random.default_rng(8)
-    verdicts = []
-    for _ in range(600):
+    chains = np.full((600, 8, 2), np.nan)
+    first, rows, violated, want = [], [], [], []
+    for i in range(len(chains)):
         row = int(rng.integers(len(scene.modules)))
         walls = active_walls(scene, scene.modules[row].id)
-        violated = walls[int(rng.integers(len(walls)))]
+        wall = walls[int(rng.integers(len(walls)))]
         # a guided path along the violated wall, near the clearance distance
-        along = violated[1] - violated[0]
+        along = wall[1] - wall[0]
         normal = np.array([-along[1], along[0]]) / np.hypot(*along)
-        start = violated[0] + rng.uniform(-0.1, 1.1) * along
+        start = wall[0] + rng.uniform(-0.1, 1.1) * along
         offset = rng.choice([0.05, 0.05 - 2e-9, 0.049, 0.06, -0.05, 0.5])
         step = rng.choice([0.0, 0.04, 0.3]) * rng.normal(size=2)
         points = [start + offset * normal + j * step for j in range(int(rng.integers(1, 8)))]
         prev = points[0] - rng.choice([0.0, 0.05]) * rng.normal(size=2)
-        want = _path_clear_loop(scene, prev, points, walls, violated)
-        assert sim._path_clear(prev, points, row, violated) == want
-        verdicts.append(want)
-    assert 0 < sum(verdicts) < len(verdicts)
+        first.append(7 - len(points))
+        chains[i, first[-1]:] = [prev] + points
+        rows.append(row)
+        violated.append(wall)
+        want.append(_path_clear_loop(scene, prev, points, walls, wall))
+    got = sim._path_clear(chains, np.array(first), np.array(rows), np.array(violated))
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
 
 
 def _composite_crowd(n: int, seed: int) -> SimulationConfig:
@@ -655,6 +662,61 @@ def test_rewrite_rows_read_the_states_recorded_at_their_step(lag):
     assert len(ring.inputs) == len(deques.inputs)
     for got, want in zip(ring.inputs, deques.inputs):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class _WallPushOracle(StubPredictor):
+    """Up the corridor at 1.5-2.5 m/s, drifting in x, keyed on the last
+    feature row: at its upper wall a pedestrian resets at every step."""
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        h = x[:, -1, 2] * 37.0
+        return np.column_stack([0.6 * np.sin(h), 2.0 + 0.5 * np.sin(1.7 * h)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wide_window_resets_give_the_list_reference_bitwise(monkeypatch):
+    """At window 12 a reset averages up to 12 recorded speeds, past the 8
+    where numpy's mean sums pairwise.  Two crowds reset together in the
+    slot arrays and one pedestrian at a time in the list reference: one
+    pushed into the corridor's upper wall early, so that it rewrites spans
+    of 3 to 12 steps, and a composite crowd under scrambled headings,
+    which also stands at its clear points.  Positions, velocities and
+    flags agree bit for bit."""
+    w = 12
+    spans, standing = [], 0         # each chain test's steps; standing steps
+    path_clear = Simulator._path_clear
+
+    def recorded(self, chains, first, rows, violated):
+        spans.extend((w - first).tolist())
+        return path_clear(self, chains, first, rows, violated)
+
+    monkeypatch.setattr(Simulator, "_path_clear", recorded)
+    rng = np.random.default_rng(12)
+    pushed = [_moving_seed(f"p{i:02d}", (rng.uniform(0.3, 4.0), rng.uniform(2.3, 2.5)),
+                           (rng.uniform(-0.2, 0.5), 0.5), 0.04, entry=int(rng.integers(0, 6)),
+                           w=w) for i in range(16)]
+    composite = make_composite()
+    lo = np.min([m.boundary.min(axis=0) for m in composite.modules], axis=0)
+    hi = np.max([m.boundary.max(axis=0) for m in composite.modules], axis=0)
+    scrambled = _random_seeds(composite, np.random.default_rng(12), 24, "p", lo, hi,
+                              lambda rng: rng.normal(scale=0.8, size=2), 6, w=w)
+    for scene, seeds, steps, oracle in ((make_corridor(), pushed, 40, _WallPushOracle()),
+                                        (composite, scrambled, 70, _HashOracle())):
+        config = SimulationConfig(scene=scene, dt=0.04, pedestrians=tuple(seeds),
+                                  params=replace(PARAMS, window=w), max_steps=steps)
+        sim, ref = Simulator(config, oracle), ListSimulator(config, oracle)
+        got, want = sim.run(), ref.run()
+        assert list(got.to_rows("r")) == list(want.to_rows("r"))
+        peds = {ped.ped_id: ped for ped in ref._peds}
+        for traj in got.trajectories:
+            ped, vel = peds[traj.ped_id], sim._vel[sim._ids.index(traj.ped_id), traj.steps]
+            assert traj.positions.tobytes() == np.array(ped.positions).tobytes()
+            assert vel.tobytes() == np.array(ped.velocities).tobytes()
+            assert traj.reset_flags.tobytes() == np.array(ped.reset_flags).tobytes()
+            # a standing path records zero velocity past its first step
+            standing += int(np.sum(traj.reset_flags[w + 1:] & traj.reset_flags[w:-1]
+                                   & np.all(vel[w + 1:] == 0.0, axis=1)))
+    assert set(range(3, w + 1)) <= set(spans) and standing > 0
 
 
 def _scalar_crossings(p_from, p_to, table, valid, rows):
@@ -743,13 +805,15 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
     projection onto its module's active walls.  _blocked gets each
     crossing move once, with the wall the scalar reference says it
     crosses, and with no wall only the moves that end outside every
-    module, cross none of their module's walls and snap nowhere; the reset
-    of such a stranded move runs no crossing test before _reset."""
+    module, cross none of their module's walls and snap nowhere.  The TCN's
+    reset stage is at most three crossing tests (guided chains, standing
+    chains, next moves), and for stranded moves none runs before their
+    first chain test."""
     kernel, modules = crowdsim.simulate.first_wall_crossings, crowdsim.simulate.containing_rows
     snap = crowdsim.simulate.snap_to_modules
     model_class = Simulator if model == "tcn" else _SocialForceSimulator
     crossings, propose = Simulator._crossings, model_class._propose
-    blocked, reset = model_class._blocked, Simulator._reset
+    blocked, path_clear = model_class._blocked, Simulator._path_clear
     law = crowdsim.social_force.sf_acceleration
     sim = calls = None
 
@@ -788,10 +852,13 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
         return propose(self, active, moved, pos, vel, t)
 
     def recorded_blocked(self, slots, walls, t):
+        before = calls["kernel"]
         if walls is not None:
             calls["blocked"] += [(t, slot, wall.tobytes())
                                  for slot, wall in zip(slots.tolist(), walls)]
-            return blocked(self, slots, walls, t)
+            out = blocked(self, slots, walls, t)
+            assert calls["kernel"] - before <= 3
+            return out
         scene = self.config.scene
         assert len(calls["unsnapped"]) == len(slots)
         for slot, proposal in zip(slots, calls["unsnapped"]):
@@ -800,21 +867,21 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
                                        active_walls(scene, _module_id(self, slot, t))) is None
             assert snap_to_module(scene, proposal) is None
         calls["stranded"] += len(slots)
-        calls["stranded_at"] = calls["kernel"]
+        calls["stranded_at"] = before
+        fresh = ~self._flag[slots, t + 1]
         try:
             return blocked(self, slots, walls, t)
         finally:
+            calls["stranded_resets"] += int(np.sum(fresh & self._flag[slots, t + 1]))
             calls["stranded_at"] = None
+            assert calls["kernel"] - before <= 3
 
-    def checked_reset(self, slot, wall, t):
-        if calls["stranded_at"] is None:
-            return reset(self, slot, wall, t)
-        assert calls["kernel"] == calls["stranded_at"]
-        calls["stranded_resets"] += 1
-        try:
-            return reset(self, slot, wall, t)
-        finally:                # the next stranded reset counts from here
-            calls["stranded_at"] = calls["kernel"]
+    def checked_path_clear(self, chains, first, rows, violated):
+        if calls["stranded_at"] is not None:    # a stranded reset's first chain test
+            assert calls["kernel"] == calls["stranded_at"]
+            calls["stranded_chains"] += len(chains)
+            calls["stranded_at"] = None
+        return path_clear(self, chains, first, rows, violated)
 
     def counted_projection(*args):
         calls["projections"][sim.step_index] = calls["projections"].get(sim.step_index, 0) + 1
@@ -834,11 +901,11 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
     monkeypatch.setattr(Simulator, "_crossings", counted_crossings)
     monkeypatch.setattr(model_class, "_propose", grouped_propose)
     monkeypatch.setattr(model_class, "_blocked", recorded_blocked)
-    monkeypatch.setattr(Simulator, "_reset", checked_reset)
+    monkeypatch.setattr(Simulator, "_path_clear", checked_path_clear)
     monkeypatch.setattr(crowdsim.social_force, "project_on_segments", counted_projection)
     monkeypatch.setattr(crowdsim.social_force, "sf_acceleration", checked_law)
 
-    stranded_resets = {}
+    stranded_resets, stranded_chains = {}, {}
     for name, config in (("composite", _composite_crowd(30, seed=5)),
                          ("corridors", _corridor_walkback_crowd())):
         if model == "tcn":
@@ -849,7 +916,8 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
                 [s.ped_id for s in config.pedestrians], np.random.default_rng(5), SFParams()))
         calls = {"kernel": 0, "stages": [], "projections": {}, "groups": {}, "laws": 0,
                  "moved": {}, "guards": {}, "crossing": [], "blocked": [], "stranded": 0,
-                 "stranded_at": None, "stranded_resets": 0, "unsnapped": None}
+                 "stranded_at": None, "stranded_resets": 0, "stranded_chains": 0,
+                 "unsnapped": None}
         sim.run()
 
         assert sim.step_index > len({s.entry_step for s in config.pedestrians})
@@ -866,10 +934,11 @@ def test_each_crowd_stage_is_one_kernel_call(model, monkeypatch):
             assert not (calls["laws"] or calls["projections"])
             assert calls["stranded_resets"] <= calls["stranded"]
         stranded_resets[name] = calls["stranded_resets"]
+        stranded_chains[name] = calls["stranded_chains"]
         if name == "composite":
             assert calls["crossing"]
     if model == "tcn":
-        assert stranded_resets["corridors"] > 0
+        assert stranded_resets["corridors"] > 0 and stranded_chains["corridors"] > 0
 
 
 def test_model_surface_and_one_record_per_pedestrian():
